@@ -5,7 +5,6 @@ free; a numeric SVD path covers floating inputs.  See the README for the
 CLI and file formats.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .coeffmatrix import (
     Bipartition,
     CoefficientMatrix,

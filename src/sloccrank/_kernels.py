@@ -1,4 +1,4 @@
-"""Pure-Python kernels for exact linear algebra over Z[i, sqrt2].
+"""Exact arithmetic and linear algebra over Z[i, sqrt2].
 
 A scalar is a quadruple of arbitrary-precision ints ``(a, b, c, d)``
 standing for ``a + b*i + c*sqrt2 + d*i*sqrt2``.  The quadruples form an
@@ -6,8 +6,9 @@ integral domain, so fraction-free (Bareiss) elimination stays exact:
 every division below is by construction remainder-free, and a nonzero
 remainder raises instead of silently corrupting the result.
 
-The compiled twin of this module is ``_core.pyx``; both expose the same
-two entry points and are interchangeable.
+This module is the one home of the quadruple product (``mul4``) and of
+the adjoint/norm pair behind every field inverse; ``ExactScalar`` in
+``scalars`` builds on both.
 """
 
 ZERO4 = (0, 0, 0, 0)
@@ -26,9 +27,12 @@ def mul4(x, y):
     )
 
 
-def _adjoint_and_norm(x):
-    # adj(x) = product of the three nontrivial conjugates of x, so that
-    # x * adj(x) = N(x) is a plain (possibly negative) integer.
+def adjoint_and_norm(x):
+    """``(adj, N)`` with ``x * adj == N``, a plain (possibly negative) integer.
+
+    ``adj`` is the product of the three nontrivial conjugates of ``x``,
+    so ``N`` is the field norm and ``adj / N`` the inverse of ``x``.
+    """
     a, b, c, d = x
     conj_i = (a, -b, c, -d)
     conj_s = (a, b, -c, -d)
@@ -90,7 +94,7 @@ def bareiss(entries, nrows, ncols):
                 diff = (t[0] - u[0], t[1] - u[1], t[2] - u[2], t[3] - u[3])
                 m[i * ncols + j] = _div_exact(diff, prev_adj, prev_norm)
             m[i * ncols + c] = ZERO4
-        prev_adj, prev_norm = _adjoint_and_norm(piv)
+        prev_adj, prev_norm = adjoint_and_norm(piv)
         last_piv = piv
         rank += 1
         r += 1

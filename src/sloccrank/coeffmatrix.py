@@ -174,11 +174,11 @@ def singular_values(C: CoefficientMatrix) -> list[float]:
     return [float(s) for s in np.linalg.svd(C.to_complex_array(), compute_uv=False)]
 
 
-def _exact_quad_rows(C: CoefficientMatrix):
+def _exact_quad_rows(rows):
     """Per-row denominator clearing; returns flat quadruples + row factors."""
     flat = []
     factors = []
-    for row in C.entries:
+    for row in rows:
         quads, den = common_denominator(row)
         flat.extend(quads)
         factors.append(den)
@@ -195,7 +195,7 @@ def rank(C: CoefficientMatrix, mode: str = "exact", tolerance: float | None = No
     if mode == "exact":
         if not C.is_exact:
             raise ModeError("exact rank requested for floating entries")
-        flat, _ = _exact_quad_rows(C)
+        flat, _ = _exact_quad_rows(C.entries)
         r, _ = bareiss(flat, C.rows, C.cols)
         return r
     if mode == "numeric":
@@ -283,10 +283,13 @@ def det_exact(C: CoefficientMatrix) -> ExactScalar:
         raise ModeError("exact determinant requested for floating entries")
     if C.rows != C.cols:
         raise ValueError("determinant needs a square matrix")
-    flat, factors = _exact_quad_rows(C)
-    _, det4 = bareiss(flat, C.rows, C.cols)
-    den = math.prod(factors)
-    return ExactScalar(det4[0], det4[1], det4[2], det4[3], den)
+    return _det_of_rows(C.entries, C.rows)
+
+
+def _det_of_rows(rows, size: int) -> ExactScalar:
+    flat, factors = _exact_quad_rows(rows)
+    _, det4 = bareiss(flat, size, size)
+    return ExactScalar(*det4, math.prod(factors))
 
 
 def det_coeff(psi: PureState, half_bits, mode: str | None = None):
@@ -310,12 +313,4 @@ def det_coeff(psi: PureState, half_bits, mode: str | None = None):
 
 def det_density_exact(rho) -> ExactScalar:
     """Exact determinant of a Hermitian ExactScalar matrix (nested tuples)."""
-    size = len(rho)
-    flat = []
-    factors = []
-    for row in rho:
-        quads, den = common_denominator(row)
-        flat.extend(quads)
-        factors.append(den)
-    _, det4 = bareiss(flat, size, size)
-    return ExactScalar(det4[0], det4[1], det4[2], det4[3], math.prod(factors))
+    return _det_of_rows(rho, len(rho))

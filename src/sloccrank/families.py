@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .coeffmatrix import coefficient_matrix, rank
-from .scalars import ExactScalar, ScalarFormatError, parse_exact, render_exact
+from .scalars import ExactScalar, ScalarFormatError, parse_exact, render_exact, signed_terms
 from .states import PureState, QubitPermutation, permute_qubits, state
 
 
@@ -82,47 +82,26 @@ _RESERVED = {"i", "r2"}
 def parse_affine(text: str, symbols) -> AffineExpr:
     """Parse ``COEFF`` / ``COEFF*SYMBOL`` terms (state-grammar coefficients)."""
     symbols = set(symbols)
-    compact = "".join(text.split())
-    if not compact:
-        raise FamilyError("empty amplitude expression")
-    # split into signed terms
-    terms = []
-    start = 0
-    for k in range(1, len(compact)):
-        if compact[k] in "+-" and compact[k - 1] not in "+-*/":
-            terms.append(compact[start:k])
-            start = k
-    terms.append(compact[start:])
     const = ExactScalar(0)
     coeffs: dict[str, ExactScalar] = {}
-    for term in terms:
-        sign = 1
-        if term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -1
-            term = term[1:]
-        if not term:
-            raise FamilyError(f"dangling sign in amplitude expression {text!r}")
-        parts = term.split("*")
-        sym = None
-        if parts[-1] not in _RESERVED and not re.fullmatch(r"\d+(?:/\d+)?", parts[-1]):
-            sym = parts[-1]
-            if sym not in symbols:
-                raise FamilyError(f"unknown parameter {sym!r} in {text!r}")
-            parts = parts[:-1]
-        if not parts:
-            coeff = ExactScalar(1)
-        else:
-            try:
-                coeff = parse_exact("*".join(parts))
-            except ScalarFormatError as exc:
-                raise FamilyError(f"bad coefficient in {text!r}: {exc}") from exc
-        if sign < 0:
-            coeff = -coeff
-        if sym is None:
-            const = const + coeff
-        else:
-            coeffs[sym] = coeffs.get(sym, ExactScalar(0)) + coeff
+    try:
+        for sign, term, _ in signed_terms(text):
+            parts = term.split("*")
+            sym = None
+            if parts[-1] not in _RESERVED and not re.fullmatch(r"\d+(?:/\d+)?", parts[-1]):
+                sym = parts[-1]
+                if sym not in symbols:
+                    raise FamilyError(f"unknown parameter {sym!r} in {text!r}")
+                parts = parts[:-1]
+            coeff = parse_exact("*".join(parts)) if parts else ExactScalar(1)
+            if sign < 0:
+                coeff = -coeff
+            if sym is None:
+                const = const + coeff
+            else:
+                coeffs[sym] = coeffs.get(sym, ExactScalar(0)) + coeff
+    except ScalarFormatError as exc:
+        raise FamilyError(f"bad amplitude expression {text!r}: {exc}") from exc
     ordered = tuple((s, coeffs[s]) for s in sorted(coeffs) if not coeffs[s].is_zero())
     return AffineExpr(const, ordered)
 

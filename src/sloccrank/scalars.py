@@ -12,14 +12,17 @@ Text grammar (used by state files and the family registry): a scalar is
 a sum of signed terms, each ``RAT``, ``RAT*i``, ``RAT*r2`` or
 ``RAT*i*r2`` with ``RAT := INT | INT/POSINT``; whitespace is
 insignificant.  A literal containing a decimal point or exponent is a
-floating literal instead.
+floating literal instead, and its value must be finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
+
+from ._kernels import adjoint_and_norm, mul4
 
 Rational = Fraction  # normalised, denominator > 0, arbitrary precision
 
@@ -128,6 +131,9 @@ class ExactScalar:
         )
 
     def __hash__(self):
+        if not (self.b or self.c or self.d):
+            # equal to an int or Fraction, so hash like one
+            return hash(self.a if self.den == 1 else Fraction(self.a, self.den))
         return hash((self.a, self.b, self.c, self.d, self.den))
 
     def __neg__(self) -> ExactScalar:
@@ -164,15 +170,8 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return ExactScalar(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            self.den * other.den,
-        )
+        a, b, c, d = mul4((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
+        return ExactScalar(a, b, c, d, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -199,18 +198,9 @@ class ExactScalar:
         """Multiplicative inverse; every nonzero element has one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        x = self.quad
-        ci = (x[0], -x[1], x[2], -x[3])
-        cs = (x[0], x[1], -x[2], -x[3])
-        cis = (x[0], -x[1], -x[2], x[3])
-        t = _mul_quad(ci, cs)
-        adj = _mul_quad(t, cis)
-        n = _mul_quad(x, adj)
-        # x * adj is the field norm of the numerator, a plain integer
-        assert n[1] == n[2] == n[3] == 0
-        return ExactScalar(
-            self.den * adj[0], self.den * adj[1], self.den * adj[2], self.den * adj[3], n[0]
-        )
+        adj, norm = adjoint_and_norm(self.quad)
+        den = self.den
+        return ExactScalar(den * adj[0], den * adj[1], den * adj[2], den * adj[3], norm)
 
     def to_complex(self) -> complex:
         return complex(
@@ -223,17 +213,6 @@ class ExactScalar:
 
     def __repr__(self) -> str:
         return f"ExactScalar({str(self)!r})"
-
-
-def _mul_quad(x, y):
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (
-        a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-        a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-    )
 
 
 ZERO = ExactScalar(0)
@@ -264,11 +243,15 @@ def common_denominator(values) -> tuple[list[tuple[int, int, int, int]], int]:
 
 _FLOAT_MARK = re.compile(r"[.eE]")
 
-_EXACT_TERM = re.compile(r"^(\d+(?:/\d+)?)(\*i)?(\*r2)?$")
-_EXACT_BARE = {"i": (0, 1), "r2": (1, 0), "i*r2": (1, 1)}
-
-_FLOAT_NUM = r"(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+/\d+)"
-_FLOAT_TERM = re.compile(rf"^({_FLOAT_NUM})(\*i)?(\*r2)?$")
+_NUMBER = {
+    False: r"\d+(?:/\d+)?",
+    True: r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|\d+/\d+",
+}
+# NUMBER with optional *i and *r2 units, or a bare unit
+_TERM = {
+    floating: re.compile(rf"({number})((?:\*i)?(?:\*r2)?)|(i(?:\*r2)?|r2)")
+    for floating, number in _NUMBER.items()
+}
 
 
 def is_float_literal(text: str) -> bool:
@@ -276,7 +259,13 @@ def is_float_literal(text: str) -> bool:
     return bool(_FLOAT_MARK.search(text))
 
 
-def _split_terms(text: str, base_pos: int):
+def signed_terms(text: str, base_pos: int = 0, floating: bool = False):
+    """Split scalar text into ``(sign, body, position)`` terms.
+
+    Whitespace is insignificant.  A ``+`` or ``-`` starts a new term
+    unless it follows ``+-*/`` or, in floating text only, an exponent
+    marker ``e``/``E``; each term carries at most one leading sign.
+    """
     compact = []
     positions = []
     for idx, ch in enumerate(text):
@@ -285,87 +274,64 @@ def _split_terms(text: str, base_pos: int):
             positions.append(base_pos + idx)
     if not compact:
         raise ScalarFormatError("empty scalar literal", base_pos)
-    terms = []
-    start = 0
-    for k in range(1, len(compact)):
-        if compact[k] in "+-" and compact[k - 1] not in "eE+-*/":
-            terms.append(("".join(compact[start:k]), positions[start]))
-            start = k
-    terms.append(("".join(compact[start:]), positions[start]))
-    return terms
+    glue = "eE+-*/" if floating else "+-*/"
+    starts = [0]
+    starts += [k for k in range(1, len(compact)) if compact[k] in "+-" and compact[k - 1] not in glue]
+    for start, end in zip(starts, starts[1:] + [len(compact)]):
+        sign = -1 if compact[start] == "-" else 1
+        body = "".join(compact[start + (compact[start] in "+-") : end])
+        if not body:
+            raise ScalarFormatError("dangling sign in scalar literal", positions[start])
+        yield sign, body, positions[start]
+
+
+def _scalar_terms(text: str, base_pos: int, floating: bool):
+    """Yield ``(sign, number, slot, position)`` for each term of a scalar.
+
+    ``number`` is the coefficient text (None for a bare unit) and
+    ``slot`` indexes the basis ``(1, i, r2, i*r2)``.
+    """
+    term = _TERM[floating]
+    for sign, body, pos in signed_terms(text, base_pos, floating):
+        m = term.fullmatch(body)
+        if not m:
+            raise ScalarFormatError(f"bad scalar term {body!r}", pos)
+        number, unit, bare = m.groups()
+        unit = bare or unit
+        yield sign, number, ("i" in unit) + 2 * ("r2" in unit), pos
 
 
 def parse_exact(text: str, base_pos: int = 0) -> ExactScalar:
     """Parse an exact scalar literal; raises ScalarFormatError otherwise."""
-    total = ZERO
-    for term, pos in _split_terms(text, base_pos):
-        sign = 1
-        if term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -1
-            term = term[1:]
-        if not term:
-            raise ScalarFormatError("dangling sign in scalar literal", pos)
-        if term in _EXACT_BARE:
-            r2_flag, i_flag = _EXACT_BARE[term][0], _EXACT_BARE[term][1]
-            coeff = Fraction(sign)
-        else:
-            m = _EXACT_TERM.match(term)
-            if not m:
-                raise ScalarFormatError(f"bad scalar term {term!r}", pos)
-            rat, i_part, r2_part = m.groups()
-            if "/" in rat:
-                num, den = rat.split("/")
-                if int(den) == 0:
-                    raise ScalarFormatError("zero denominator", pos)
-                coeff = Fraction(sign * int(num), int(den))
-            else:
-                coeff = Fraction(sign * int(rat))
-            i_flag = 1 if i_part else 0
-            r2_flag = 1 if r2_part else 0
-        if not i_flag and not r2_flag:
-            total = total + ExactScalar.from_components(coeff)
-        elif i_flag and not r2_flag:
-            total = total + ExactScalar.from_components(0, coeff)
-        elif not i_flag and r2_flag:
-            total = total + ExactScalar.from_components(0, 0, coeff)
-        else:
-            total = total + ExactScalar.from_components(0, 0, 0, coeff)
-    return total
+    comps = [0, 0, 0, 0]
+    for sign, number, slot, pos in _scalar_terms(text, base_pos, False):
+        num, _, den = (number or "1").partition("/")
+        den = int(den or 1)
+        if den == 0:
+            raise ScalarFormatError("zero denominator", pos)
+        comps[slot] += Fraction(sign * int(num), den)
+    return ExactScalar.from_components(*comps)
 
 
 def parse_float(text: str, base_pos: int = 0) -> complex:
-    """Parse a scalar literal to a complex float (`r2` -> 1.4142...)."""
+    """Parse a scalar literal to a finite complex float (`r2` -> 1.4142...)."""
     total = 0j
-    for term, pos in _split_terms(text, base_pos):
-        sign = 1.0
-        if term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -1.0
-            term = term[1:]
-        if not term:
-            raise ScalarFormatError("dangling sign in scalar literal", pos)
-        if term in _EXACT_BARE:
-            r2_flag, i_flag = _EXACT_BARE[term]
+    for sign, number, slot, pos in _scalar_terms(text, base_pos, True):
+        if number is None:
             value = 1.0
+        elif "/" in number:
+            num, den = number.split("/")
+            if float(den) == 0:
+                raise ScalarFormatError("zero denominator", pos)
+            value = float(num) / float(den)
         else:
-            m = _FLOAT_TERM.match(term)
-            if not m:
-                raise ScalarFormatError(f"bad scalar term {term!r}", pos)
-            rat, i_part, r2_part = m.groups()
-            if "/" in rat:
-                num, den = rat.split("/")
-                if float(den) == 0:
-                    raise ScalarFormatError("zero denominator", pos)
-                value = float(num) / float(den)
-            else:
-                value = float(rat)
-            i_flag = 1 if i_part else 0
-            r2_flag = 1 if r2_part else 0
+            value = float(number)
         value *= sign
-        if r2_flag:
+        if slot & 2:
             value *= SQRT2_FLOAT
-        total += complex(0.0, value) if i_flag else complex(value, 0.0)
+        total += complex(0.0, value) if slot & 1 else complex(value, 0.0)
+    if not cmath.isfinite(total):
+        raise ScalarFormatError(f"non-finite scalar literal {text.strip()!r}", base_pos)
     return total
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffmatrix import coefficient_matrix, rank, rank_signature
-from .states import PureState, product_state, state
+from .states import PureState, state
 
 EN_DASH = "–"
 
@@ -151,8 +151,3 @@ def degenerate_family(
     if psi.n < 2:
         raise ValueError("family labels need at least two qubits")
     return DegenerateFamilyLabel(separability_partition(psi, mode, tolerance).label())
-
-
-def assemble(factors, n: int) -> PureState:
-    """Product state from (factor, placement) pairs (test/report helper)."""
-    return product_state(factors, n)

@@ -38,6 +38,11 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_uppercase[:n])
 
 
+def _check_qubit_count(n: int) -> None:
+    if not 1 <= n <= QUBIT_CAP:
+        raise ValueError(f"qubit count {n} outside 1..{QUBIT_CAP}")
+
+
 def _coerce_amp(x):
     if isinstance(x, ExactScalar):
         return x
@@ -55,20 +60,18 @@ class PureState:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= QUBIT_CAP:
-            raise ValueError(f"qubit count {self.n} outside 1..{QUBIT_CAP}")
+        _check_qubit_count(self.n)
         if len(self.amps) != 1 << self.n:
             raise ValueError(
                 f"amplitude vector has length {len(self.amps)}, expected {1 << self.n}"
             )
         if len(self.labels) != self.n:
             raise ValueError("label count does not match qubit count")
-        if self.is_exact:
-            if not any(not a.is_zero() for a in self.amps):
-                raise ValueError("zero vector is not a state")
-        else:
-            if not any(self.amps):
-                raise ValueError("zero vector is not a state")
+        kinds = set(map(type, self.amps))
+        if ExactScalar in kinds and len(kinds) > 1:
+            raise ValueError("amplitudes mix exact and floating scalars")
+        if not any(self.amps):
+            raise ValueError("zero vector is not a state")
 
     @property
     def is_exact(self) -> bool:
@@ -99,6 +102,7 @@ def state(n: int, amps, labels=None) -> PureState:
     Exact when every amplitude is ExactScalar/int/Fraction, floating
     otherwise (any float or complex converts the whole vector).
     """
+    _check_qubit_count(n)
     coerced = [_coerce_amp(a) for a in amps]
     if any(isinstance(a, complex) for a in coerced):
         coerced = [a.to_complex() if isinstance(a, ExactScalar) else complex(a) for a in coerced]

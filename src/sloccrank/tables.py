@@ -17,6 +17,7 @@ from importlib import resources
 
 from .coeffmatrix import coefficient_matrix, enumerate_bipartitions, rank, rank_signature
 from .families import (
+    SPLIT_BITS,
     FamilyRegistry,
     RankTriple,
     SubfamilyRule,
@@ -244,7 +245,7 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
     report = TableReport(4, data["title"])
     entry = registry.get(data["family"])
     for split, preds in entry.split_rules.items():
-        bits = {"AB": (1, 2), "AC": (1, 3), "AD": (1, 4)}[split]
+        bits = SPLIT_BITS[split]
         for idx, pred in enumerate(preds, start=1):
             rule = SubfamilyRule(
                 family=data["family"],

@@ -68,6 +68,15 @@ def test_exact_mode_on_float_file(tmp_path, capsys):
     assert main(["ranks", str(path)]) == 0  # numeric fallback by default
 
 
+def test_non_finite_amplitude_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "inf.state"
+    path.write_text('{n: 1, amps: ["1e999", "0.5"]}')
+    assert main(["ranks", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_classify_eprepr(eprepr_file, capsys):
     assert main(["classify", eprepr_file]) == 0
     out = capsys.readouterr().out

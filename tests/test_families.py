@@ -21,6 +21,7 @@ from sloccrank.families import (
     full_permutation_scan,
     instantiate,
     match_template,
+    parse_affine,
     parse_predicate,
     permutation_analysis,
     rank_triple,
@@ -90,6 +91,15 @@ def test_rank_triple_examples():
     assert rank_triple(instantiate("G_abcd", (1, 1, 1, 1))).as_tuple() == (2, 2, 2)
     assert rank_triple(instantiate("G_abcd", (1, 1, 0, 0))).as_tuple() == (1, 4, 4)
     assert rank_triple(instantiate("L_ab3'", (1, 1))).as_tuple() == (4, 3, 4)
+
+
+def test_parse_affine_parameter_named_e_keeps_terms_apart():
+    expr = parse_affine("1*e - 1*f", ("e", "f"))
+    assert expr.const == 0
+    assert expr.coeffs == (("e", ExactScalar(1)), ("f", ExactScalar(-1)))
+    expr = parse_affine("e+2 - 1/2*i*r2*E", ("e", "E"))
+    assert expr.const == 2
+    assert expr.coeffs == (("E", ExactScalar(0, 0, 0, -1, 2)), ("e", ExactScalar(1)))
 
 
 # --- predicates ------------------------------------------------------------------

@@ -1,43 +1,32 @@
-"""Both kernel backends agree with each other and with reference oracles."""
+"""The exact kernel agrees with reference oracles."""
 
 import random
 
-import pytest
-
-from sloccrank._kernels import pure
+from sloccrank._kernels import apply_single_qubit, bareiss
 from sloccrank.scalars import ExactScalar
 from _oracles import quad_matrix_to_scalars, ref_det_leibniz, ref_rank_exact
-
-try:
-    from sloccrank._kernels import _core as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [pure] if compiled is None else [pure, compiled]
 
 
 def _random_flat(rng, rows, cols, span=5):
     return [tuple(rng.randint(-span, span) for _ in range(4)) for _ in range(rows * cols)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-def test_rank_matches_division_based_elimination(backend):
+def test_rank_matches_division_based_elimination():
     rng = random.Random(23)
     for _ in range(300):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         flat = _random_flat(rng, rows, cols)
-        got, _ = backend.bareiss(list(flat), rows, cols)
+        got, _ = bareiss(list(flat), rows, cols)
         assert got == ref_rank_exact(quad_matrix_to_scalars(flat, rows, cols))
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-def test_det_matches_leibniz_expansion(backend):
+def test_det_matches_leibniz_expansion():
     rng = random.Random(29)
     for _ in range(200):
         n = rng.randint(1, 4)
         flat = _random_flat(rng, n, n, span=3)
-        _, det4 = backend.bareiss(list(flat), n, n)
+        _, det4 = bareiss(list(flat), n, n)
         assert ExactScalar(*det4) == ref_det_leibniz(quad_matrix_to_scalars(flat, n, n))
 
 
@@ -45,13 +34,12 @@ def test_rank_deficient_matrices():
     # duplicated rows force rank collapse
     row = [(1, 2, 0, -1), (3, 0, 1, 0)]
     flat = row + row
-    assert pure.bareiss(list(flat), 2, 2) == (1, (0, 0, 0, 0))
+    assert bareiss(list(flat), 2, 2) == (1, (0, 0, 0, 0))
     zeros = [(0, 0, 0, 0)] * 6
-    assert pure.bareiss(zeros, 2, 3)[0] == 0
+    assert bareiss(zeros, 2, 3)[0] == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-def test_structured_low_rank_matrices(backend):
+def test_structured_low_rank_matrices():
     # sums of r rank-one outer products have rank exactly r (generically);
     # compare against the reference elimination instead of assuming it
     rng = random.Random(61)
@@ -71,45 +59,19 @@ def test_structured_low_rank_matrices(backend):
             for i in range(rows)
         ]
         flat = [e.quad for row_ in entries for e in row_]
-        got, _ = backend.bareiss(flat, rows, cols)
+        got, _ = bareiss(flat, rows, cols)
         assert got == ref_rank_exact(entries)
         assert got <= r
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backend_parity_on_random_matrices():
-    rng = random.Random(31)
-    for _ in range(1000):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        flat = _random_flat(rng, rows, cols)
-        assert pure.bareiss(list(flat), rows, cols) == compiled.bareiss(
-            list(flat), rows, cols
-        )
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backend_parity_apply_single_qubit():
-    rng = random.Random(37)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        amps = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(1 << n)]
-        op = tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4))
-        target = rng.randrange(n)
-        assert pure.apply_single_qubit(list(amps), n, target, op) == (
-            compiled.apply_single_qubit(list(amps), n, target, op)
-        )
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-def test_apply_single_qubit_matches_field_arithmetic(backend):
+def test_apply_single_qubit_matches_field_arithmetic():
     rng = random.Random(41)
     for _ in range(100):
         n = rng.randint(1, 4)
         amps = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(1 << n)]
         op = tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4))
         target = rng.randrange(n)
-        got = backend.apply_single_qubit(list(amps), n, target, op)
+        got = apply_single_qubit(list(amps), n, target, op)
         o00, o01, o10, o11 = (ExactScalar(*q) for q in op)
         bit = 1 << (n - 1 - target)
         for w in range(1 << n):

@@ -94,10 +94,43 @@ def test_parse_rejects_bad_terms():
             parse_exact(bad)
 
 
+def _random_term_string(rng):
+    bodies = ("{n}", "{n}/{d}", "{n}*i", "{n}/{d}*i", "{n}*r2", "{n}/{d}*r2", "{n}*i*r2",
+              "{n}/{d}*i*r2", "i", "r2", "i*r2")
+    out = []
+    for k in range(rng.randint(1, 5)):
+        sign = rng.choice(("", "-") if k == 0 else ("+", "-"))
+        body = rng.choice(bodies).format(n=rng.randint(0, 40), d=rng.randint(1, 9))
+        out.append(rng.choice(("", " ")) + sign + rng.choice(("", " ")) + body)
+    return "".join(out)
+
+
+def test_exact_and_float_parsers_agree_on_random_terms():
+    rng = random.Random(5)
+    for _ in range(500):
+        text = _random_term_string(rng)
+        exact = parse_exact(text).to_complex()
+        assert abs(parse_float(text) - exact) < 1e-12 * (1 + abs(exact)), text
+
+
+def test_exponent_is_not_exact_grammar():
+    for bad in ("1e5", "1e+5", "1E-2*i"):
+        with pytest.raises(ScalarFormatError):
+            parse_exact(bad)
+    assert parse_float("1e+5 - 2E-1*i") == complex(1e5, -0.2)
+
+
 def test_float_literal_detection():
     assert is_float_literal("0.5")
     assert is_float_literal("1e-3")
     assert not is_float_literal("1/2 + 1/2*i*r2")
+
+
+def test_parse_float_rejects_non_finite_values():
+    for bad in ("1e999", "-1e999*i", "1e308 + 1e308", "1e999 - 1e999"):
+        with pytest.raises(ScalarFormatError, match="non-finite"):
+            parse_float(bad)
+    assert parse_float("1e308") == 1e308
 
 
 def test_parse_float_values():
@@ -143,3 +176,15 @@ def test_hash_consistent_with_equality():
     a = ExactScalar(2, 4, 6, 8, 2)
     b = ExactScalar(1, 2, 3, 4)
     assert a == b and hash(a) == hash(b)
+
+
+def test_rational_scalars_hash_like_int_and_fraction():
+    assert 1 in {ExactScalar(1)}
+    assert ExactScalar(1) in {1}
+    assert Fraction(1, 2) in {ExactScalar(1, 0, 0, 0, 2)}
+    assert ExactScalar(-3, 0, 0, 0, 4) in {Fraction(-3, 4)}
+    table = {ExactScalar(0): "zero", ExactScalar(5, 0, 0, 0, 10): "half", I_OVER_SQRT2: "i/r2"}
+    assert table[0] == "zero"
+    assert table[Fraction(1, 2)] == "half"
+    assert table[ExactScalar(0, 0, 0, 1, 2)] == "i/r2"
+    assert {ExactScalar(2), 2, Fraction(4, 2)} == {2}

@@ -94,6 +94,13 @@ def test_state_vector_length_enforced():
         PureState(2, (ExactScalar(1),) * 3, ("A", "B"))
 
 
+def test_mixed_amplitude_kinds_rejected():
+    with pytest.raises(ValueError, match="mix"):
+        PureState(1, (ExactScalar(1), 1j), ("A",))
+    with pytest.raises(ValueError, match="mix"):
+        PureState(1, (1j, ExactScalar(1)), ("A",))
+
+
 def test_qubit_cap():
     with pytest.raises(ValueError):
         state(21, [1] + [0] * ((1 << 21) - 1))
