@@ -9,10 +9,22 @@ remainder raises instead of silently corrupting the result.
 This module is the one home of the quadruple product (``mul4``) and of
 the adjoint/norm pair behind every field inverse; ``ExactScalar`` in
 ``scalars`` builds on both.
+
+Rank-only requests first try the prime field F_P.  Since P = 1 (mod 8),
+both -1 and 2 are squares mod P, and i -> I_P, sqrt2 -> S_P is a ring
+homomorphism Z[i, sqrt2] -> F_P.  An exactly vanishing minor vanishes
+mod P, so the rank mod P is a lower bound on the exact rank; when it
+reaches min(nonzero rows, nonzero columns) it is the exact rank.
+Otherwise the exact elimination decides.
 """
 
 ZERO4 = (0, 0, 0, 0)
 ONE4 = (1, 0, 0, 0)
+
+P = 2147483497  # prime, P = 1 (mod 8), below 2**31
+I_P = 1731803418  # I_P**2 = -1 (mod P)
+S_P = 974023842  # S_P**2 = 2 (mod P)
+IS_P = 391447392  # I_P * S_P % P
 
 
 def mul4(x, y):
@@ -55,13 +67,14 @@ def _div_exact(x, adj, norm):
     return tuple(out)
 
 
-def bareiss(entries, nrows, ncols):
-    """Fraction-free row reduction of a quadruple matrix.
+def _eliminate(entries, nrows, ncols):
+    """Fraction-free (Bareiss) row reduction of a quadruple matrix.
 
     ``entries`` is a row-major list of ``nrows * ncols`` quadruples.
     Returns ``(rank, det)`` where ``det`` is the exact determinant
     quadruple for square input and ``(0, 0, 0, 0)`` for rank-deficient
-    or non-square input.
+    or non-square input.  This is the reference elimination, the only
+    source of determinants and the fallback of the modular rank route.
     """
     m = list(entries)
     rank = 0
@@ -104,6 +117,71 @@ def bareiss(entries, nrows, ncols):
     else:
         det = ZERO4
     return rank, det
+
+
+def _full_rank_mod_p(rows, ncols):
+    """Whether the F_P matrix ``rows`` has rank ``min(len(rows), ncols)``.
+
+    ``rows`` is a list of ``ncols``-long int lists standing for their
+    residues mod P; it is consumed.  Entries are reduced only where they
+    are tested or become a pivot row (a multi-digit ``%`` costs more than
+    the update itself), so each update grows an entry by less than P**2.
+    Stops at the first pivotless column that rules full rank out.
+    """
+    slack = ncols - min(len(rows), ncols)  # columns that may lack a pivot
+    for c in range(ncols):
+        for k, row in enumerate(rows):
+            x = row[c] % P
+            if x:
+                break
+        else:
+            slack -= 1
+            if slack < 0:
+                return False
+            continue
+        del rows[k]
+        if not rows:
+            return True
+        inv = pow(x, -1, P)
+        piv = [v * inv % P for v in row[c + 1:]]
+        for other in rows:
+            x = other[c] % P
+            if x:
+                other[c + 1:] = [v - x * p for v, p in zip(other[c + 1:], piv)]
+    return True
+
+
+def _certified_rank(entries, nrows, ncols):
+    """Exact rank: support compression, then F_P, then ``_eliminate``."""
+    rows = []
+    for i in range(0, nrows * ncols, ncols):
+        row = entries[i:i + ncols]
+        if row.count(ZERO4) != ncols:
+            rows.append(row)
+    cols = [j for j in range(ncols) if entries[j::ncols].count(ZERO4) != nrows]
+    if len(rows) <= 1 or len(cols) <= 1:
+        return min(len(rows), len(cols))
+    if len(cols) < ncols:
+        rows = [[row[j] for j in cols] for row in rows]
+    mod = [[a + b * I_P + c * S_P + d * IS_P for a, b, c, d in row] for row in rows]
+    if _full_rank_mod_p(mod, len(cols)):
+        return min(len(rows), len(cols))
+    return _eliminate([e for row in rows for e in row], len(rows), len(cols))[0]
+
+
+def bareiss(entries, nrows, ncols, det=True):
+    """Exact rank, and the determinant on request, of a quadruple matrix.
+
+    ``entries`` is a row-major list of ``nrows * ncols`` quadruples.
+    With ``det=True`` returns ``(rank, det)`` as ``_eliminate`` does:
+    ``det`` is the exact determinant for square input and ``(0, 0, 0, 0)``
+    for rank-deficient or non-square input.  With ``det=False`` returns
+    ``(rank, None)``.  Ranks not needing a determinant come from the
+    certified mod-P route (see the module docstring), never from chance.
+    """
+    if det and nrows == ncols:
+        return _eliminate(entries, nrows, ncols)
+    return _certified_rank(entries, nrows, ncols), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class UsageError(Exception):
+    """Invalid input from outside the argument list, such as the environment."""
+
+
 def _env_seed() -> int:
     raw = os.environ.get("SLOCC_RANK_SEED")
     if raw is None:
@@ -49,13 +54,34 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise UsageError(f"SLOCC_RANK_SEED must be an integer, got {raw!r}") from None
+
+
+def _count(text: str) -> int:
+    """A trial or sample count: a gate that ran nothing must not pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _add_common(parser):
     parser.add_argument("--mode", choices=("exact", "numeric"), default=None,
                         help="override the scalar mode (default: exact when possible)")
-    parser.add_argument("--tolerance", type=float, default=None,
+    parser.add_argument("--tolerance", type=_tolerance, default=None,
                         help="relative singular-value cutoff for numeric ranks")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (falls back to SLOCC_RANK_SEED, then 0)")
@@ -83,12 +109,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a named property check")
     p.add_argument("check", choices=sorted(checks.CHECKS) + ["all"])
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_count, default=None)
     _add_common(p)
 
     p = sub.add_parser("table", help="reproduce a bundled reference table")
     p.add_argument("table_id", type=int, choices=TABLE_IDS)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     _add_common(p)
     return parser
 
@@ -280,7 +306,7 @@ def main(argv=None) -> int:
     except (ModeError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, ModeError) else EXIT_VERIFY
-    except FamilyError as exc:
+    except (FamilyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:

@@ -121,33 +121,22 @@ class CoefficientMatrix:
 def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMatrix:
     """Matricise the amplitude vector with ``row_bits`` indexing rows."""
     bp = Bipartition.from_row_bits(psi.n, row_bits, col_bits)
-    n = psi.n
-    nr = 1 << len(bp.row_bits)
-    nc = 1 << len(bp.col_bits)
-    row_add = [0] * nr
-    for u in range(nr):
-        w = 0
-        for t, b in enumerate(bp.row_bits):
-            if (u >> (len(bp.row_bits) - 1 - t)) & 1:
-                w |= 1 << (n - b)
-        row_add[u] = w
-    col_add = [0] * nc
-    for v in range(nc):
-        w = 0
-        for t, b in enumerate(bp.col_bits):
-            if (v >> (len(bp.col_bits) - 1 - t)) & 1:
-                w |= 1 << (n - b)
-        col_add[v] = w
+    row_add = _index_offsets(psi.n, bp.row_bits)
+    col_add = _index_offsets(psi.n, bp.col_bits)
+    amps = psi.amps
     if psi.is_exact:
-        entries = tuple(
-            tuple(psi.amps[row_add[u] | col_add[v]] for v in range(nc)) for u in range(nr)
-        )
+        entries = tuple(tuple(amps[r | c] for c in col_add) for r in row_add)
     else:
-        entries = np.empty((nr, nc), dtype=complex)
-        for u in range(nr):
-            for v in range(nc):
-                entries[u, v] = psi.amps[row_add[u] | col_add[v]]
-    return CoefficientMatrix(nr, nc, entries, bp)
+        entries = np.array(amps, dtype=complex)[np.add.outer(row_add, col_add)]
+    return CoefficientMatrix(len(row_add), len(col_add), entries, bp)
+
+
+def _index_offsets(n: int, bits) -> list[int]:
+    """Basis-index offsets of ``bits``, the first bit most significant."""
+    out = [0]
+    for b in bits:
+        out = [w | y for w in out for y in (0, 1 << (n - b))]
+    return out
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
@@ -196,8 +185,7 @@ def rank(C: CoefficientMatrix, mode: str = "exact", tolerance: float | None = No
         if not C.is_exact:
             raise ModeError("exact rank requested for floating entries")
         flat, _ = _exact_quad_rows(C.entries)
-        r, _ = bareiss(flat, C.rows, C.cols)
-        return r
+        return bareiss(flat, C.rows, C.cols, det=False)[0]
     if mode == "numeric":
         svals = singular_values(C)
         if tolerance is None:

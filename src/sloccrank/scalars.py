@@ -215,11 +215,6 @@ class ExactScalar:
         return f"ExactScalar({str(self)!r})"
 
 
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-I_UNIT = ExactScalar(0, 1)
-SQRT2 = ExactScalar(0, 0, 1)
-I_SQRT2 = ExactScalar(0, 0, 0, 1)
 I_OVER_SQRT2 = ExactScalar(0, 0, 0, 1, 2)  # i/sqrt2 == (1/2) * i * sqrt2
 
 

@@ -204,3 +204,58 @@ def test_registry_flag_extends_families(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     families = {m["family"] for m in data["template_matches"]}
     assert families == {"G_abcd", "G_clone"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "kron-rank", "--trials", "0"],
+    ["verify", "kron-rank", "--trials", "-1"],
+    ["verify", "all", "--trials", "x"],
+    ["table", "5", "--samples", "0"],
+    ["table", "5", "--samples", "-3"],
+])
+def test_gate_that_checks_nothing_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be an integer >= 1" in captured.err
+    assert "pass" not in captured.out and "match" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.fixture
+def bell_file(tmp_path):
+    path = tmp_path / "bell.state"
+    path.write_text('{n: 2, amps: ["1", "0", "0", "1"]}')
+    return str(path)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "abc"])
+def test_tolerance_must_be_finite_and_non_negative(bell_file, tolerance, capsys):
+    assert main(["ranks", bell_file, "--mode", "numeric", "--tolerance", tolerance]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_zero_tolerance_is_accepted(bell_file, capsys):
+    assert main(["ranks", bell_file, "--mode", "numeric", "--tolerance", "0"]) == 0
+    assert capsys.readouterr().out.split() == ["A", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "matrix-transform", "--trials", "3"],
+    ["table", "1"],
+])
+def test_malformed_env_seed_is_a_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("SLOCC_RANK_SEED", "abc")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "SLOCC_RANK_SEED" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_explicit_seed_ignores_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("SLOCC_RANK_SEED", "abc")
+    assert main(["verify", "matrix-transform", "--trials", "3", "--seed", "7"]) == 0
+    assert "seed=7" in capsys.readouterr().out
