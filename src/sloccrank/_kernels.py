@@ -67,20 +67,21 @@ def _div_exact(x, adj, norm):
     return tuple(out)
 
 
-def _eliminate(entries, nrows, ncols):
-    """Fraction-free (Bareiss) row reduction of a quadruple matrix.
+def echelon(entries, nrows, ncols):
+    """Fraction-free (Bareiss) row echelon form of a quadruple matrix.
 
     ``entries`` is a row-major list of ``nrows * ncols`` quadruples.
-    Returns ``(rank, det)`` where ``det`` is the exact determinant
-    quadruple for square input and ``(0, 0, 0, 0)`` for rank-deficient
-    or non-square input.  This is the reference elimination, the only
-    source of determinants and the fallback of the modular rank route.
+    Returns ``(m, pivots, sign)``: ``m`` is the reduced row-major list,
+    row ``r`` of it has its pivot in column ``pivots[r]``, rows from
+    ``len(pivots)`` on are zero, and ``sign`` is the parity of the row
+    swaps.  Each pivot is a minor of the input, so for square input of
+    full rank the last pivot times ``sign`` is the determinant.  This is
+    the one elimination loop of the package.
     """
     m = list(entries)
-    rank = 0
+    pivots = []
     sign = 1
     prev_adj, prev_norm = ONE4, 1
-    skipped = False
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -92,7 +93,6 @@ def _eliminate(entries, nrows, ncols):
                 p = i
                 break
         if p < 0:
-            skipped = True
             continue
         if p != r:
             for j in range(c, ncols):
@@ -108,15 +108,24 @@ def _eliminate(entries, nrows, ncols):
                 m[i * ncols + j] = _div_exact(diff, prev_adj, prev_norm)
             m[i * ncols + c] = ZERO4
         prev_adj, prev_norm = adjoint_and_norm(piv)
-        last_piv = piv
-        rank += 1
+        pivots.append(c)
         r += 1
-    if nrows == ncols and rank == nrows and not skipped:
-        a, b, c_, d = last_piv
-        det = (a, b, c_, d) if sign > 0 else (-a, -b, -c_, -d)
-    else:
-        det = ZERO4
-    return rank, det
+    return m, pivots, sign
+
+
+def _eliminate(entries, nrows, ncols):
+    """``(rank, det)`` of a quadruple matrix read off ``echelon``.
+
+    ``det`` is the exact determinant quadruple for square input of full
+    rank and ``(0, 0, 0, 0)`` otherwise.  The only source of
+    determinants and the fallback of the modular rank route.
+    """
+    m, pivots, sign = echelon(entries, nrows, ncols)
+    rank = len(pivots)
+    if not rank == nrows == ncols:
+        return rank, ZERO4
+    a, b, c, d = m[-1]
+    return rank, (a, b, c, d) if sign > 0 else (-a, -b, -c, -d)
 
 
 def _full_rank_mod_p(rows, ncols):

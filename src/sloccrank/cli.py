@@ -148,10 +148,20 @@ def _render_value(value) -> str:
     return render_exact(value)
 
 
+def _split_bits(psi: PureState, letters: str) -> tuple[int, ...]:
+    """Positions of the ``--bits`` qubits: distinct labels, a proper part of the register."""
+    if not letters or len(set(letters)) != len(letters) or not set(letters) < set(psi.labels):
+        raise UsageError(
+            f"--bits must name distinct qubits of {''.join(psi.labels)}"
+            f" and leave at least one out, got {letters!r}"
+        )
+    return tuple(sorted(psi.position_of(ch) for ch in letters))
+
+
 def cmd_ranks(args) -> int:
     psi, mode = _load_state(args.state_file, args.mode)
     if args.bits is not None:
-        positions = tuple(sorted(psi.position_of(ch) for ch in args.bits))
+        positions = _split_bits(psi, args.bits)
         value = rank(coefficient_matrix(psi, positions), mode, args.tolerance)
         if args.output == "machine":
             print(json.dumps({"bits": args.bits, "rank": value, "mode": mode}))
@@ -297,10 +307,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (StateFormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (StateFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ModeError, ClassificationError) as exc:

@@ -10,7 +10,6 @@ Ranks are insensitive to the column order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,17 +162,6 @@ def singular_values(C: CoefficientMatrix) -> list[float]:
     return [float(s) for s in np.linalg.svd(C.to_complex_array(), compute_uv=False)]
 
 
-def _exact_quad_rows(rows):
-    """Per-row denominator clearing; returns flat quadruples + row factors."""
-    flat = []
-    factors = []
-    for row in rows:
-        quads, den = common_denominator(row)
-        flat.extend(quads)
-        factors.append(den)
-    return flat, factors
-
-
 def rank(C: CoefficientMatrix, mode: str = "exact", tolerance: float | None = None) -> int:
     """Rank of a coefficient matrix.
 
@@ -184,8 +172,8 @@ def rank(C: CoefficientMatrix, mode: str = "exact", tolerance: float | None = No
     if mode == "exact":
         if not C.is_exact:
             raise ModeError("exact rank requested for floating entries")
-        flat, _ = _exact_quad_rows(C.entries)
-        return bareiss(flat, C.rows, C.cols, det=False)[0]
+        quads, _ = common_denominator([e for row in C.entries for e in row])
+        return bareiss(quads, C.rows, C.cols, det=False)[0]
     if mode == "numeric":
         svals = singular_values(C)
         if tolerance is None:
@@ -251,18 +239,16 @@ def reduced_density(psi: PureState, kept_bits):
     """``rho = C C^dagger`` for the kept qubits; Hermitian PSD by construction."""
     C = coefficient_matrix(psi, tuple(kept_bits))
     if C.is_exact:
-        out = []
-        for u in range(C.rows):
-            row = []
-            for v in range(C.rows):
-                acc = ExactScalar(0)
-                for k in range(C.cols):
-                    acc = acc + C.entries[u][k] * C.entries[v][k].conjugate()
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        return dot_rows(C.entries, [[e.conjugate() for e in row] for row in C.entries])
     arr = C.entries
     return arr @ arr.conj().T
+
+
+def dot_rows(A, B) -> tuple:
+    """``A @ B^T`` of exact matrices given as sequences of rows."""
+    return tuple(
+        tuple(sum((x * y for x, y in zip(a, b)), ExactScalar(0)) for b in B) for a in A
+    )
 
 
 def det_exact(C: CoefficientMatrix) -> ExactScalar:
@@ -275,9 +261,9 @@ def det_exact(C: CoefficientMatrix) -> ExactScalar:
 
 
 def _det_of_rows(rows, size: int) -> ExactScalar:
-    flat, factors = _exact_quad_rows(rows)
-    _, det4 = bareiss(flat, size, size)
-    return ExactScalar(*det4, math.prod(factors))
+    quads, den = common_denominator([e for row in rows for e in row])
+    _, det4 = bareiss(quads, size, size)
+    return ExactScalar(*det4, den**size)
 
 
 def det_coeff(psi: PureState, half_bits, mode: str | None = None):

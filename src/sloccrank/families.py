@@ -21,8 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
+from ._kernels import echelon
 from .coeffmatrix import coefficient_matrix, rank
-from .scalars import ExactScalar, ScalarFormatError, parse_exact, render_exact, signed_terms
+from .scalars import (
+    ExactScalar,
+    ScalarFormatError,
+    common_denominator,
+    parse_exact,
+    render_exact,
+    signed_terms,
+)
 from .states import PureState, QubitPermutation, permute_qubits, state
 
 
@@ -288,32 +296,65 @@ def _triple_from_string(text: str) -> RankTriple:
     return RankTriple(int(text[0]), int(text[1]), int(text[2]))
 
 
+_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+
+
+def _field(data, key: str, owner: str, kind, default=None):
+    """``data[key]`` checked to be a JSON ``kind``, else a FamilyError.
+
+    ``data`` must be a JSON object; a missing key yields ``default``
+    when one is given.
+    """
+    if not isinstance(data, dict):
+        raise FamilyError(f"{owner} must be a JSON object, got {data!r}")
+    value = data.get(key, default)
+    if value is None:
+        raise FamilyError(f"{owner} has no {key!r}")
+    if not isinstance(value, kind):
+        raise FamilyError(f"{owner}: {key!r} must be a JSON {_JSON_KINDS[kind]}")
+    return value
+
+
+def _strings(data, key: str, owner: str, default=None) -> list[str]:
+    """``data[key]`` checked to be a JSON array of strings."""
+    value = _field(data, key, owner, list, default)
+    if not all(isinstance(v, str) for v in value):
+        raise FamilyError(f"{owner}: {key!r} must hold strings only")
+    return value
+
+
 def _entry_from_dict(data: dict) -> FamilyEntry:
-    name = data["name"]
-    params = tuple(data.get("params", ()))
+    name = _field(data, "name", "registry entry", str)
+    owner = f"family {name!r}"
+    params = tuple(_strings(data, "params", owner, []))
     template = None
     if "amps" in data:
-        amps = tuple(parse_affine(s, params) for s in data["amps"])
+        amps = tuple(parse_affine(s, params) for s in _strings(data, "amps", owner))
         template = FamilyTemplate(name, params, amps)
     split_rules = None
     if "split_rules" in data:
+        splits = _field(data, "split_rules", owner, dict)
         split_rules = {
-            split: [parse_predicate(p) for p in preds]
-            for split, preds in data["split_rules"].items()
+            split: [parse_predicate(p) for p in _strings(splits, split, f"{owner} split_rules")]
+            for split in splits
         }
     rules = []
-    for raw in data.get("rules", ()):
-        triple = _triple_from_string(raw["triple"])
+    for raw in _field(data, "rules", owner, list, []):
+        rule_owner = f"{owner} rule"
+        triple = _triple_from_string(_field(raw, "triple", rule_owner, str))
         if raw.get("empty"):
             predicate = None
         elif "intersect" in raw:
             if split_rules is None:
                 raise FamilyError(f"{name}: intersect rule without split_rules")
             predicate = Predicate(())
-            for split, idx in raw["intersect"].items():
-                predicate = predicate.conjoin(split_rules[split][idx - 1])
+            for split, idx in _field(raw, "intersect", rule_owner, dict).items():
+                preds = split_rules.get(split, ())
+                if not (isinstance(idx, int) and 1 <= idx <= len(preds)):
+                    raise FamilyError(f"{name}: no split rule {split} #{idx!r} to intersect")
+                predicate = predicate.conjoin(preds[idx - 1])
         else:
-            predicate = parse_predicate(raw.get("predicate", ""))
+            predicate = parse_predicate(_field(raw, "predicate", rule_owner, str, ""))
         bisep = raw.get("bisep")
         if bisep is True:
             bisep = ""  # biseparable, no specific partition pinned
@@ -326,7 +367,7 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
                 predicate=predicate,
                 symbols=params,
                 biseparable=bisep,
-                note=raw.get("note", ""),
+                note=_field(raw, "note", rule_owner, str, ""),
             )
         )
     return FamilyEntry(name, params, template, rules, split_rules)
@@ -364,42 +405,34 @@ class FamilyRegistry:
         When the name already exists as a rules-only entry, the template
         fills the gap and validation of its rows becomes possible.
         """
-        existing = self._entries.get(template.name)
-        if existing is not None:
-            if existing.template is not None:
-                raise FamilyError(f"family {template.name!r} already registered")
-            if tuple(existing.params) != tuple(template.params):
-                raise FamilyError(
-                    f"template parameters {template.params} do not match the"
-                    f" rule table of {template.name!r}"
-                )
-            existing.template = template
-            if rules:
-                existing.rules.extend(rules)
-            return existing
-        entry = FamilyEntry(template.name, template.params, template, list(rules or ()))
-        self._entries[template.name] = entry
-        return entry
+        return self._add(FamilyEntry(template.name, template.params, template, list(rules or ())))
 
     def register_entry(self, data: dict) -> FamilyEntry:
-        entry = _entry_from_dict(data)
-        if entry.name in self._entries:
-            existing = self._entries[entry.name]
-            if entry.template is not None and existing.template is None:
-                if tuple(existing.params) != tuple(entry.params):
-                    raise FamilyError(
-                        f"template parameters do not match rules of {entry.name!r}"
-                    )
-                existing.template = entry.template
-                existing.rules.extend(entry.rules)
-                return existing
+        """Add a family from its JSON object, as ``register_family`` does."""
+        return self._add(_entry_from_dict(data))
+
+    def _add(self, entry: FamilyEntry) -> FamilyEntry:
+        existing = self._entries.get(entry.name)
+        if existing is None:
+            self._entries[entry.name] = entry
+            return entry
+        if entry.template is None or existing.template is not None:
             raise FamilyError(f"family {entry.name!r} already registered")
-        self._entries[entry.name] = entry
-        return entry
+        if tuple(existing.params) != tuple(entry.params):
+            raise FamilyError(
+                f"template parameters {entry.params} do not match the"
+                f" rule table of {entry.name!r}"
+            )
+        existing.template = entry.template
+        existing.rules.extend(entry.rules)
+        return existing
 
     def load_file(self, path) -> list[FamilyEntry]:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise FamilyError(f"registry file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, list):
             raise FamilyError("registry file must contain an array of families")
         return [self.register_entry(item) for item in data]
@@ -712,48 +745,24 @@ def full_permutation_scan(psi: PureState, mode: str = "exact") -> list[Permutati
 def _solve_affine_system(rows, free_syms):
     """Exact solve of (coeff row, rhs) equations; frees default to zero.
 
-    Returns the assignment dict or None when inconsistent.
+    Eliminates the augmented matrix ``[A | b]`` fraction-free and
+    back-substitutes.  Returns the assignment dict, or None when a pivot
+    lands in the right-hand-side column (an inconsistent system).
     """
     k = len(free_syms)
-    work = [
-        ([row[0][j] for j in range(k)], row[1]) for row in rows
-    ]
-    assignment = {}
-    pivot_rows = []
-    used_rows = set()
-    for col in range(k):
-        pivot = None
-        for idx, (coeffs, _) in enumerate(work):
-            if idx in used_rows:
-                continue
-            if not coeffs[col].is_zero():
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        used_rows.add(pivot)
-        pivot_rows.append((col, pivot))
-        pc, pr = work[pivot]
-        inv = pc[col].inverse()
-        for idx, (coeffs, rhs) in enumerate(work):
-            if idx == pivot or coeffs[col].is_zero():
-                continue
-            factor = coeffs[col] * inv
-            new_coeffs = [coeffs[j] - factor * pc[j] for j in range(k)]
-            work[idx] = (new_coeffs, rhs - factor * pr)
-    for idx, (coeffs, rhs) in enumerate(work):
-        if idx in used_rows:
-            continue
-        if all(c.is_zero() for c in coeffs) and not rhs.is_zero():
-            return None
-    values = {s: ExactScalar(0) for s in free_syms}
-    for col, ridx in reversed(pivot_rows):
-        coeffs, rhs = work[ridx]
-        acc = rhs
-        for j in range(col + 1, k):
-            acc = acc - coeffs[j] * values[free_syms[j]]
-        values[free_syms[col]] = acc * coeffs[col].inverse()
-    return values
+    quads, _ = common_denominator([x for coeffs, rhs in rows for x in (*coeffs, rhs)])
+    m, pivots, _ = echelon(quads, len(rows), k + 1)
+    if k in pivots:
+        return None
+    values = [ExactScalar(0)] * k
+    for r in reversed(range(len(pivots))):
+        row = [ExactScalar(*q) for q in m[r * (k + 1) : (r + 1) * (k + 1)]]
+        c = pivots[r]
+        acc = row[k]
+        for j in range(c + 1, k):
+            acc = acc - row[j] * values[j]
+        values[c] = acc / row[c]
+    return dict(zip(free_syms, values))
 
 
 def match_template(

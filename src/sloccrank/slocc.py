@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ._kernels import apply_single_qubit
-from .coeffmatrix import CoefficientMatrix
+from .coeffmatrix import CoefficientMatrix, dot_rows
 from .scalars import (
     ExactScalar,
     common_denominator,
@@ -25,15 +24,7 @@ from .scalars import (
     render_exact,
     render_float,
 )
-from .states import PureState
-
-
-def _coerce_entry(x):
-    if isinstance(x, ExactScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar._coerce(x)
-    return complex(x)
+from .states import PureState, coerce_amplitudes
 
 
 @dataclass(frozen=True)
@@ -54,9 +45,7 @@ class LocalOperator:
 
     @classmethod
     def of(cls, a, b, c, d) -> LocalOperator:
-        vals = [_coerce_entry(x) for x in (a, b, c, d)]
-        if any(isinstance(v, complex) for v in vals):
-            vals = [v.to_complex() if isinstance(v, ExactScalar) else v for v in vals]
+        vals = coerce_amplitudes((a, b, c, d))
         return cls(((vals[0], vals[1]), (vals[2], vals[3])))
 
     @property
@@ -205,22 +194,9 @@ def transform_coefficient_matrix(
         arr = C.to_complex_array()
         out = L @ arr @ R.T
         return CoefficientMatrix(C.rows, C.cols, out, bp)
-    L = _kron_ops(row_ops) if row_ops else ((ExactScalar(1),),)
-    R = _kron_ops(col_ops) if col_ops else ((ExactScalar(1),),)
-    nr, nc = C.rows, C.cols
-    # out = L @ C @ R^T
-    mid = [
-        [sum((L[u][k] * C.entries[k][v] for k in range(nr)), ExactScalar(0)) for v in range(nc)]
-        for u in range(nr)
-    ]
-    out = tuple(
-        tuple(
-            sum((mid[u][k] * R[v][k] for k in range(nc)), ExactScalar(0))
-            for v in range(nc)
-        )
-        for u in range(nr)
-    )
-    return CoefficientMatrix(nr, nc, out, bp)
+    L, R = _kron_ops(row_ops), _kron_ops(col_ops)
+    out = dot_rows(dot_rows(L, tuple(zip(*C.entries))), R)
+    return CoefficientMatrix(C.rows, C.cols, out, bp)
 
 
 def random_invertible_local(

@@ -53,6 +53,18 @@ def _coerce_amp(x):
     raise TypeError(f"unsupported amplitude type {type(x).__name__}")
 
 
+def coerce_amplitudes(values) -> list:
+    """Exact scalars when every value is exact, complex floats otherwise.
+
+    ExactScalar, int and Fraction are exact; any float or complex makes
+    the whole list floating; other types raise TypeError.
+    """
+    coerced = [_coerce_amp(a) for a in values]
+    if any(isinstance(a, complex) for a in coerced):
+        coerced = [a.to_complex() if isinstance(a, ExactScalar) else a for a in coerced]
+    return coerced
+
+
 @dataclass(frozen=True)
 class PureState:
     n: int
@@ -103,9 +115,7 @@ def state(n: int, amps, labels=None) -> PureState:
     otherwise (any float or complex converts the whole vector).
     """
     _check_qubit_count(n)
-    coerced = [_coerce_amp(a) for a in amps]
-    if any(isinstance(a, complex) for a in coerced):
-        coerced = [a.to_complex() if isinstance(a, ExactScalar) else complex(a) for a in coerced]
+    coerced = coerce_amplitudes(amps)
     if labels is None:
         labels = default_labels(n)
     return PureState(n, tuple(coerced), tuple(labels))

@@ -259,3 +259,53 @@ def test_explicit_seed_ignores_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("SLOCC_RANK_SEED", "abc")
     assert main(["verify", "matrix-transform", "--trials", "3", "--seed", "7"]) == 0
     assert "seed=7" in capsys.readouterr().out
+
+
+REGISTRY_DEFECTS = {
+    "malformed-json": "[{",
+    "non-object-entry": "[1]",
+    "entry-without-name": '[{"params": ["a"]}]',
+    "rule-without-triple": '[{"name": "x", "rules": [{"predicate": ""}]}]',
+    "intersect-out-of-range": json.dumps([{
+        "name": "x",
+        "params": ["a"],
+        "split_rules": {"AB": ["a=0", "a!=0"]},
+        "rules": [{"triple": "111", "intersect": {"AB": 3}}],
+    }]),
+}
+
+
+@pytest.mark.parametrize("text", REGISTRY_DEFECTS.values(), ids=REGISTRY_DEFECTS)
+def test_malformed_registry_is_a_usage_error(text, ghz4_file, tmp_path, capsys):
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(text)
+    assert main(["classify", ghz4_file, "--registry", str(reg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bits", ["AX", "AA", "ABCD", ""])
+def test_bits_must_name_a_proper_split(bits, ghz4_file, capsys):
+    assert main(["ranks", ghz4_file, "--bits", bits]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bits" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", [
+    "state-is-directory", "registry-is-directory", "state-not-utf8", "registry-not-utf8",
+])
+def test_unreadable_input_file_is_a_parse_error(case, ghz4_file, tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe{n: 1}")
+    argv = {
+        "state-is-directory": ["ranks", str(tmp_path)],
+        "registry-is-directory": ["classify", ghz4_file, "--registry", str(tmp_path)],
+        "state-not-utf8": ["ranks", str(binary)],
+        "registry-not-utf8": ["classify", ghz4_file, "--registry", str(binary)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

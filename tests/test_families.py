@@ -11,6 +11,7 @@ from sloccrank.families import (
     ClassificationError,
     FamilyError,
     FamilyRegistry,
+    FamilyTemplate,
     KAPPA_PERMUTATIONS,
     PI_PERMUTATIONS,
     RankTriple,
@@ -270,6 +271,70 @@ def test_register_template_for_rules_only_family(tmp_path):
     assert registry.get("L_a2b2").template is not None
     psi = instantiate("L_a2b2", (1, 2), registry)
     assert psi.amps[5] == ExactScalar(1)
+
+
+# a stand-in template for exercising the registry plumbing
+STAND_IN_AMPS = ("1*a", "0", "0", "1*b", "0", "1", "0", "0",
+                 "0", "0", "1", "0", "1*b", "0", "0", "1*a")
+
+
+def _stand_in(name, params=("a", "b")):
+    return FamilyTemplate(name, params, tuple(parse_affine(t, params) for t in STAND_IN_AMPS))
+
+
+def test_register_family_fills_rules_only_entry():
+    registry = FamilyRegistry()
+    rows = [str(r.triple) for r in registry.get("L_a2b2").rules]
+    template = _stand_in("L_a2b2")
+    entry = registry.register_family(template)
+    assert entry is registry.get("L_a2b2")
+    assert entry.template is template
+    assert [str(r.triple) for r in entry.rules] == rows
+    assert instantiate("L_a2b2", (1, 2), registry).amps[5] == ExactScalar(1)
+
+
+def test_register_family_rejects_duplicate():
+    registry = FamilyRegistry()
+    with pytest.raises(FamilyError, match="already registered"):
+        registry.register_family(_stand_in("G_abcd", ("a", "b", "c", "d")))
+    registry.register_family(_stand_in("fresh"))
+    with pytest.raises(FamilyError, match="already registered"):
+        registry.register_family(_stand_in("fresh"))
+
+
+def test_register_family_rejects_mismatched_parameters():
+    registry = FamilyRegistry()
+    with pytest.raises(FamilyError, match="do not match"):
+        registry.register_family(_stand_in("L_a4", ("a", "b")))
+    assert registry.get("L_a4").template is None
+
+
+@pytest.mark.parametrize("data, message", [
+    (1, "must be a JSON object"),
+    ({"params": ["a"]}, "no 'name'"),
+    ({"name": 3}, "'name' must be a JSON string"),
+    ({"name": "x", "params": "ab"}, "'params' must be a JSON array"),
+    ({"name": "x", "amps": [1] * 16}, "'amps' must hold strings only"),
+    ({"name": "x", "rules": {"triple": "444"}}, "'rules' must be a JSON array"),
+    ({"name": "x", "rules": [{"predicate": ""}]}, "no 'triple'"),
+    ({"name": "x", "rules": [{"triple": 444}]}, "'triple' must be a JSON string"),
+    ({"name": "x", "rules": [{"triple": "444", "predicate": 0}]}, "'predicate' must be"),
+    ({"name": "x", "rules": ["444"]}, "must be a JSON object"),
+    ({"name": "x", "split_rules": {"AB": ["a=0"]}, "params": ["a"],
+      "rules": [{"triple": "111", "intersect": {"AB": 0}}]}, "no split rule"),
+    ({"name": "x", "split_rules": {"AB": ["a=0"]}, "params": ["a"],
+      "rules": [{"triple": "111", "intersect": {"AC": 1}}]}, "no split rule"),
+])
+def test_malformed_registry_entry_raises_family_error(data, message):
+    with pytest.raises(FamilyError, match=message):
+        FamilyRegistry(include_builtin=False).register_entry(data)
+
+
+def test_registry_file_that_is_not_json_raises_family_error(tmp_path):
+    path = tmp_path / "registry.json"
+    path.write_text('[{"name": ')
+    with pytest.raises(FamilyError, match="not valid JSON"):
+        FamilyRegistry().load_file(path)
 
 
 def test_registered_family_classification_round_trip():

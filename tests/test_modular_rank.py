@@ -1,4 +1,8 @@
-"""The certified mod-P rank route agrees with the exact Bareiss elimination."""
+"""The certified mod-P rank route agrees with the exact Bareiss elimination.
+
+Each matrix is also checked against the pivot count of ``echelon``, the
+elimination loop behind ``_eliminate``.
+"""
 
 import random
 
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sloccrank._kernels as kernels
-from sloccrank._kernels import I_P, IS_P, P, S_P, ZERO4, _eliminate, bareiss, mul4
+from sloccrank._kernels import I_P, IS_P, P, S_P, ZERO4, _eliminate, bareiss, echelon, mul4
 from _oracles import quad_matrix_to_scalars, ref_rank_exact
 
 MAX_DIM = 6
@@ -22,6 +26,7 @@ def _assert_ranks_agree(flat, rows, cols):
     rank, det = bareiss(list(flat), rows, cols, det=False)
     assert det is None
     assert rank == _eliminate(list(flat), rows, cols)[0]
+    assert rank == len(echelon(list(flat), rows, cols)[1])
     assert rank == ref_rank_exact(quad_matrix_to_scalars(flat, rows, cols))
 
 

@@ -31,6 +31,16 @@ def test_non_invertible_operator_rejected():
         LocalOperator.of(0, 0, 0, 0)
 
 
+def test_operator_entries_are_coerced_like_amplitudes():
+    assert LocalOperator.of(1, 0, 0, 1).is_exact
+    mixed = LocalOperator.of(1, 0.5, 0, 1)
+    assert all(isinstance(x, complex) for row in mixed.entries for x in row)
+    with pytest.raises(TypeError):
+        state(1, ["1", 0])
+    with pytest.raises(TypeError):
+        LocalOperator.of("1", 0, 0, 1)
+
+
 def test_identity_application_is_exact_identity():
     psi = random_exact_state(3, random.Random(1))
     assert apply_local(psi, identity_ops(3)).amps == psi.amps
