@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import bareiss
 from .scalars import ExactScalar, common_denominator, render_exact, render_float
-from .states import PureState
+from .states import QUBIT_CAP, PureState, amplitude_tensor
 
 DEFAULT_TOL_SCALE = 1e-10
 TOL_FLOOR = 1e-12
@@ -83,25 +83,12 @@ class CoefficientMatrix:
     def is_exact(self) -> bool:
         return not isinstance(self.entries, np.ndarray)
 
-    def entry(self, u: int, v: int):
-        return self.entries[u][v]
-
     def transpose(self) -> CoefficientMatrix:
-        if self.is_exact:
-            entries = tuple(
-                tuple(self.entries[u][v] for u in range(self.rows))
-                for v in range(self.cols)
-            )
-        else:
-            entries = self.entries.T.copy()
+        entries = _entries(np.asarray(self.entries).T)
         return CoefficientMatrix(self.cols, self.rows, entries, self.bipartition.swapped())
 
     def to_complex_array(self) -> np.ndarray:
-        if not self.is_exact:
-            return self.entries
-        return np.array(
-            [[e.to_complex() for e in row] for row in self.entries], dtype=complex
-        )
+        return np.asarray(self.entries, dtype=complex)
 
     def to_tsv(self) -> str:
         bp = self.bipartition
@@ -120,28 +107,20 @@ class CoefficientMatrix:
 def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMatrix:
     """Matricise the amplitude vector with ``row_bits`` indexing rows."""
     bp = Bipartition.from_row_bits(psi.n, row_bits, col_bits)
-    row_add = _index_offsets(psi.n, bp.row_bits)
-    col_add = _index_offsets(psi.n, bp.col_bits)
-    amps = psi.amps
-    if psi.is_exact:
-        entries = tuple(tuple(amps[r | c] for c in col_add) for r in row_add)
-    else:
-        entries = np.array(amps, dtype=complex)[np.add.outer(row_add, col_add)]
-    return CoefficientMatrix(len(row_add), len(col_add), entries, bp)
+    axes = [b - 1 for b in bp.row_bits + bp.col_bits]
+    m = amplitude_tensor(psi).transpose(axes).reshape(1 << len(bp.row_bits), -1)
+    return CoefficientMatrix(*m.shape, _entries(m), bp)
 
 
-def _index_offsets(n: int, bits) -> list[int]:
-    """Basis-index offsets of ``bits``, the first bit most significant."""
-    out = [0]
-    for b in bits:
-        out = [w | y for w in out for y in (0, 1 << (n - b))]
-    return out
+def _entries(m: np.ndarray):
+    """Storage of a 2-d array: exact (object) entries as a tuple of row tuples."""
+    return tuple(map(tuple, m.tolist())) if m.dtype == object else m
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
     """The 2**(n-1) - 1 canonical splits, by size then lexicographic."""
-    if not 1 <= n <= 20:
-        raise ValueError(f"qubit count {n} outside 1..20")
+    if not 1 <= n <= QUBIT_CAP:
+        raise ValueError(f"qubit count {n} outside 1..{QUBIT_CAP}")
     out = []
     from itertools import combinations
 
@@ -237,18 +216,8 @@ def rank_signature(
 
 def reduced_density(psi: PureState, kept_bits):
     """``rho = C C^dagger`` for the kept qubits; Hermitian PSD by construction."""
-    C = coefficient_matrix(psi, tuple(kept_bits))
-    if C.is_exact:
-        return dot_rows(C.entries, [[e.conjugate() for e in row] for row in C.entries])
-    arr = C.entries
-    return arr @ arr.conj().T
-
-
-def dot_rows(A, B) -> tuple:
-    """``A @ B^T`` of exact matrices given as sequences of rows."""
-    return tuple(
-        tuple(sum((x * y for x, y in zip(a, b)), ExactScalar(0)) for b in B) for a in A
-    )
+    m = np.asarray(coefficient_matrix(psi, tuple(kept_bits)).entries)
+    return _entries(m @ m.conj().T)
 
 
 def det_exact(C: CoefficientMatrix) -> ExactScalar:

@@ -567,6 +567,13 @@ _GRID_NUMERATORS = tuple(range(-6, 7))
 _GRID_DENOMINATORS = (1, 2, 3)
 
 
+def grid_rational(rng: random.Random) -> Fraction:
+    """One parameter value drawn from the sampling grid {-6..6} / {1, 2, 3}."""
+    num = _GRID_NUMERATORS[rng.randrange(len(_GRID_NUMERATORS))]
+    den = _GRID_DENOMINATORS[rng.randrange(len(_GRID_DENOMINATORS))]
+    return Fraction(num, den)
+
+
 class _RatioUnionFind:
     """Union-find tracking value[sym] = mult * value[root], with zero roots."""
 
@@ -648,9 +655,7 @@ def sample_predicate(
         for s in symbols:
             root, _ = uf.find(s)
             if root not in root_values:
-                num = _GRID_NUMERATORS[rng.randrange(len(_GRID_NUMERATORS))]
-                den = _GRID_DENOMINATORS[rng.randrange(len(_GRID_DENOMINATORS))]
-                root_values[root] = Fraction(num, den)
+                root_values[root] = grid_rational(rng)
         values = {s: uf.value(s, root_values) for s in symbols}
         bindings = {s: ExactScalar._coerce(v) for s, v in values.items()}
         if all(atom.holds(bindings) for atom in conj):

@@ -191,9 +191,6 @@ class ExactScalar:
         """Complex conjugate: negates the i and i*sqrt2 components."""
         return ExactScalar(self.a, -self.b, self.c, -self.d, self.den, _normalised=True)
 
-    def sqrt2_conjugate(self) -> ExactScalar:
-        return ExactScalar(self.a, self.b, -self.c, -self.d, self.den, _normalised=True)
-
     def inverse(self) -> ExactScalar:
         """Multiplicative inverse; every nonzero element has one."""
         if self.is_zero():
@@ -207,6 +204,8 @@ class ExactScalar:
             (self.a + self.c * SQRT2_FLOAT) / self.den,
             (self.b + self.d * SQRT2_FLOAT) / self.den,
         )
+
+    __complex__ = to_complex
 
     def __str__(self) -> str:
         return render_exact(self)

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ._kernels import apply_single_qubit
-from .coeffmatrix import CoefficientMatrix, dot_rows
+from .coeffmatrix import CoefficientMatrix, _entries
 from .scalars import (
     ExactScalar,
     common_denominator,
@@ -24,7 +25,7 @@ from .scalars import (
     render_exact,
     render_float,
 )
-from .states import PureState, coerce_amplitudes
+from .states import PureState, _from_tensor, amplitude_tensor, coerce_amplitudes
 
 
 @dataclass(frozen=True)
@@ -135,47 +136,11 @@ def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
         amps = tuple(ExactScalar(q[0], q[1], q[2], q[3], den) for q in quads)
         return PureState(psi.n, amps, psi.labels)
     psi = psi.to_float()
-    amps = list(psi.amps)
-    n = psi.n
+    amps = amplitude_tensor(psi)
     for t, op in enumerate(ops.ops):
-        (a, b), (c, d) = op.entries
-        a, b, c, d = (
-            x.to_complex() if isinstance(x, ExactScalar) else x for x in (a, b, c, d)
-        )
-        bit = 1 << (n - 1 - t)
-        for w in range(1 << n):
-            if w & bit:
-                continue
-            w1 = w | bit
-            x0, x1 = amps[w], amps[w1]
-            amps[w] = a * x0 + b * x1
-            amps[w1] = c * x0 + d * x1
-    return PureState(n, tuple(amps), psi.labels)
-
-
-def _kron_ops(op_list):
-    """Kronecker product of 2x2 operators as nested tuples."""
-    size = 1
-    exact = all(op.is_exact for op in op_list)
-    one = ExactScalar(1) if exact else 1.0 + 0j
-    mat = ((one,),)
-    for op in op_list:
-        (a, b), (c, d) = op.entries
-        if not exact:
-            a, b, c, d = (
-                x.to_complex() if isinstance(x, ExactScalar) else x for x in (a, b, c, d)
-            )
-        block = ((a, b), (c, d))
-        new_size = size * 2
-        new = [[None] * new_size for _ in range(new_size)]
-        for i in range(size):
-            for j in range(size):
-                for bi in range(2):
-                    for bj in range(2):
-                        new[i * 2 + bi][j * 2 + bj] = mat[i][j] * block[bi][bj]
-        mat = tuple(tuple(row) for row in new)
-        size = new_size
-    return mat
+        amps = np.tensordot(np.array(op.entries, dtype=complex), amps, (1, t))
+        amps = np.moveaxis(amps, 0, t)
+    return _from_tensor(amps, psi.labels)
 
 
 def transform_coefficient_matrix(
@@ -185,18 +150,14 @@ def transform_coefficient_matrix(
     bp = C.bipartition
     if len(ops) != bp.n:
         raise ValueError("operator count does not match qubit count")
-    row_ops = [ops[b - 1] for b in bp.row_bits]
-    col_ops = [ops[b - 1] for b in bp.col_bits]
-    exact = C.is_exact and ops.is_exact
-    if not exact:
-        L = np.array(_kron_ops(row_ops), dtype=complex) if row_ops else np.eye(1)
-        R = np.array(_kron_ops(col_ops), dtype=complex) if col_ops else np.eye(1)
-        arr = C.to_complex_array()
-        out = L @ arr @ R.T
-        return CoefficientMatrix(C.rows, C.cols, out, bp)
-    L, R = _kron_ops(row_ops), _kron_ops(col_ops)
-    out = dot_rows(dot_rows(L, tuple(zip(*C.entries))), R)
-    return CoefficientMatrix(C.rows, C.cols, out, bp)
+    dtype = object if C.is_exact and ops.is_exact else complex
+    one = np.eye(1, dtype=dtype)
+    L, R = (
+        reduce(np.kron, [np.array(ops[b - 1].entries, dtype) for b in bits], one)
+        for bits in (bp.row_bits, bp.col_bits)
+    )
+    out = L @ np.asarray(C.entries, dtype) @ R.T
+    return CoefficientMatrix(C.rows, C.cols, _entries(out), bp)
 
 
 def random_invertible_local(

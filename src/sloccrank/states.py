@@ -2,8 +2,10 @@
 
 Index convention, used everywhere in the package: qubit 1 is the most
 significant bit of the basis index, so ``amps[i]`` is the amplitude of
-``|i>`` with the register read left to right.  States are immutable and
-never normalised implicitly; the classification is scale-invariant.
+``|i>`` with the register read left to right; equivalently qubit p is
+axis p - 1 of ``amplitude_tensor(psi)``, the one re-indexing view.
+States are immutable and never normalised implicitly; the
+classification is scale-invariant.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+
+import numpy as np
 
 from .scalars import (
     ExactScalar,
@@ -162,38 +167,27 @@ class QubitPermutation:
             inv[self.image[p - 1] - 1] = p
         return QubitPermutation(self.n, tuple(inv))
 
-    def apply_index(self, w: int) -> int:
-        out = 0
-        for p in range(1, self.n + 1):
-            if (w >> (self.n - p)) & 1:
-                out |= 1 << (self.n - self.image[p - 1])
-        return out
 
-    def cycles(self) -> str:
-        seen = [False] * self.n
-        parts = []
-        for p in range(1, self.n + 1):
-            if seen[p - 1] or self.image[p - 1] == p:
-                continue
-            cyc = [p]
-            seen[p - 1] = True
-            q = self.image[p - 1]
-            while q != p:
-                cyc.append(q)
-                seen[q - 1] = True
-                q = self.image[q - 1]
-            parts.append("(" + ",".join(map(str, cyc)) + ")")
-        return "".join(parts) or "I"
+def amplitude_tensor(psi: PureState) -> np.ndarray:
+    """The amplitudes as a 2 x ... x 2 array with qubit p on axis p - 1.
+
+    Exact states give an object array of their ExactScalars, so numpy's
+    transposes, outer and matrix products use only their exact ``*``/``+``.
+    """
+    dtype = object if psi.is_exact else complex
+    return np.fromiter(psi.amps, dtype=dtype, count=1 << psi.n).reshape((2,) * psi.n)
+
+
+def _from_tensor(amps: np.ndarray, labels) -> PureState:
+    return PureState(amps.ndim, tuple(amps.ravel().tolist()), labels)
 
 
 def permute_qubits(psi: PureState, perm: QubitPermutation) -> PureState:
     """Amplitude at the permuted index equals the original amplitude."""
     if perm.n != psi.n:
         raise ValueError("permutation size does not match state")
-    amps = list(psi.amps)
-    for w, a in enumerate(psi.amps):
-        amps[perm.apply_index(w)] = a
-    return PureState(psi.n, tuple(amps), psi.labels)
+    moved = np.moveaxis(amplitude_tensor(psi), range(psi.n), [p - 1 for p in perm.image])
+    return _from_tensor(moved, psi.labels)
 
 
 def tensor(left: PureState, right: PureState, left_positions=None) -> PureState:
@@ -225,19 +219,9 @@ def product_state(factors, n: int) -> PureState:
     if sorted(cover) != list(range(1, n + 1)):
         raise ValueError("placements must partition 1..n")
     exact = all(f.is_exact for f, _ in factors)
-    parts = [(f if exact else f.to_float(), pos) for f, pos in factors]
-    amps = []
-    for w in range(1 << n):
-        prod = None
-        for f, pos in parts:
-            u = 0
-            for t, p in enumerate(pos):
-                if (w >> (n - p)) & 1:
-                    u |= 1 << (f.n - 1 - t)
-            a = f.amps[u]
-            prod = a if prod is None else prod * a
-        amps.append(prod)
-    return state(n, amps)
+    tensors = [amplitude_tensor(f if exact else f.to_float()) for f, _ in factors]
+    outer = reduce(np.multiply.outer, tensors)
+    return _from_tensor(np.moveaxis(outer, range(n), [p - 1 for p in cover]), default_labels(n))
 
 
 def scale(psi: PureState, c) -> PureState:

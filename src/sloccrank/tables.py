@@ -24,6 +24,7 @@ from .families import (
     classify_g_split,
     classify_subfamily,
     default_registry,
+    grid_rational,
     instantiate,
     rank_triple,
     sample_predicate,
@@ -281,14 +282,8 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
 
 
 def _random_params(entry, rng: random.Random):
-    from fractions import Fraction
-
     while True:
-        values = tuple(
-            Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-            for _ in entry.params
-        )
-        yield values
+        yield tuple(grid_rational(rng) for _ in entry.params)
 
 
 def _run_family_rows(

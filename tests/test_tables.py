@@ -1,12 +1,14 @@
 """Reference-grid reproduction and the structural rank rule engine."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 import sloccrank.tables as tables_mod
 from sloccrank.coeffmatrix import rank_signature
-from sloccrank.families import FamilyRegistry
+from sloccrank.families import FamilyRegistry, grid_rational
 from sloccrank.tables import (
     TABLE_IDS,
     build_representative,
@@ -136,3 +138,11 @@ def test_mismatch_detection(quick_scans):
 def test_unknown_table_id():
     with pytest.raises(ValueError):
         run_table(9)
+
+
+def test_grid_rational_draws_like_randint_and_choice():
+    """The scans' parameter stream is the one tables were always drawn from."""
+    shared, old = random.Random(5), random.Random(5)
+    for _ in range(2000):
+        assert grid_rational(shared) == Fraction(old.randint(-6, 6), old.choice((1, 2, 3)))
+    assert shared.random() == old.random()
