@@ -270,11 +270,15 @@ def cmd_table(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     registry = _registry_from(args)
     report = run_table(args.table_id, samples=args.samples, seed=seed, registry=registry)
+    validated = sum(r.verdict == "match" for r in report.rows)
+    skipped = sum(r.verdict.startswith("skipped") for r in report.rows)
     if args.output == "machine":
         print(json.dumps({
             "table": report.table_id,
             "title": report.title,
             "passed": report.passed,
+            "validated": validated,
+            "skipped": skipped,
             "rows": [
                 {
                     "row": r.name,
@@ -289,6 +293,7 @@ def cmd_table(args) -> int:
         print(f"table {report.table_id}: {report.title}")
         for r in report.rows:
             print(f"{r.verdict:>24}  {r.name}  expected[{r.expected}]  got[{r.computed}]")
+        print(f"validated {validated} rows, {skipped} skipped (no template)")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

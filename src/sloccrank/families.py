@@ -134,18 +134,14 @@ class Atom:
     coef: Fraction = Fraction(1)
     plus_minus: bool = False
 
-    def rhs_values(self, bindings):
-        if self.rhs_sym is None:
-            return [ExactScalar(0)]
-        base = bindings[self.rhs_sym] * self.coef
-        return [base, -base] if self.plus_minus else [base]
-
     def holds(self, bindings) -> bool:
         lhs = bindings[self.lhs]
-        values = self.rhs_values(bindings)
-        if self.equal:
-            return any(lhs == v for v in values)
-        return all(lhs != v for v in values)
+        if self.rhs_sym is None:
+            hit = lhs.is_zero()
+        else:
+            rhs = bindings[self.rhs_sym] * self.coef
+            hit = lhs == rhs or (self.plus_minus and lhs == -rhs)
+        return hit == self.equal
 
     def render(self) -> str:
         op = "=" if self.equal else "!="
@@ -331,11 +327,19 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
     if "amps" in data:
         amps = tuple(parse_affine(s, params) for s in _strings(data, "amps", owner))
         template = FamilyTemplate(name, params, amps)
+
+    def parse_checked(text: str) -> Predicate:
+        parsed = parse_predicate(text)
+        unknown = parsed.symbols() - set(params)
+        if unknown:
+            raise FamilyError(f"{owner}: predicate {text!r} uses undeclared {sorted(unknown)}")
+        return parsed
+
     split_rules = None
     if "split_rules" in data:
         splits = _field(data, "split_rules", owner, dict)
         split_rules = {
-            split: [parse_predicate(p) for p in _strings(splits, split, f"{owner} split_rules")]
+            split: [parse_checked(p) for p in _strings(splits, split, f"{owner} split_rules")]
             for split in splits
         }
     rules = []
@@ -354,7 +358,7 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
                     raise FamilyError(f"{name}: no split rule {split} #{idx!r} to intersect")
                 predicate = predicate.conjoin(preds[idx - 1])
         else:
-            predicate = parse_predicate(_field(raw, "predicate", rule_owner, str, ""))
+            predicate = parse_checked(_field(raw, "predicate", rule_owner, str, ""))
         bisep = raw.get("bisep")
         if bisep is True:
             bisep = ""  # biseparable, no specific partition pinned
@@ -390,9 +394,6 @@ class FamilyRegistry:
         if name not in self._entries:
             raise FamilyError(f"unknown family {name!r}")
         return self._entries[name]
-
-    def has(self, name: str) -> bool:
-        return name in self._entries
 
     def templated_names(self) -> list[str]:
         return [n for n, e in self._entries.items() if e.template is not None]
@@ -511,10 +512,15 @@ def rank_triple(psi: PureState, mode: str = "exact", tolerance=None) -> RankTrip
 def classify_subfamily(
     family: str, params, registry: FamilyRegistry | None = None
 ) -> tuple[SubfamilyRule, RankTriple]:
-    """Unique matching rule row; its triple must equal the computed one."""
+    """Unique matching rule row; its triple must equal the computed one.
+
+    The triple is computed first, so parameters that give the zero
+    vector raise FamilyError rather than a ClassificationError.
+    """
     registry = registry or default_registry()
     entry = registry.get(family)
     bindings = _bind(entry, params)
+    triple = rank_triple(instantiate(family, bindings, registry))
     matches = [
         rule
         for rule in entry.rules
@@ -523,7 +529,7 @@ def classify_subfamily(
     if not matches:
         raise ClassificationError(
             f"no predicate row of {family} matches parameters"
-            f" {tuple(str(v) for v in bindings.values())}"
+            f" {tuple(str(v) for v in bindings.values())} (triple {triple})"
         )
     if len(matches) > 1:
         triples = ", ".join(str(r.triple) for r in matches)
@@ -531,7 +537,6 @@ def classify_subfamily(
             f"rule table defect: rows {triples} of {family} all match"
         )
     rule = matches[0]
-    triple = rank_triple(instantiate(family, bindings, registry))
     if triple != rule.triple:
         raise ClassificationError(
             f"library defect: {family} row {rule.triple} matched but the"

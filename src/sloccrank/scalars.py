@@ -42,8 +42,7 @@ def _normalise(a: int, b: int, c: int, d: int, den: int):
         raise ZeroDivisionError("zero denominator")
     if den < 0:
         a, b, c, d, den = -a, -b, -c, -d, -den
-    g = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
-    g = math.gcd(g, den)
+    g = math.gcd(a, b, c, d, den)
     if g > 1:
         a //= g
         b //= g

@@ -30,10 +30,6 @@ class SeparabilityPartition:
         if flat != list(range(1, self.n + 1)):
             raise ValueError("blocks must partition 1..n")
 
-    def block_flags(self) -> tuple[bool, ...]:
-        """True where a block is entangled (size > 1)."""
-        return tuple(len(b) > 1 for b in self.blocks)
-
     def block_label(self, block) -> str:
         return "".join(self.labels[b - 1] for b in sorted(block))
 
@@ -45,9 +41,6 @@ class SeparabilityPartition:
 
     def is_genuinely_entangled(self) -> bool:
         return len(self.blocks) == 1
-
-    def is_fully_separable(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -37,11 +36,7 @@ class LocalOperator:
     def __post_init__(self):
         if len(self.entries) != 2 or any(len(r) != 2 for r in self.entries):
             raise ValueError("operator must be 2x2")
-        det = self.det()
-        if isinstance(det, ExactScalar):
-            if det.is_zero():
-                raise ValueError("operator must be invertible (zero determinant)")
-        elif det == 0:
+        if self.det() == 0:
             raise ValueError("operator must be invertible (zero determinant)")
 
     @classmethod
@@ -59,11 +54,7 @@ class LocalOperator:
 
     def inverse(self) -> LocalOperator:
         (a, b), (c, d) = self.entries
-        det = self.det()
-        if isinstance(det, ExactScalar):
-            inv = det.inverse()
-        else:
-            inv = 1.0 / det
+        inv = 1 / self.det()
         return LocalOperator(((d * inv, -(b * inv)), (-(c * inv), a * inv)))
 
     def matmul(self, other: LocalOperator) -> LocalOperator:
@@ -121,6 +112,13 @@ def identity_ops(n: int) -> LocalOperatorSet:
     return LocalOperatorSet(tuple(IDENTITY_OP for _ in range(n)))
 
 
+def _contract(amps: np.ndarray, mats) -> np.ndarray:
+    """Apply the 2x2 matrix ``mats[t]`` to axis ``t`` of a 2 x ... x 2 tensor."""
+    for t, m in enumerate(mats):
+        amps = np.moveaxis(np.tensordot(m, amps, (1, t)), 0, t)
+    return amps
+
+
 def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
     """Transform the state by the tensor product of the per-qubit operators."""
     if len(ops) != psi.n:
@@ -136,28 +134,26 @@ def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
         amps = tuple(ExactScalar(q[0], q[1], q[2], q[3], den) for q in quads)
         return PureState(psi.n, amps, psi.labels)
     psi = psi.to_float()
-    amps = amplitude_tensor(psi)
-    for t, op in enumerate(ops.ops):
-        amps = np.tensordot(np.array(op.entries, dtype=complex), amps, (1, t))
-        amps = np.moveaxis(amps, 0, t)
-    return _from_tensor(amps, psi.labels)
+    mats = [np.array(op.entries, dtype=complex) for op in ops.ops]
+    return _from_tensor(_contract(amplitude_tensor(psi), mats), psi.labels)
 
 
 def transform_coefficient_matrix(
     C: CoefficientMatrix, ops: LocalOperatorSet
 ) -> CoefficientMatrix:
-    """(row ops kron) @ C @ (col ops kron)^T, operator order per stored bits."""
+    """(row ops kron) @ C @ (col ops kron)^T, operator order per stored bits.
+
+    C is viewed as the 2 x ... x 2 tensor with axes ``row_bits + col_bits``
+    and each qubit's operator is applied to its own axis.
+    """
     bp = C.bipartition
     if len(ops) != bp.n:
         raise ValueError("operator count does not match qubit count")
     dtype = object if C.is_exact and ops.is_exact else complex
-    one = np.eye(1, dtype=dtype)
-    L, R = (
-        reduce(np.kron, [np.array(ops[b - 1].entries, dtype) for b in bits], one)
-        for bits in (bp.row_bits, bp.col_bits)
-    )
-    out = L @ np.asarray(C.entries, dtype) @ R.T
-    return CoefficientMatrix(C.rows, C.cols, _entries(out), bp)
+    bits = bp.row_bits + bp.col_bits
+    mats = [np.array(ops[b - 1].entries, dtype) for b in bits]
+    out = _contract(np.asarray(C.entries, dtype).reshape((2,) * bp.n), mats)
+    return CoefficientMatrix(C.rows, C.cols, _entries(out.reshape(C.rows, C.cols)), bp)
 
 
 def random_invertible_local(

@@ -84,6 +84,10 @@ class PureState:
             )
         if len(self.labels) != self.n:
             raise ValueError("label count does not match qubit count")
+        if len(set(self.labels)) != self.n or not all(
+            isinstance(ch, str) and len(ch) == 1 for ch in self.labels
+        ):
+            raise ValueError(f"labels must be distinct single characters, got {self.labels}")
         kinds = set(map(type, self.amps))
         if ExactScalar in kinds and len(kinds) > 1:
             raise ValueError("amplitudes mix exact and floating scalars")

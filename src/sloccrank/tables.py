@@ -18,8 +18,11 @@ from importlib import resources
 from .coeffmatrix import coefficient_matrix, enumerate_bipartitions, rank, rank_signature
 from .families import (
     SPLIT_BITS,
+    ClassificationError,
+    FamilyError,
     FamilyRegistry,
     RankTriple,
+    SamplingError,
     SubfamilyRule,
     classify_g_split,
     classify_subfamily,
@@ -29,7 +32,6 @@ from .families import (
     rank_triple,
     sample_predicate,
 )
-from .scalars import ExactScalar
 from .separability import separability_partition
 from .states import PureState, product_state, random_exact_state, state
 
@@ -159,7 +161,35 @@ class TableReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        """Every row passed and at least one was validated: a gate that checked nothing fails."""
+        return any(r.verdict == "match" for r in self.rows) and all(r.passed for r in self.rows)
+
+
+def _row(name: str, expected: str, inputs, check, done: str) -> RowReport:
+    """First message ``check`` returns over ``inputs`` is a mismatch; none is a match."""
+    for x in inputs:
+        bad = check(x)
+        if bad:
+            return RowReport(name, expected, bad, "mismatch")
+    return RowReport(name, expected, done, "match")
+
+
+def _sampled_row(
+    name: str, expected: str, rule, samples: int, seed: int, check, done: str
+) -> RowReport:
+    """``_row`` over ``sample_predicate`` tuples; a sampling failure is a mismatch."""
+    try:
+        tuples = sample_predicate(rule, samples, seed)
+    except SamplingError as exc:
+        return RowReport(name, expected, str(exc), "mismatch")
+    return _row(name, expected, tuples, check, done)
+
+
+def _grid_tuples(params, count: int, seed: int):
+    """``count`` parameter tuples drawn from ``grid_rational``, one value per parameter."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(grid_rational(rng) for _ in params)
 
 
 def _rank_cell(expected, computed: int) -> bool:
@@ -202,10 +232,8 @@ def _run_table3(samples: int, seed: int) -> TableReport:
     report = TableReport(3, data["title"])
     rng = random.Random(seed)
     bipartitions = enumerate_bipartitions(5)
-    for shape in data["shapes"]:
-        sizes = shape["sizes"]
-        ok = True
-        detail = ""
+
+    def draws(sizes):
         for _ in range(samples):
             order = list(range(1, 6))
             rng.shuffle(order)
@@ -217,73 +245,78 @@ def _run_table3(samples: int, seed: int) -> TableReport:
                 at += size
                 blocks.append(positions)
                 factors.append((random_entangled_block(size, rng), positions))
-            psi = product_state(factors, 5)
-            for bp in bipartitions:
-                allowed = expected_rank_set(blocks, bp.canonical_key())
-                got = rank(coefficient_matrix(psi, bp.row_bits, bp.col_bits))
-                if got not in allowed:
-                    ok = False
-                    detail = (
-                        f"split {bp.canonical_key()} of blocks {blocks}:"
-                        f" rank {got} not in {sorted(allowed)}"
-                    )
-                    break
-            if not ok:
-                break
+            yield blocks, product_state(factors, 5)
+
+    def check(draw):
+        blocks, psi = draw
+        for bp in bipartitions:
+            allowed = expected_rank_set(blocks, bp.canonical_key())
+            got = rank(coefficient_matrix(psi, bp.row_bits, bp.col_bits))
+            if got not in allowed:
+                return (
+                    f"split {bp.canonical_key()} of blocks {blocks}:"
+                    f" rank {got} not in {sorted(allowed)}"
+                )
+        return None
+
+    for shape in data["shapes"]:
         report.rows.append(
-            RowReport(
-                name=shape["family"],
-                expected="structural rank pattern",
-                computed="as expected" if ok else detail,
-                verdict="match" if ok else "mismatch",
-            )
+            _row(shape["family"], "structural rank pattern", draws(shape["sizes"]), check,
+                 "as expected")
         )
     return report
 
 
 def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableReport:
     data = _table_data()["4"]
+    family = data["family"]
     report = TableReport(4, data["title"])
-    entry = registry.get(data["family"])
+    entry = registry.get(family)
     for split, preds in entry.split_rules.items():
         bits = SPLIT_BITS[split]
         for idx, pred in enumerate(preds, start=1):
             rule = SubfamilyRule(
-                family=data["family"],
+                family=family,
                 triple=RankTriple(idx, idx, idx),  # placeholder, unused by sampling
                 predicate=pred,
                 symbols=entry.params,
             )
-            name = f"F{idx}^{split}"
-            try:
-                tuples = sample_predicate(rule, samples, seed + idx * 101)
-            except Exception as exc:  # sampling failure is a row failure
-                report.rows.append(RowReport(name, f"rank {idx}", str(exc), "mismatch"))
-                continue
-            bad = None
-            for values in tuples:
-                psi = instantiate(data["family"], values, registry)
-                got = rank(coefficient_matrix(psi, bits))
+
+            def check(values):
+                got = rank(coefficient_matrix(instantiate(family, values, registry), bits))
                 if got != idx:
-                    bad = f"params {values}: rank {got}"
-                    break
+                    return f"params {values}: rank {got}"
                 if classify_g_split(split, values, registry) != idx:
-                    bad = f"params {values}: classified into another row"
-                    break
+                    return f"params {values}: classified into another row"
+                return None
+
             report.rows.append(
-                RowReport(
-                    name=name,
-                    expected=f"rank {idx}",
-                    computed=bad or f"rank {idx} on {len(tuples)} samples",
-                    verdict="match" if bad is None else "mismatch",
-                )
+                _sampled_row(f"F{idx}^{split}", f"rank {idx}", rule, samples,
+                             seed + idx * 101, check, f"rank {idx} on {samples} samples")
             )
     return report
 
 
-def _random_params(entry, rng: random.Random):
-    while True:
-        yield tuple(grid_rational(rng) for _ in entry.params)
+def _classified_as(family: str, rule: SubfamilyRule, registry: FamilyRegistry):
+    """Check that a sampled tuple lands in ``rule``'s row, and its partition if pinned."""
+
+    def check(values):
+        try:
+            matched, _ = classify_subfamily(family, values, registry)
+        except (ClassificationError, FamilyError) as exc:
+            return f"params {values}: {exc}"
+        if matched.triple != rule.triple:
+            return f"params {values}: matched row {matched.triple}"
+        if rule.biseparable is None:
+            return None
+        partition = separability_partition(instantiate(family, values, registry))
+        if partition.is_genuinely_entangled():
+            return f"params {values}: expected a biseparable state"
+        if rule.biseparable and partition.label() != rule.biseparable:
+            return f"params {values}: partition {partition.label()} != {rule.biseparable}"
+        return None
+
+    return check
 
 
 def _run_family_rows(
@@ -296,101 +329,48 @@ def _run_family_rows(
 ) -> None:
     entry = registry.get(family)
     has_template = entry.template is not None
+    count = samples * SCAN_PER_SAMPLE
     for k, rule in enumerate(entry.rules):
         name = f"{family} {rule.triple}"
         if not has_template:
             report.rows.append(
                 RowReport(name, str(rule.triple), "-", "skipped: no template")
             )
-            continue
-        if rule.empty:
+        elif rule.empty:
             # confirmed unreachable by scanning random parameter tuples
-            count = samples * SCAN_PER_SAMPLE
-            rng = random.Random(seed + 17 * k)
-            gen = _random_params(entry, rng)
-            hit = None
-            for _ in range(count):
-                values = next(gen)
+
+            def hit(values):
                 try:
                     psi = instantiate(family, values, registry)
-                except Exception:
-                    continue  # all-zero tuple
-                if rank_triple(psi) == rule.triple:
-                    hit = values
-                    break
+                except FamilyError:
+                    return None  # the all-zero tuple
+                return f"hit at {values}" if rank_triple(psi) == rule.triple else None
+
             report.rows.append(
-                RowReport(
-                    name=name,
-                    expected="unreachable",
-                    computed=f"not hit in {count} tuples" if hit is None else f"hit at {hit}",
-                    verdict="match" if hit is None else "mismatch",
-                )
+                _row(name, "unreachable", _grid_tuples(entry.params, count, seed + 17 * k),
+                     hit, f"not hit in {count} tuples")
             )
-            continue
-        try:
-            tuples = sample_predicate(rule, samples, seed + 13 * k)
-        except Exception as exc:
-            report.rows.append(RowReport(name, str(rule.triple), str(exc), "mismatch"))
-            continue
-        bad = None
-        for values in tuples:
-            try:
-                matched, triple = classify_subfamily(family, values, registry)
-            except Exception as exc:
-                bad = f"params {values}: {exc}"
-                break
-            if matched.triple != rule.triple:
-                bad = f"params {values}: matched row {matched.triple}"
-                break
-            if rule.biseparable is not None:
-                psi = instantiate(family, values, registry)
-                partition = separability_partition(psi)
-                if partition.is_genuinely_entangled():
-                    bad = f"params {values}: expected a biseparable state"
-                    break
-                if rule.biseparable and partition.label() != rule.biseparable:
-                    bad = f"params {values}: partition {partition.label()} != {rule.biseparable}"
-                    break
-        report.rows.append(
-            RowReport(
-                name=name,
-                expected=str(rule.triple),
-                computed=bad or f"{len(tuples)} samples classified",
-                verdict="match" if bad is None else "mismatch",
+        else:
+            report.rows.append(
+                _sampled_row(name, str(rule.triple), rule, samples, seed + 13 * k,
+                             _classified_as(family, rule, registry),
+                             f"{samples} samples classified")
             )
-        )
     if scan and has_template:
-        count = samples * SCAN_PER_SAMPLE
-        rng = random.Random(seed + 9999)
-        gen = _random_params(entry, rng)
-        bad = None
-        listed = {rule.triple for rule in entry.rules if not rule.empty}
-        for _ in range(count):
-            values = next(gen)
-            bindings = dict(zip(entry.params, (ExactScalar._coerce(v) for v in values)))
+
+        def uncovered(values):
             try:
-                psi = instantiate(family, bindings, registry)
-            except Exception:
-                continue
-            triple = rank_triple(psi)
-            if triple not in listed:
-                bad = f"params {values}: triple {triple} not in the table"
-                break
-            matches = [
-                r for r in entry.rules
-                if r.predicate is not None and r.predicate.holds(bindings)
-            ]
-            if len(matches) != 1 or matches[0].triple != triple:
-                rows = ", ".join(str(r.triple) for r in matches)
-                bad = f"params {values}: rows [{rows}] vs triple {triple}"
-                break
+                classify_subfamily(family, values, registry)
+            except FamilyError:
+                pass  # the all-zero tuple
+            except ClassificationError as exc:
+                return f"params {values}: {exc}"
+            return None
+
         report.rows.append(
-            RowReport(
-                name=f"{family} coverage scan",
-                expected="every tuple falls in a listed row",
-                computed=bad or f"{count} tuples covered",
-                verdict="match" if bad is None else "mismatch",
-            )
+            _row(f"{family} coverage scan", "every tuple falls in a listed row",
+                 _grid_tuples(entry.params, count, seed + 9999), uncovered,
+                 f"{count} tuples covered")
         )
 
 

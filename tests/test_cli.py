@@ -272,6 +272,11 @@ REGISTRY_DEFECTS = {
         "split_rules": {"AB": ["a=0", "a!=0"]},
         "rules": [{"triple": "111", "intersect": {"AB": 3}}],
     }]),
+    "undeclared-predicate-symbol": json.dumps([{
+        "name": "x",
+        "params": ["a"],
+        "rules": [{"triple": "111", "predicate": "z!=0"}],
+    }]),
 }
 
 
@@ -309,3 +314,36 @@ def test_unreadable_input_file_is_a_parse_error(case, ghz4_file, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [tables_mod.RowReport("L_a4 434", "434", "-", "skipped: no template")],
+], ids=["empty", "all-skipped"])
+def test_table_that_validated_nothing_exits_4(rows, monkeypatch, capsys):
+    import sloccrank.cli as cli_mod
+
+    report = tables_mod.TableReport(7, "probe", rows)
+    monkeypatch.setattr(cli_mod, "run_table", lambda *a, **k: report)
+    assert main(["table", "7"]) == 4
+    out = capsys.readouterr().out
+    assert out.endswith(f"validated 0 rows, {len(rows)} skipped (no template)\n")
+    assert main(["table", "7", "--output", "machine"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert (data["passed"], data["validated"], data["skipped"]) == (False, 0, len(rows))
+
+
+def test_table_command_counts_validated_rows(capsys):
+    assert main(["table", "1", "--output", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["validated"], data["skipped"]) == (5, 0)
+
+
+@pytest.mark.parametrize("labels", ['["A", "A", "B", "C"]', '["AB", "C", "D", "E"]'])
+def test_colliding_labels_are_a_parse_error(labels, tmp_path, capsys):
+    path = tmp_path / "labels.state"
+    path.write_text('{n: 4, amps: ["1"' + ', "0"' * 14 + ', "1"], labels: ' + labels + "}")
+    assert main(["ranks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distinct single characters" in captured.err and "Traceback" not in captured.err

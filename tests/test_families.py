@@ -77,6 +77,11 @@ def test_instantiate_zero_rejected():
         instantiate("G_abcd", (0, 0, 0, 0))
 
 
+def test_classify_zero_tuple_is_not_a_state():
+    with pytest.raises(FamilyError, match="zero vector"):
+        classify_subfamily("G_abcd", (0, 0, 0, 0))
+
+
 def test_instantiate_validation():
     with pytest.raises(FamilyError):
         instantiate("nope", (1,))
@@ -324,6 +329,9 @@ def test_register_family_rejects_mismatched_parameters():
       "rules": [{"triple": "111", "intersect": {"AB": 0}}]}, "no split rule"),
     ({"name": "x", "split_rules": {"AB": ["a=0"]}, "params": ["a"],
       "rules": [{"triple": "111", "intersect": {"AC": 1}}]}, "no split rule"),
+    ({"name": "x", "params": ["a"], "rules": [{"triple": "111", "predicate": "a!=±b"}]},
+     "undeclared"),
+    ({"name": "x", "params": ["a"], "split_rules": {"AB": ["z=0"]}}, "undeclared"),
 ])
 def test_malformed_registry_entry_raises_family_error(data, message):
     with pytest.raises(FamilyError, match=message):

@@ -218,3 +218,13 @@ def test_exact_scalar_constant_in_templates():
     w_like = instantiate("L_ab3", (0, 0))
     assert w_like.amps[1] == I_OVER_SQRT2
     assert w_like.amps[0].is_zero()
+
+
+@pytest.mark.parametrize("labels", [
+    ("A", "A", "B", "C"),  # repeated: two splits would share one label key
+    ("AB", "C", "D", "E"),  # "AB" + "C" would read like qubits A+B+C
+    ("A", "B", "C", ""),
+])
+def test_labels_must_be_distinct_single_characters(labels):
+    with pytest.raises(ValueError, match="distinct single characters"):
+        state(4, [1] + [0] * 14 + [1], labels=labels)

@@ -146,3 +146,43 @@ def test_grid_rational_draws_like_randint_and_choice():
     for _ in range(2000):
         assert grid_rational(shared) == Fraction(old.randint(-6, 6), old.choice((1, 2, 3)))
     assert shared.random() == old.random()
+
+
+def test_table_gate_fails_when_no_row_was_validated():
+    skipped = tables_mod.RowReport("L_a4 434", "434", "-", "skipped: no template")
+    assert not tables_mod.TableReport(9, "empty").passed
+    assert not tables_mod.TableReport(7, "all skipped", [skipped]).passed
+    matched = tables_mod.RowReport("ABC", "2 2 2", "2 2 2", "match")
+    assert tables_mod.TableReport(7, "one validated", [skipped, matched]).passed
+
+
+def _ghz_family(rules):
+    """a|0000> + b|1111>: triple 222 when a, b != 0, 111 when exactly one is zero."""
+    registry = FamilyRegistry(include_builtin=False)
+    registry.register_entry({
+        "name": "ghz_ab",
+        "params": ["a", "b"],
+        "amps": ["1*a"] + ["0"] * 14 + ["1*b"],
+        "rules": rules,
+    })
+    return registry
+
+
+def test_coverage_scan_goes_through_classify_subfamily(quick_scans):
+    seed = 1
+    draws = list(tables_mod._grid_tuples(("a", "b"), 40, seed + 9999))
+    assert (0, 0) in draws  # the all-zero tuple is drawn and must be skipped
+    assert any(a == 0 and b != 0 for a, b in draws)
+    generic = {"triple": "222", "predicate": "a!=0 & b!=0"}
+    one_zero = {"triple": "111", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
+    report = tables_mod.TableReport(0, "probe")
+    tables_mod._run_family_rows(report, "ghz_ab", 1, seed, _ghz_family([generic, one_zero]),
+                                scan=True)
+    assert report.passed, [(r.name, r.computed) for r in report.rows]
+    assert report.rows[-1].computed == "40 tuples covered"
+
+    gap = tables_mod.TableReport(0, "probe")
+    tables_mod._run_family_rows(gap, "ghz_ab", 1, seed, _ghz_family([generic]), scan=True)
+    scan = gap.rows[-1]
+    assert scan.name == "ghz_ab coverage scan" and scan.verdict == "mismatch"
+    assert "no predicate row of ghz_ab matches" in scan.computed and "(triple 111)" in scan.computed
