@@ -8,7 +8,6 @@ CLI and file formats.
 from .coeffmatrix import (
     Bipartition,
     CoefficientMatrix,
-    ModeError,
     RankSignature,
     coefficient_matrix,
     det_coeff,

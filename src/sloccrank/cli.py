@@ -13,19 +13,19 @@ import os
 import sys
 
 from . import checks
-from .coeffmatrix import ModeError, coefficient_matrix, rank, rank_signature
+from .coeffmatrix import coefficient_matrix, rank, rank_signature
 from .families import (
+    SPLIT_BITS,
     ClassificationError,
     FamilyError,
     FamilyRegistry,
     classify_subfamily,
     default_registry,
     match_template,
-    rank_triple,
 )
 from .invariants import invariant_report
 from .scalars import render_exact, render_float
-from .separability import separability_partition
+from .separability import partition_from_signature
 from .states import PureState, StateFormatError, parse_state
 from .tables import TABLE_IDS, run_table
 
@@ -45,6 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     """Invalid input from outside the argument list, such as the environment."""
+
+
+class ModeError(ValueError):
+    """``--mode exact`` on a floating state file."""
 
 
 def _env_seed() -> int:
@@ -162,13 +166,13 @@ def cmd_ranks(args) -> int:
     psi, mode = _load_state(args.state_file, args.mode)
     if args.bits is not None:
         positions = _split_bits(psi, args.bits)
-        value = rank(coefficient_matrix(psi, positions), mode, args.tolerance)
+        value = rank(coefficient_matrix(psi, positions), tolerance=args.tolerance)
         if args.output == "machine":
             print(json.dumps({"bits": args.bits, "rank": value, "mode": mode}))
         else:
             print(value)
         return EXIT_OK
-    sig = rank_signature(psi, mode, args.tolerance)
+    sig = rank_signature(psi, tolerance=args.tolerance)
     if args.output == "machine":
         print(json.dumps({"n": psi.n, "mode": mode, "signature": sig.label_map()}))
     else:
@@ -180,8 +184,8 @@ def cmd_ranks(args) -> int:
 def cmd_classify(args) -> int:
     psi, mode = _load_state(args.state_file, args.mode)
     registry = _registry_from(args)
-    partition = separability_partition(psi, mode, args.tolerance)
-    sig = rank_signature(psi, mode, args.tolerance)
+    sig = rank_signature(psi, tolerance=args.tolerance)
+    partition = partition_from_signature(sig)
     result = {
         "partition": [partition.block_label(b) for b in partition.blocks],
         "label": partition.label(),
@@ -191,8 +195,7 @@ def cmd_classify(args) -> int:
         "tolerance": args.tolerance,
     }
     if psi.n == 4:
-        triple = rank_triple(psi, mode, args.tolerance)
-        result["triple"] = list(triple.as_tuple())
+        result["triple"] = [sig[bits] for bits in SPLIT_BITS.values()]
         matches = []
         if psi.is_exact:
             for name in registry.templated_names():

@@ -22,10 +22,6 @@ DEFAULT_TOL_SCALE = 1e-10
 TOL_FLOOR = 1e-12
 
 
-class ModeError(ValueError):
-    """Raised when the exact path is requested for floating data."""
-
-
 def _swap_into_place_complement(n: int, row_bits) -> tuple[int, ...]:
     arr = list(range(1, n + 1))
     for t, b in enumerate(row_bits):
@@ -141,26 +137,21 @@ def singular_values(C: CoefficientMatrix) -> list[float]:
     return [float(s) for s in np.linalg.svd(C.to_complex_array(), compute_uv=False)]
 
 
-def rank(C: CoefficientMatrix, mode: str = "exact", tolerance: float | None = None) -> int:
-    """Rank of a coefficient matrix.
+def rank(C: CoefficientMatrix, *, tolerance: float | None = None) -> int:
+    """Rank of a coefficient matrix, by the kind of its entries.
 
-    ``exact`` runs fraction-free elimination over Q(i, sqrt2) and needs
-    exact entries; ``numeric`` counts singular values above
-    ``tolerance * sigma_max``.
+    Exact entries run fraction-free elimination over Q(i, sqrt2);
+    floating entries count singular values above ``tolerance * sigma_max``.
     """
-    if mode == "exact":
-        if not C.is_exact:
-            raise ModeError("exact rank requested for floating entries")
+    if C.is_exact:
         quads, _ = common_denominator([e for row in C.entries for e in row])
         return bareiss(quads, C.rows, C.cols, det=False)[0]
-    if mode == "numeric":
-        svals = singular_values(C)
-        if tolerance is None:
-            tolerance = default_tolerance(C.rows, C.cols)
-        smax = svals[0] if svals else 0.0
-        thresh = tolerance * smax if smax >= TOL_FLOOR else TOL_FLOOR
-        return sum(1 for s in svals if s > thresh)
-    raise ValueError(f"unknown rank mode {mode!r}")
+    svals = singular_values(C)
+    if tolerance is None:
+        tolerance = default_tolerance(C.rows, C.cols)
+    smax = svals[0] if svals else 0.0
+    thresh = tolerance * smax if smax >= TOL_FLOOR else TOL_FLOOR
+    return sum(1 for s in svals if s > thresh)
 
 
 class RankSignature:
@@ -203,14 +194,12 @@ class RankSignature:
         return f"RankSignature({body})"
 
 
-def rank_signature(
-    psi: PureState, mode: str = "exact", tolerance: float | None = None
-) -> RankSignature:
+def rank_signature(psi: PureState, *, tolerance: float | None = None) -> RankSignature:
     """Ranks across all canonical bipartitions of the register."""
     ranks = {}
     for bp in enumerate_bipartitions(psi.n):
         C = coefficient_matrix(psi, bp.row_bits, bp.col_bits)
-        ranks[bp.canonical_key()] = rank(C, mode, tolerance)
+        ranks[bp.canonical_key()] = rank(C, tolerance=tolerance)
     return RankSignature(psi.n, psi.labels, ranks)
 
 
@@ -220,22 +209,13 @@ def reduced_density(psi: PureState, kept_bits):
     return _entries(m @ m.conj().T)
 
 
-def det_exact(C: CoefficientMatrix) -> ExactScalar:
-    """Exact determinant of a square coefficient matrix."""
-    if not C.is_exact:
-        raise ModeError("exact determinant requested for floating entries")
-    if C.rows != C.cols:
-        raise ValueError("determinant needs a square matrix")
-    return _det_of_rows(C.entries, C.rows)
-
-
 def _det_of_rows(rows, size: int) -> ExactScalar:
     quads, den = common_denominator([e for row in rows for e in row])
     _, det4 = bareiss(quads, size, size)
     return ExactScalar(*det4, den**size)
 
 
-def det_coeff(psi: PureState, half_bits, mode: str | None = None):
+def det_coeff(psi: PureState, half_bits):
     """Determinant of the square half-register coefficient matrix.
 
     Its squared absolute value equals det of the reduced density of the
@@ -247,10 +227,8 @@ def det_coeff(psi: PureState, half_bits, mode: str | None = None):
     if len(half_bits) != psi.n // 2:
         raise ValueError("half_bits must select exactly half the qubits")
     C = coefficient_matrix(psi, half_bits)
-    if mode is None:
-        mode = "exact" if C.is_exact else "numeric"
-    if mode == "exact":
-        return det_exact(C)
+    if C.is_exact:
+        return _det_of_rows(C.entries, C.rows)
     return complex(np.linalg.det(C.to_complex_array()))
 
 

@@ -28,7 +28,6 @@ from .scalars import (
     ScalarFormatError,
     common_denominator,
     parse_exact,
-    render_exact,
     signed_terms,
 )
 from .states import PureState, QubitPermutation, permute_qubits, state
@@ -74,14 +73,6 @@ class AffineExpr:
             else:
                 rest.append((sym, coeff))
         return AffineExpr(const, tuple(rest))
-
-    def render(self) -> str:
-        parts = []
-        if not self.const.is_zero() or not self.coeffs:
-            parts.append(render_exact(self.const))
-        for sym, coeff in self.coeffs:
-            parts.append(f"{render_exact(coeff)}*{sym}")
-        return " + ".join(parts)
 
 
 _RESERVED = {"i", "r2"}
@@ -282,6 +273,20 @@ class FamilyEntry:
     rules: list[SubfamilyRule] = field(default_factory=list)
     split_rules: dict[str, list[Predicate]] | None = None
 
+    def __post_init__(self):
+        owner = f"family {self.name!r}"
+        if len(set(self.params)) != len(self.params):
+            raise FamilyError(f"{owner}: parameter names {self.params} repeat")
+        predicates = [r.predicate for r in self.rules if r.predicate is not None]
+        for preds in (self.split_rules or {}).values():
+            predicates.extend(preds)
+        for pred in predicates:
+            unknown = pred.symbols() - set(self.params)
+            if unknown:
+                raise FamilyError(
+                    f"{owner}: predicate {pred.render()!r} uses undeclared {sorted(unknown)}"
+                )
+
 
 SPLIT_BITS = {"AB": (1, 2), "AC": (1, 3), "AD": (1, 4)}
 
@@ -328,18 +333,11 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
         amps = tuple(parse_affine(s, params) for s in _strings(data, "amps", owner))
         template = FamilyTemplate(name, params, amps)
 
-    def parse_checked(text: str) -> Predicate:
-        parsed = parse_predicate(text)
-        unknown = parsed.symbols() - set(params)
-        if unknown:
-            raise FamilyError(f"{owner}: predicate {text!r} uses undeclared {sorted(unknown)}")
-        return parsed
-
     split_rules = None
     if "split_rules" in data:
         splits = _field(data, "split_rules", owner, dict)
         split_rules = {
-            split: [parse_checked(p) for p in _strings(splits, split, f"{owner} split_rules")]
+            split: [parse_predicate(p) for p in _strings(splits, split, f"{owner} split_rules")]
             for split in splits
         }
     rules = []
@@ -358,7 +356,7 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
                     raise FamilyError(f"{name}: no split rule {split} #{idx!r} to intersect")
                 predicate = predicate.conjoin(preds[idx - 1])
         else:
-            predicate = parse_checked(_field(raw, "predicate", rule_owner, str, ""))
+            predicate = parse_predicate(_field(raw, "predicate", rule_owner, str, ""))
         bisep = raw.get("bisep")
         if bisep is True:
             bisep = ""  # biseparable, no specific partition pinned
@@ -498,15 +496,13 @@ def instantiate(family: str, params, registry: FamilyRegistry | None = None) -> 
     return state(4, amps)
 
 
-def rank_triple(psi: PureState, mode: str = "exact", tolerance=None) -> RankTriple:
+def rank_triple(psi: PureState, *, tolerance=None) -> RankTriple:
     """(rank C_AB, rank C_AC, rank C_AD) of a four-qubit state."""
     if psi.n != 4:
         raise ValueError("rank triples are defined for four-qubit states")
-    values = []
-    for split in ("AB", "AC", "AD"):
-        C = coefficient_matrix(psi, SPLIT_BITS[split])
-        values.append(rank(C, mode, tolerance))
-    return RankTriple(*values)
+    return RankTriple(*(
+        rank(coefficient_matrix(psi, bits), tolerance=tolerance) for bits in SPLIT_BITS.values()
+    ))
 
 
 def classify_subfamily(
@@ -713,13 +709,12 @@ def permutation_analysis(
     params,
     perms=None,
     registry: FamilyRegistry | None = None,
-    mode: str = "exact",
 ) -> list[tuple[QubitPermutation, RankTriple]]:
     """Rank triples of the permuted template state, one per permutation."""
     psi = instantiate(family, params, registry)
     if perms is None:
         perms = ALL_PERMUTATIONS
-    return [(perm, rank_triple(permute_qubits(psi, perm), mode)) for perm in perms]
+    return [(perm, rank_triple(permute_qubits(psi, perm))) for perm in perms]
 
 
 @dataclass(frozen=True)
@@ -731,7 +726,7 @@ class PermutationClass:
     triple: RankTriple
 
 
-def full_permutation_scan(psi: PureState, mode: str = "exact") -> list[PermutationClass]:
+def full_permutation_scan(psi: PureState) -> list[PermutationClass]:
     """Group all 24 qubit permutations by the state they produce."""
     if psi.n != 4:
         raise ValueError("the permutation scan runs on four-qubit states")
@@ -745,7 +740,7 @@ def full_permutation_scan(psi: PureState, mode: str = "exact") -> list[Permutati
     out = []
     for key, perms in groups.items():
         rep = reps[key]
-        out.append(PermutationClass(rep, tuple(perms), rank_triple(rep, mode)))
+        out.append(PermutationClass(rep, tuple(perms), rank_triple(rep)))
     return out
 
 

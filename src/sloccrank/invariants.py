@@ -93,10 +93,7 @@ def closed_form_dxy(family: str, params: dict):
         a, b = params["a"], params["b"]
         diff = a - b
         tot = a + b
-        scale = ExactScalar(-1, 0, 0, 0, 32)
-        if isinstance(diff, (complex, float)):
-            scale = scale.to_complex()
-        return scale * (diff * diff * diff) * (tot * tot * tot)
+        return -(diff * diff * diff) * (tot * tot * tot) / 32
     raise ValueError(f"no closed form registered for family {family!r}")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffmatrix import coefficient_matrix, rank, rank_signature
+from .coeffmatrix import RankSignature, coefficient_matrix, rank, rank_signature
 from .states import PureState, state
 
 EN_DASH = "–"
@@ -51,7 +51,7 @@ class DegenerateFamilyLabel:
         return self.name
 
 
-def recursive_rank(factors, row_bits, mode: str = "exact") -> int:
+def recursive_rank(factors, row_bits) -> int:
     """Rank of a split of a product state as the product of factor ranks.
 
     ``factors`` is a list of (state, placement) pairs whose placements
@@ -68,11 +68,11 @@ def recursive_rank(factors, row_bits, mode: str = "exact") -> int:
     for psi, pos in factors:
         local_rows = tuple(t + 1 for t, p in enumerate(pos) if p in row_set)
         C = coefficient_matrix(psi, local_rows)
-        out *= rank(C, mode)
+        out *= rank(C)
     return out
 
 
-def is_biseparable_across(psi: PureState, subset, mode: str = "exact", tolerance=None):
+def is_biseparable_across(psi: PureState, subset, *, tolerance=None):
     """Rank-1 test across ``subset``; on success also returns the factors.
 
     Returns ``(flag, factors)`` where ``factors`` is a pair of states on
@@ -84,7 +84,7 @@ def is_biseparable_across(psi: PureState, subset, mode: str = "exact", tolerance
         raise ValueError("subset must be a proper nonempty part of the register")
     comp = tuple(p for p in range(1, psi.n + 1) if p not in subset)
     C = coefficient_matrix(psi, subset, comp)
-    if rank(C, mode, tolerance) != 1:
+    if rank(C, tolerance=tolerance) != 1:
         return False, None
     if C.is_exact:
         pivot = None
@@ -106,14 +106,16 @@ def is_biseparable_across(psi: PureState, subset, mode: str = "exact", tolerance
     return True, (left, right)
 
 
-def separability_partition(
-    psi: PureState, mode: str = "exact", tolerance=None
-) -> SeparabilityPartition:
+def separability_partition(psi: PureState, *, tolerance=None) -> SeparabilityPartition:
+    """Finest partition of the register (see ``partition_from_signature``)."""
+    return partition_from_signature(rank_signature(psi, tolerance=tolerance))
+
+
+def partition_from_signature(sig: RankSignature) -> SeparabilityPartition:
     """Finest partition: two qubits share a block unless some rank-1 split
     separates them."""
-    sig = rank_signature(psi, mode, tolerance)
     separators = [set(k) for k in sig.rank_one_splits()]
-    parent = list(range(psi.n + 1))
+    parent = list(range(sig.n + 1))
 
     def find(x):
         while parent[x] != x:
@@ -126,21 +128,19 @@ def separability_partition(
         if rx != ry:
             parent[rx] = ry
 
-    for i in range(1, psi.n + 1):
-        for j in range(i + 1, psi.n + 1):
+    for i in range(1, sig.n + 1):
+        for j in range(i + 1, sig.n + 1):
             if all((i in s) == (j in s) for s in separators):
                 union(i, j)
     groups: dict[int, list[int]] = {}
-    for p in range(1, psi.n + 1):
+    for p in range(1, sig.n + 1):
         groups.setdefault(find(p), []).append(p)
     blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    return SeparabilityPartition(psi.n, blocks, psi.labels)
+    return SeparabilityPartition(sig.n, blocks, sig.labels)
 
 
-def degenerate_family(
-    psi: PureState, mode: str = "exact", tolerance=None
-) -> DegenerateFamilyLabel:
+def degenerate_family(psi: PureState, *, tolerance=None) -> DegenerateFamilyLabel:
     """Canonical partition label, e.g. ``A–B–CD`` or ``ABCD``."""
     if psi.n < 2:
         raise ValueError("family labels need at least two qubits")
-    return DegenerateFamilyLabel(separability_partition(psi, mode, tolerance).label())
+    return DegenerateFamilyLabel(separability_partition(psi, tolerance=tolerance).label())

@@ -180,7 +180,7 @@ def random_invertible_local(
                 if not det.is_zero():
                     ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
                     break
-            elif mode == "float" or mode == "floating":
+            elif mode == "float":
                 vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
                 det = vals[0] * vals[3] - vals[1] * vals[2]
                 if abs(det) > 1e-3:

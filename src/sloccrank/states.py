@@ -225,22 +225,17 @@ def product_state(factors, n: int) -> PureState:
     exact = all(f.is_exact for f, _ in factors)
     tensors = [amplitude_tensor(f if exact else f.to_float()) for f, _ in factors]
     outer = reduce(np.multiply.outer, tensors)
+    if not exact and not outer.any():
+        raise ValueError("amplitude products of the nonzero factors underflow to zero")
     return _from_tensor(np.moveaxis(outer, range(n), [p - 1 for p in cover]), default_labels(n))
 
 
 def scale(psi: PureState, c) -> PureState:
     """Multiply every amplitude by the nonzero scalar ``c``."""
-    c = _coerce_amp(c)
-    if isinstance(c, ExactScalar):
-        if c.is_zero():
-            raise ValueError("scale factor must be nonzero")
-        if psi.is_exact:
-            return PureState(psi.n, tuple(a * c for a in psi.amps), psi.labels)
-        c = c.to_complex()
+    *amps, c = coerce_amplitudes((*psi.amps, c))
     if c == 0:
         raise ValueError("scale factor must be nonzero")
-    psi = psi.to_float()
-    return PureState(psi.n, tuple(a * c for a in psi.amps), psi.labels)
+    return PureState(psi.n, tuple(a * c for a in amps), psi.labels)
 
 
 def random_exact_state(n: int, rng: random.Random, span: int = 3) -> PureState:

@@ -6,6 +6,7 @@ import pytest
 
 import sloccrank.tables as tables_mod
 from sloccrank.cli import main
+from sloccrank.coeffmatrix import enumerate_bipartitions
 from sloccrank.families import instantiate
 from sloccrank.states import product_state, render_state, state
 from sloccrank.tables import epr, ghz
@@ -90,6 +91,29 @@ def test_classify_ghz4_genuinely_entangled(ghz4_file, capsys):
     out = capsys.readouterr().out
     assert "genuinely entangled" in out
     assert "triple: 222" in out
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "numeric"]])
+def test_classify_computes_one_signature(mode, tmp_path, monkeypatch, capsys):
+    import sloccrank.cli as cli_mod
+    from sloccrank import coeffmatrix, families, separability
+
+    path = tmp_path / "counter.state"
+    path.write_text(render_state(state(4, list(range(1, 17)))))
+    splits = []
+    real_rank = coeffmatrix.rank
+
+    def spy(C, *args, **kwargs):
+        splits.append(C.bipartition.canonical_key())
+        return real_rank(C, *args, **kwargs)
+
+    for module in (coeffmatrix, families, separability, cli_mod):
+        monkeypatch.setattr(module, "rank", spy)
+    assert main(["classify", str(path), "--output", "machine", *mode]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["template_matches"] == []
+    assert data["triple"] == [2, 2, 2]
+    assert sorted(splits) == sorted(bp.canonical_key() for bp in enumerate_bipartitions(4))
 
 
 def test_classify_machine_fields(eprepr_file, capsys):
@@ -276,6 +300,11 @@ REGISTRY_DEFECTS = {
         "name": "x",
         "params": ["a"],
         "rules": [{"triple": "111", "predicate": "z!=0"}],
+    }]),
+    "repeated-parameter": json.dumps([{
+        "name": "x",
+        "params": ["a", "a"],
+        "amps": ["1*a"] + ["0"] * 14 + ["1"],
     }]),
 }
 

@@ -1,12 +1,15 @@
-"""Mutated state files end in a documented exit code (0-4), never a traceback."""
+"""Mutated state and registry files end in a documented exit code (0-4), never a traceback."""
 
 import contextlib
 import io
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sloccrank.cli import main
+from sloccrank.states import render_state
+from sloccrank.tables import ghz
 
 VALID_STATES = (
     '{n: 2, amps: ["1", "0", "0", "1"]}',
@@ -19,11 +22,46 @@ VALID_STATES = (
 # scalar terms and qubit labels
 ALPHABET = '{}[]:,"' + " \n" + "0123456789" + "+-*/.eEi" + "nr2" + "ABWXYZ" + "±é"
 
+# a template for the rules-only family L_a2b2 of table 7, and a family with
+# every rule form: predicate, intersect of split rules, bisep and empty
+VALID_REGISTRY = json.dumps([
+    {
+        "name": "L_a2b2",
+        "params": ["a", "b"],
+        "amps": ["1*a", "0", "0", "1", "0", "1*b", "1", "0",
+                 "0", "0", "1*b", "0", "0", "0", "0", "1*a"],
+    },
+    {
+        "name": "X_ab",
+        "params": ["a", "b"],
+        "amps": ["1*a", "0", "0", "1*b", "0", "0", "0", "0",
+                 "0", "0", "0", "0", "1*b", "0", "0", "1*a"],
+        "split_rules": {"AB": ["a=0", "a!=0"]},
+        "rules": [
+            {"triple": "222", "predicate": "a!=±b & b!=0", "note": "generic"},
+            {"triple": "144", "intersect": {"AB": 1}, "bisep": True},
+            {"triple": "444", "empty": True},
+        ],
+    },
+], indent=1)
+# JSON structure and literals, template terms and the predicate grammar
+REGISTRY_ALPHABET = '{}[]:,"' + " " + "01234" + "+-*/" + "=!&|±" + "abz_" + "ir2" + "Ltrue"
+
+
 edits = st.lists(
     st.tuples(
         st.sampled_from(("insert", "delete", "replace")),
         st.integers(min_value=0, max_value=200),
         st.sampled_from(ALPHABET),
+    ),
+    min_size=1,
+    max_size=4,
+)
+registry_edits = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace")),
+        st.integers(min_value=0, max_value=len(VALID_REGISTRY)),
+        st.sampled_from(REGISTRY_ALPHABET),
     ),
     min_size=1,
     max_size=4,
@@ -54,3 +92,22 @@ def test_mutated_state_files_end_in_a_documented_exit_code(tmp_path_factory, bas
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code)
+
+
+def _assert_documented_exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=registry_edits)
+def test_mutated_registry_files_end_in_a_documented_exit_code(tmp_path_factory, ops):
+    folder = tmp_path_factory.mktemp("fuzz")
+    state_path = folder / "ghz4.state"
+    state_path.write_text(render_state(ghz(4)), encoding="utf-8")
+    registry = folder / "registry.json"
+    registry.write_text(_mutate(VALID_REGISTRY, ops), encoding="utf-8")
+    _assert_documented_exit(["classify", str(state_path), "--registry", str(registry)])
+    _assert_documented_exit(["table", "7", "--samples", "1", "--registry", str(registry)])
+

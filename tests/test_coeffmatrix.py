@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from sloccrank import coeffmatrix
 from sloccrank.coeffmatrix import (
     Bipartition,
-    ModeError,
     coefficient_matrix,
     det_coeff,
     det_density_exact,
@@ -101,7 +101,7 @@ def test_eight_qubit_signature_scales():
     sig = rank_signature(big)
     assert len(dict(sig.items())) == 127
     assert set(dict(sig.items()).values()) == {2}
-    fsig = rank_signature(big.to_float(), "numeric")
+    fsig = rank_signature(big.to_float())
     assert sig == fsig
 
 
@@ -128,10 +128,31 @@ def test_transpose_duality_entrywise():
     assert rank(C) == rank(dual)
 
 
-def test_exact_mode_on_float_entries_raises():
-    psi = state(2, [0.5, 0, 0, 0.5])
-    with pytest.raises(ModeError):
-        rank(coefficient_matrix(psi, (1,)), "exact")
+def _log_calls(monkeypatch, name, log):
+    real = getattr(coeffmatrix, name)
+
+    def spy(*args, **kwargs):
+        log.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coeffmatrix, name, spy)
+
+
+def test_rank_route_follows_entry_kind(monkeypatch):
+    routes = []
+    _log_calls(monkeypatch, "bareiss", routes)
+    _log_calls(monkeypatch, "singular_values", routes)
+    exact = state(2, [1, 0, 0, ExactScalar(1, 0, 0, 0, 10**6)])
+    assert rank(coefficient_matrix(exact, (1,))) == 2
+    assert routes == ["bareiss"]
+    floating = coefficient_matrix(exact.to_float(), (1,))
+    assert rank(floating) == 2
+    assert rank(floating, tolerance=1e-3) == 1
+    assert routes == ["bareiss", "singular_values", "singular_values"]
+    with pytest.raises(TypeError):
+        rank(floating, "exact")
+    with pytest.raises(TypeError):
+        rank_signature(exact, "numeric")
 
 
 def test_exact_and_numeric_ranks_agree():
@@ -140,8 +161,8 @@ def test_exact_and_numeric_ranks_agree():
         psi = random_exact_state(3, rng)
         for bp in enumerate_bipartitions(3):
             C = coefficient_matrix(psi, bp.row_bits, bp.col_bits)
-            exact = rank(C, "exact")
-            numeric = rank(coefficient_matrix(psi.to_float(), bp.row_bits), "numeric")
+            exact = rank(C)
+            numeric = rank(coefficient_matrix(psi.to_float(), bp.row_bits))
             assert exact == numeric
 
 
@@ -159,7 +180,7 @@ def test_exact_and_numeric_ranks_agree_on_family_corpus():
         instantiate("L_ab3'", (0, 0)),
     ]
     for psi in corpus:
-        assert rank_signature(psi) == rank_signature(psi.to_float(), "numeric")
+        assert rank_signature(psi) == rank_signature(psi.to_float())
 
 
 def test_bareiss_rank_matches_reference_on_coefficient_matrices():

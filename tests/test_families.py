@@ -16,6 +16,7 @@ from sloccrank.families import (
     PI_PERMUTATIONS,
     RankTriple,
     SamplingError,
+    SubfamilyRule,
     classify_g_split,
     classify_subfamily,
     default_registry,
@@ -314,6 +315,14 @@ def test_register_family_rejects_mismatched_parameters():
     assert registry.get("L_a4").template is None
 
 
+def test_register_family_rejects_rule_on_undeclared_parameter():
+    registry = FamilyRegistry()
+    rule = SubfamilyRule("fresh", RankTriple(2, 2, 2), parse_predicate("z!=0"), ("a", "b"))
+    with pytest.raises(FamilyError, match="undeclared"):
+        registry.register_family(_stand_in("fresh"), [rule])
+    assert "fresh" not in registry.names()
+
+
 @pytest.mark.parametrize("data, message", [
     (1, "must be a JSON object"),
     ({"params": ["a"]}, "no 'name'"),
@@ -332,6 +341,7 @@ def test_register_family_rejects_mismatched_parameters():
     ({"name": "x", "params": ["a"], "rules": [{"triple": "111", "predicate": "a!=±b"}]},
      "undeclared"),
     ({"name": "x", "params": ["a"], "split_rules": {"AB": ["z=0"]}}, "undeclared"),
+    ({"name": "x", "params": ["a", "a"]}, "repeat"),
 ])
 def test_malformed_registry_entry_raises_family_error(data, message):
     with pytest.raises(FamilyError, match=message):

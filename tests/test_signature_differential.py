@@ -39,7 +39,7 @@ def _floating(ops: LocalOperatorSet) -> LocalOperatorSet:
 @settings(max_examples=100, deadline=None)
 @given(gaussian_states())
 def test_exact_signature_equals_numeric(psi):
-    assert rank_signature(psi) == rank_signature(psi.to_float(), "numeric")
+    assert rank_signature(psi) == rank_signature(psi.to_float())
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,4 +55,4 @@ def test_numeric_signature_after_floating_operators_equals_exact(psi, seed):
     ops = _floating(random_invertible_local(psi.n, seed))
     assert not ops.is_exact
     phi = apply_local(psi.to_float(), ops)
-    assert rank_signature(phi, "numeric") == rank_signature(psi)
+    assert rank_signature(phi) == rank_signature(psi)

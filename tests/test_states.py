@@ -144,6 +144,14 @@ def test_tensor_placement_validation():
         tensor(state(1, [1, 0]), epr(), left_positions=(9,))
 
 
+def test_underflowing_product_names_the_underflow():
+    tiny = state(1, [0, 6.7e-241j])
+    with pytest.raises(ValueError, match="underflow"):
+        tensor(tiny, tiny)
+    with pytest.raises(ValueError, match="underflow"):
+        product_state([(tiny, (1,)), (tiny, (2,))], 2)
+
+
 def test_product_state_requires_partition():
     with pytest.raises(ValueError):
         product_state([(epr(), (1, 2)), (epr(), (2, 3))], 4)
