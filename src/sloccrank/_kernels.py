@@ -16,7 +16,25 @@ homomorphism Z[i, sqrt2] -> F_P.  An exactly vanishing minor vanishes
 mod P, so the rank mod P is a lower bound on the exact rank; when it
 reaches min(nonzero rows, nonzero columns) it is the exact rank.
 Otherwise the exact elimination decides.
+
+The exactly zero rows and columns are found on the residues (see
+``residues``: an entry that is nonzero but vanishes mod P is stored as
+P, not 0), so no quadruple is scanned.  The full-rank test in F_P has
+two routes, chosen by the size of the matrix left after dropping those
+rows and columns.  From ``INT64_MIN_CELLS`` cells on, the residues go
+into an int64 array that is reduced mod P, eliminated a whole row block
+at a time and reduced again after every update: residues below
+P < 2**31 keep each product below 2**62.  Below it, Python lists are as
+fast or faster, because a numpy call costs as much as a few dozen list
+updates; the same cutoff picks how the zero rows and columns are found.
+Timed through ``_certified_rank`` on random full-rank matrices with the
+residues given (one core of a 2-CPU x86-64 host, Python 3.11, numpy
+2.4), lists against int64 took 13 vs 18 us at 2 x 4, 28 vs 29 us at
+4 x 4, 34 vs 21 us at 4 x 8, 84 vs 42 us at 8 x 8, 362 vs 88 us at
+16 x 16 and 13.9 vs 2.4 ms at 64 x 64.
 """
+
+import numpy as np
 
 ZERO4 = (0, 0, 0, 0)
 ONE4 = (1, 0, 0, 0)
@@ -25,6 +43,7 @@ P = 2147483497  # prime, P = 1 (mod 8), below 2**31
 I_P = 1731803418  # I_P**2 = -1 (mod P)
 S_P = 974023842  # S_P**2 = 2 (mod P)
 IS_P = 391447392  # I_P * S_P % P
+INT64_MIN_CELLS = 32  # full-rank tests from this many cells on run in int64
 
 
 def mul4(x, y):
@@ -128,6 +147,22 @@ def _eliminate(entries, nrows, ncols):
     return rank, (a, b, c, d) if sign > 0 else (-a, -b, -c, -d)
 
 
+def residues(quads):
+    """The images ``a + b*I_P + c*S_P + d*IS_P`` in F_P, as an int64 array.
+
+    A nonzero quadruple whose image is 0 is stored as P (also 0 mod P),
+    so the nonzero cells of the array are exactly the nonzero quadruples:
+    values lie in [0, P] and must be reduced before any F_P arithmetic.
+    """
+    return np.array(
+        [
+            (a + b * I_P + c * S_P + d * IS_P) % P or (P if a or b or c or d else 0)
+            for a, b, c, d in quads
+        ],
+        dtype=np.int64,
+    )
+
+
 def _full_rank_mod_p(rows, ncols):
     """Whether the F_P matrix ``rows`` has rank ``min(len(rows), ncols)``.
 
@@ -160,37 +195,80 @@ def _full_rank_mod_p(rows, ncols):
     return True
 
 
-def _certified_rank(entries, nrows, ncols):
-    """Exact rank: support compression, then F_P, then ``_eliminate``."""
-    rows = []
-    for i in range(0, nrows * ncols, ncols):
-        row = entries[i:i + ncols]
-        if row.count(ZERO4) != ncols:
-            rows.append(row)
-    cols = [j for j in range(ncols) if entries[j::ncols].count(ZERO4) != nrows]
-    if len(rows) <= 1 or len(cols) <= 1:
-        return min(len(rows), len(cols))
-    if len(cols) < ncols:
-        rows = [[row[j] for j in cols] for row in rows]
-    mod = [[a + b * I_P + c * S_P + d * IS_P for a, b, c, d in row] for row in rows]
-    if _full_rank_mod_p(mod, len(cols)):
-        return min(len(rows), len(cols))
-    return _eliminate([e for row in rows for e in row], len(rows), len(cols))[0]
+def _full_rank_mod_p_int64(m):
+    """``_full_rank_mod_p`` for an int64 array ``m`` of ``residues``.
+
+    Works on a reduced copy in the wide orientation, so full rank is
+    full row rank: each row in turn must keep a nonzero entry x, and
+    every later row r becomes ``(x * r - r[j] * row) % P`` in one
+    vectorised update.  Both products are below P**2 < 2**62, so their
+    difference fits int64 too, and it is reduced at once: every entry
+    read is in [0, P).
+    """
+    m = np.remainder(m.T if m.shape[0] > m.shape[1] else m, P, order="C")
+    last = m.shape[0] - 1
+    for k in range(last + 1):
+        row = m[k]
+        j = row.argmax()
+        x = row[j]
+        if not x:
+            return False
+        if k == last:
+            return True
+        rest = m[k + 1:]
+        t = rest[:, j, None] * row
+        rest *= x
+        rest -= t
+        rest %= P
+    return True
 
 
-def bareiss(entries, nrows, ncols, det=True):
+def _certified_rank(entries, nrows, ncols, res=None):
+    """Exact rank: support compression, then F_P, then ``_eliminate``.
+
+    ``res`` is ``residues(entries)`` when the caller has it already; its
+    nonzero cells are the nonzero entries, so it gives the support.
+    """
+    if res is None:
+        res = residues(entries)
+    mod = res.reshape(nrows, ncols)
+    if mod.size < INT64_MIN_CELLS:  # as for the F_P test, lists beat numpy calls here
+        lines = mod.tolist()
+        rows = [i for i, line in enumerate(lines) if any(line)]
+        cols = [j for j, line in enumerate(zip(*lines)) if any(line)]
+    else:
+        rows = np.flatnonzero(mod.any(axis=1)).tolist()
+        cols = np.flatnonzero(mod.any(axis=0)).tolist()
+    full = min(len(rows), len(cols))
+    if full <= 1:
+        return full
+    if len(rows) * len(cols) >= INT64_MIN_CELLS:
+        if len(rows) < nrows or len(cols) < ncols:
+            mod = mod[np.ix_(rows, cols)]
+        certified = _full_rank_mod_p_int64(mod)
+    else:
+        lines = mod.tolist()
+        certified = _full_rank_mod_p([[lines[i][j] for j in cols] for i in rows], len(cols))
+    if certified:
+        return full
+    return _eliminate([entries[i * ncols + j] for i in rows for j in cols], len(rows), len(cols))[0]
+
+
+def bareiss(entries, nrows, ncols, det=True, res=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
-    ``entries`` is a row-major list of ``nrows * ncols`` quadruples.
+    ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
     With ``det=True`` returns ``(rank, det)`` as ``_eliminate`` does:
     ``det`` is the exact determinant for square input and ``(0, 0, 0, 0)``
     for rank-deficient or non-square input.  With ``det=False`` returns
     ``(rank, None)``.  Ranks not needing a determinant come from the
-    certified mod-P route (see the module docstring), never from chance.
+    certified mod-P route (see the module docstring), never from chance;
+    ``res``, the entries' ``residues`` in the same order, spares that
+    route computing them.
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)
-    return _certified_rank(entries, nrows, ncols), ZERO4 if det else None
+    return _certified_rank(entries, nrows, ncols, res), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

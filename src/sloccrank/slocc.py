@@ -196,22 +196,35 @@ def random_invertible_local(
 # --- operator file format ----------------------------------------------------
 
 
+def _is_operator_entry(entry) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and all(
+            isinstance(row, list) and len(row) == 2 and all(isinstance(cell, str) for cell in row)
+            for row in entry
+        )
+    )
+
+
 def parse_operator_file(text: str) -> LocalOperatorSet:
-    """Array of n entries, each a 2x2 array of scalar strings."""
+    """Array of n entries, each a 2x2 array of scalar strings.
+
+    Every malformed file raises ``ValueError`` (JSON syntax, shape, cell
+    type, scalar syntax or a singular operator).
+    """
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("operator file must be a non-empty array")
-    floating = any(
-        is_float_literal(cell)
-        for entry in data
-        for row in entry
-        for cell in row
-    )
+    for k, entry in enumerate(data, 1):
+        if not _is_operator_entry(entry):
+            raise ValueError(
+                f"operator {k} must be a 2x2 array of scalar strings, got {json.dumps(entry)}"
+            )
+    floating = any(is_float_literal(cell) for entry in data for row in entry for cell in row)
     parse = parse_float if floating else parse_exact
     ops = []
     for entry in data:
-        if len(entry) != 2 or any(len(row) != 2 for row in entry):
-            raise ValueError("each operator must be a 2x2 array")
         (a, b), (c, d) = entry
         ops.append(LocalOperator(((parse(a), parse(b)), (parse(c), parse(d)))))
     return LocalOperatorSet(tuple(ops))

@@ -14,13 +14,15 @@ import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
+from ._kernels import residues
 from .scalars import (
     ExactScalar,
     ScalarFormatError,
+    common_denominator,
     is_float_literal,
     parse_exact,
     parse_float,
@@ -101,6 +103,18 @@ class PureState:
     @property
     def kind(self) -> str:
         return "exact" if self.is_exact else "float"
+
+    @cached_property
+    def cleared(self) -> tuple[list, int, np.ndarray]:
+        """``(quads, den, res)`` of an exact state, computed once and cached.
+
+        ``quads[k] / den`` is ``amps[k]`` as an integer quadruple over one
+        shared denominator and ``res[k]`` its residue in F_P (an int64
+        array), the form the rank kernel takes.  The cache is not a
+        field, so it is invisible to ``==``, ``hash`` and ``repr``.
+        """
+        quads, den = common_denominator(self.amps)
+        return quads, den, residues(quads)
 
     def to_float(self) -> PureState:
         if not self.is_exact:

@@ -85,6 +85,13 @@ def test_rank_signature_table_rows():
     assert rank_signature(a_ghz).as_tuple() == (1, 2, 2, 2, 2, 2, 2)
 
 
+def test_label_maps_share_their_key_strings():
+    first = rank_signature(ghz(4)).label_map()
+    second = rank_signature(random_exact_state(4, random.Random(2))).label_map()
+    assert list(first) == list(second)
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_row_bit_reorder_permutes_rows():
     psi = four_qubit_counter()
     base = coefficient_matrix(psi, (1, 2))

@@ -152,6 +152,22 @@ def test_operator_file_round_trip():
     assert again == ops
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[["12", ["1", "0"]]]',  # a string row is not a row of two cells
+        '[[["1", "0"], ["0", 1]]]',
+        '[[["1", "0"], ["0", null]]]',
+        "[null]",
+        "[1]",
+        '[[["1", "0"], ["0", "1"]], "ab"]',
+    ],
+)
+def test_malformed_operator_entries_raise_value_error(text):
+    with pytest.raises(ValueError, match="operator"):
+        parse_operator_file(text)
+
+
 def test_operator_set_size_checked():
     psi = state(2, [1, 0, 0, 1])
     with pytest.raises(ValueError):
