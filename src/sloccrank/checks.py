@@ -249,4 +249,6 @@ def run_check(name: str, trials: int | None = None, seed: int = 0) -> CheckResul
     fn = CHECKS[name]
     if trials is None:
         return fn(seed=seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return fn(trials=trials, seed=seed)

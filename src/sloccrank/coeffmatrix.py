@@ -200,9 +200,17 @@ class RankSignature:
         self.ranks = dict(ranks)
 
     def __getitem__(self, key) -> int:
+        """Rank of a split named by either side, as labels (``"CD"``) or bits."""
         if isinstance(key, str):
-            key = tuple(sorted(self.labels.index(ch) + 1 for ch in key))
-        return self.ranks[tuple(key)]
+            for ch in key:
+                if ch not in self.labels:
+                    raise KeyError(f"no qubit labelled {ch!r} (labels: {''.join(self.labels)})")
+            key = [self.labels.index(ch) + 1 for ch in key]
+        rest = tuple(b for b in range(1, self.n + 1) if b not in key)
+        try:
+            return self.ranks[Bipartition(self.n, tuple(key), rest).canonical_key()]
+        except ValueError:
+            raise KeyError(tuple(key)) from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RankSignature) and self.ranks == other.ranks

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import apply_single_qubit
-from .coeffmatrix import CoefficientMatrix, _entries
+from .coeffmatrix import CoefficientMatrix, _cleared
 from .scalars import (
     ExactScalar,
     common_denominator,
@@ -112,11 +112,26 @@ def identity_ops(n: int) -> LocalOperatorSet:
     return LocalOperatorSet(tuple(IDENTITY_OP for _ in range(n)))
 
 
-def _contract(amps: np.ndarray, mats) -> np.ndarray:
-    """Apply the 2x2 matrix ``mats[t]`` to axis ``t`` of a 2 x ... x 2 tensor."""
-    for t, m in enumerate(mats):
-        amps = np.moveaxis(np.tensordot(m, amps, (1, t)), 0, t)
+def _contract(amps: np.ndarray, ops) -> np.ndarray:
+    """Apply ``ops[t]`` to axis ``t`` of a complex 2 x ... x 2 tensor."""
+    for t, op in enumerate(ops):
+        amps = np.moveaxis(np.tensordot(np.array(op.entries, complex), amps, (1, t)), 0, t)
     return amps
+
+
+def _apply_exact(cleared: tuple, ops) -> tuple[ExactScalar, ...]:
+    """Apply exact ``ops[t]`` to qubit ``t`` of a cleared amplitude vector.
+
+    ``cleared`` starts ``(quads, den)`` as ``PureState.cleared``; qubit
+    ``t`` is the ``t``-th most significant index bit.
+    """
+    quads, den = cleared[:2]
+    for t, op in enumerate(ops):
+        (a, b), (c, d) = op.entries
+        op_quads, op_den = common_denominator([a, b, c, d])
+        quads = apply_single_qubit(quads, len(ops), t, tuple(op_quads))
+        den *= op_den
+    return tuple(ExactScalar(*q, den) for q in quads)
 
 
 def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
@@ -124,18 +139,9 @@ def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
     if len(ops) != psi.n:
         raise ValueError("operator count does not match qubit count")
     if psi.is_exact and ops.is_exact:
-        # bring all amplitudes over one shared denominator for the kernel
-        quads, den = common_denominator(psi.amps)
-        for t, op in enumerate(ops.ops):
-            (a, b), (c, d) = op.entries
-            op_quads, op_den = common_denominator([a, b, c, d])
-            quads = apply_single_qubit(quads, psi.n, t, tuple(op_quads))
-            den *= op_den
-        amps = tuple(ExactScalar(q[0], q[1], q[2], q[3], den) for q in quads)
-        return PureState(psi.n, amps, psi.labels)
+        return PureState(psi.n, _apply_exact(psi.cleared, ops.ops), psi.labels)
     psi = psi.to_float()
-    mats = [np.array(op.entries, dtype=complex) for op in ops.ops]
-    return _from_tensor(_contract(amplitude_tensor(psi), mats), psi.labels)
+    return _from_tensor(_contract(amplitude_tensor(psi), ops.ops), psi.labels)
 
 
 def transform_coefficient_matrix(
@@ -143,53 +149,36 @@ def transform_coefficient_matrix(
 ) -> CoefficientMatrix:
     """(row ops kron) @ C @ (col ops kron)^T, operator order per stored bits.
 
-    C is viewed as the 2 x ... x 2 tensor with axes ``row_bits + col_bits``
-    and each qubit's operator is applied to its own axis.
+    C is read as an amplitude vector whose qubit ``t`` is stored bit
+    ``(row_bits + col_bits)[t]``, and transformed as ``apply_local`` does.
     """
     bp = C.bipartition
     if len(ops) != bp.n:
         raise ValueError("operator count does not match qubit count")
-    dtype = object if C.is_exact and ops.is_exact else complex
-    bits = bp.row_bits + bp.col_bits
-    mats = [np.array(ops[b - 1].entries, dtype) for b in bits]
-    out = _contract(np.asarray(C.entries, dtype).reshape((2,) * bp.n), mats)
-    return CoefficientMatrix(C.rows, C.cols, _entries(out.reshape(C.rows, C.cols)), bp)
+    ordered = [ops[b - 1] for b in bp.row_bits + bp.col_bits]
+    if C.is_exact and ops.is_exact:
+        flat = _apply_exact(_cleared(C), ordered)
+        entries = tuple(flat[i:i + C.cols] for i in range(0, len(flat), C.cols))
+    else:
+        amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)
+        entries = _contract(amps, ordered).reshape(C.rows, C.cols)
+    return CoefficientMatrix(C.rows, C.cols, entries, bp)
 
 
-def random_invertible_local(
-    n: int, seed: int, mode: str = "exact", max_attempts: int = 1000
-) -> LocalOperatorSet:
+def random_invertible_local(n: int, seed: int) -> LocalOperatorSet:
     """Deterministic per-seed sample of n invertible 2x2 operators.
 
-    Exact mode draws Gaussian integers from {-3..3} + {-3..3}i and
-    redraws until the determinant is nonzero; floating mode draws
-    standard-normal components and requires |det| > 1e-3.
+    Each operator's entries are Gaussian integers from {-3..3} + {-3..3}i,
+    redrawn until the determinant is nonzero.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
     rng = random.Random(seed)
     ops = []
     for _ in range(n):
-        for attempt in range(max_attempts):
-            if mode == "exact":
-                vals = [
-                    ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3))
-                    for _ in range(4)
-                ]
-                det = vals[0] * vals[3] - vals[1] * vals[2]
-                if not det.is_zero():
-                    ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
-                    break
-            elif mode == "float":
-                vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
-                det = vals[0] * vals[3] - vals[1] * vals[2]
-                if abs(det) > 1e-3:
-                    ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
-                    break
-            else:
-                raise ValueError(f"unknown sampling mode {mode!r}")
-        else:
-            raise RuntimeError("failed to sample an invertible operator")
+        while True:
+            vals = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            if not (vals[0] * vals[3] - vals[1] * vals[2]).is_zero():
+                break
+        ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
     return LocalOperatorSet(tuple(ops))
 
 

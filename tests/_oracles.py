@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from sloccrank.scalars import ExactScalar
+from sloccrank.slocc import LocalOperator, LocalOperatorSet
 
 
 def random_exact_scalar(rng: random.Random, span: int = 5) -> ExactScalar:
@@ -68,6 +69,13 @@ def ref_det_leibniz(rows: list[list[ExactScalar]]) -> ExactScalar:
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def _floating(ops: LocalOperatorSet) -> LocalOperatorSet:
+    """The same operators with complex entries."""
+    return LocalOperatorSet(
+        tuple(LocalOperator.of(*(complex(x) for row in op.entries for x in row)) for op in ops.ops)
+    )
 
 
 def quad_matrix_to_scalars(flat, nrows, ncols):

@@ -177,6 +177,14 @@ def test_verify_counterexample_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "seed=5" in out
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_run_check_rejects_empty_trial_counts(trials):
+    from sloccrank.checks import run_check
+
+    with pytest.raises(ValueError, match="trials"):
+        run_check("kron-rank", trials=trials)
+
+
 def test_verify_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("SLOCC_RANK_SEED", "99")
     assert main(["verify", "matrix-transform", "--trials", "3"]) == 0

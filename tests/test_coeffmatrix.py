@@ -85,6 +85,19 @@ def test_rank_signature_table_rows():
     assert rank_signature(a_ghz).as_tuple() == (1, 2, 2, 2, 2, 2, 2)
 
 
+def test_signature_lookup_by_either_side_of_a_split():
+    sig = rank_signature(product_state([(epr(), (1, 2)), (epr(), (3, 4))], 4))
+    for side, other in (("AB", "CD"), ("AC", "BD"), ("A", "BCD"), ("D", "ABC")):
+        assert sig[side] == sig[other] == sig[other[::-1]]
+    assert (sig["CD"], sig["BD"], sig["BCD"]) == (1, 4, 2)
+    assert sig[(3, 4)] == sig[(1, 2)] == 1
+    for key in ("AZ", "E", "", "ABCD", (1, 5), (2, 2)):
+        with pytest.raises(KeyError):
+            sig[key]
+    with pytest.raises(KeyError, match="'Z'"):
+        sig["AZ"]
+
+
 def test_label_maps_share_their_key_strings():
     first = rank_signature(ghz(4)).label_map()
     second = rank_signature(random_exact_state(4, random.Random(2))).label_map()

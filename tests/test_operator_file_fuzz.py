@@ -17,12 +17,13 @@ from sloccrank.slocc import (
     random_invertible_local,
     render_operator_file,
 )
+from _oracles import _floating
 from test_cli_fuzz import _mutate
 
 
 VALID_OPERATORS = (
     render_operator_file(random_invertible_local(2, 3)),
-    render_operator_file(random_invertible_local(1, 5, mode="float")),
+    render_operator_file(_floating(random_invertible_local(1, 5))),
     '[[["1/2", "r2"], ["-i", "1 + i*r2"]], [["0", "1"], ["1", "0"]]]',
 )
 # JSON structure and literals, scalar terms

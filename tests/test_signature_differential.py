@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from sloccrank.coeffmatrix import rank_signature
 from sloccrank.scalars import ExactScalar
-from sloccrank.slocc import LocalOperator, LocalOperatorSet, apply_local, random_invertible_local
+from sloccrank.slocc import apply_local, random_invertible_local
 from sloccrank.states import state
+from _oracles import _floating
 
 GAUSSIAN = st.builds(ExactScalar, st.integers(-2, 2), st.integers(-2, 2))
 SEEDS = st.integers(0, 10**6)
@@ -28,12 +29,6 @@ def gaussian_states(draw):
     if not any(amps):
         amps[0] = ExactScalar(1)
     return state(n, amps)
-
-
-def _floating(ops: LocalOperatorSet) -> LocalOperatorSet:
-    return LocalOperatorSet(
-        tuple(LocalOperator.of(*(complex(x) for row in op.entries for x in row)) for op in ops.ops)
-    )
 
 
 @settings(max_examples=100, deadline=None)

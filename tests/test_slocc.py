@@ -22,6 +22,7 @@ from sloccrank.slocc import (
 )
 from sloccrank.states import random_exact_state, state
 from sloccrank.tables import ghz
+from _oracles import _floating
 
 
 def test_non_invertible_operator_rejected():
@@ -111,12 +112,6 @@ def test_random_operator_determinism_and_invertibility():
     assert a != c
 
 
-def test_random_float_operators():
-    ops = random_invertible_local(3, 11, mode="float")
-    for op in ops.ops:
-        assert abs(op.det()) > 1e-3
-
-
 def test_rank_invariance_theorem():
     result = check_rank_invariance(trials=200, seed=7)
     assert result.passed, result.failures
@@ -126,7 +121,7 @@ def test_singular_value_count_invariance_floating():
     rng = random.Random(13)
     for trial in range(20):
         psi = random_exact_state(3, rng).to_float()
-        ops = random_invertible_local(3, 500 + trial, mode="float")
+        ops = _floating(random_invertible_local(3, 500 + trial))
         phi = apply_local(psi, ops)
         for bits in ((1,), (2,), (3,)):
             before = sum(s > 1e-9 for s in singular_values(coefficient_matrix(psi, bits)))
@@ -137,7 +132,7 @@ def test_singular_value_count_invariance_floating():
 def test_float_application_matches_kron():
     rng = random.Random(15)
     psi = random_exact_state(2, rng).to_float()
-    ops = random_invertible_local(2, 9, mode="float")
+    ops = _floating(random_invertible_local(2, 9))
     phi = apply_local(psi, ops)
     (a, b), (c, d) = ops[0].entries
     (e, f), (g, h) = ops[1].entries

@@ -22,6 +22,7 @@ from sloccrank.states import (
     tensor,
 )
 from _oracles import (
+    _floating,
     ref_apply_local,
     ref_coefficient_entries,
     ref_gram,
@@ -154,8 +155,8 @@ def test_tensor_matches_index_reference(data):
 
 
 def _operators(data, n):
-    seed = data.draw(st.integers(0, 10**6))
-    return random_invertible_local(n, seed, data.draw(st.sampled_from(("exact", "float"))))
+    ops = random_invertible_local(n, data.draw(st.integers(0, 10**6)))
+    return _floating(ops) if data.draw(st.booleans()) else ops
 
 
 @settings(max_examples=100, deadline=None)
@@ -198,13 +199,17 @@ def test_reduced_density_matches_loop_reference(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_float_apply_local_matches_loop_reference(data):
-    psi = data.draw(states(exact=False))
+def test_apply_local_matches_loop_reference(data):
+    psi = data.draw(states())
     ops = _operators(data, psi.n)
-    mats = [_as_complex(op.entries) for op in ops.ops]
     out = apply_local(psi, ops)
-    assert not out.is_exact and out.labels == psi.labels
-    _close(out.amps, ref_apply_local(psi.amps, psi.n, mats))
+    assert out.labels == psi.labels
+    if psi.is_exact and ops.is_exact:
+        assert out.amps == tuple(ref_apply_local(psi.amps, psi.n, [op.entries for op in ops.ops]))
+    else:
+        assert not out.is_exact
+        mats = [_as_complex(op.entries) for op in ops.ops]
+        _close(out.amps, ref_apply_local(psi.to_float().amps, psi.n, mats))
 
 
 @settings(max_examples=100, deadline=None)
