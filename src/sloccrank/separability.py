@@ -40,7 +40,8 @@ class SeparabilityPartition:
         return EN_DASH.join(parts)
 
     def is_genuinely_entangled(self) -> bool:
-        return len(self.blocks) == 1
+        """One block of at least two qubits; a single qubit entangles with nothing."""
+        return self.n > 1 and len(self.blocks) == 1
 
 
 @dataclass(frozen=True)

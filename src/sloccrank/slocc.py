@@ -169,16 +169,19 @@ def random_invertible_local(n: int, seed: int) -> LocalOperatorSet:
     """Deterministic per-seed sample of n invertible 2x2 operators.
 
     Each operator's entries are Gaussian integers from {-3..3} + {-3..3}i,
-    redrawn until the determinant is nonzero.
+    redrawn until the determinant ad - bc, tested in integers, is nonzero.
     """
     rng = random.Random(seed)
     ops = []
     for _ in range(n):
         while True:
-            vals = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-            if not (vals[0] * vals[3] - vals[1] * vals[2]).is_zero():
+            a, b, c, d = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            re = a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1]
+            im = a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0]
+            if re or im:
                 break
-        ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
+        a, b, c, d = [ExactScalar(*z) for z in (a, b, c, d)]
+        ops.append(LocalOperator(((a, b), (c, d))))
     return LocalOperatorSet(tuple(ops))
 
 

@@ -93,6 +93,19 @@ def test_classify_ghz4_genuinely_entangled(ghz4_file, capsys):
     assert "triple: 222" in out
 
 
+def test_classify_one_qubit_is_not_genuinely_entangled(tmp_path, capsys):
+    path = tmp_path / "one.state"
+    path.write_text('{n: 1, amps: ["1", "i"]}')
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "genuinely entangled" not in out
+    assert out.splitlines()[0] == "label: A"
+    assert main(["classify", str(path), "--output", "machine"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["genuinely_entangled"] is False
+    assert result["label"] == "A" and result["signature"] == {}
+
+
 @pytest.mark.parametrize("mode", [[], ["--mode", "numeric"]])
 def test_classify_computes_one_signature(mode, tmp_path, monkeypatch, capsys):
     import sloccrank.cli as cli_mod

@@ -22,7 +22,7 @@ from sloccrank._kernels import (
     ZERO4,
     _eliminate,
     _full_rank_mod_p,
-    _full_rank_mod_p_int64,
+    _pivots_mod_p_int64,
     bareiss,
     mul4,
     residues,
@@ -85,6 +85,23 @@ def sparse_matrices(draw):
     return flat, rows, cols
 
 
+def _rank_mod_p(lines):
+    """Reference rank mod P of an int matrix, by plain Gaussian elimination."""
+    rows = [[v % P for v in line] for line in lines]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k in range(rank, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        inv = pow(rows[rank][c], -1, P)
+        for other in rows[rank + 1:]:
+            f = other[c] * inv % P
+            other[:] = [(v - f * w) % P for v, w in zip(other, rows[rank])]
+        rank += 1
+    return rank
+
+
 def _compressed_cells(flat, rows, cols):
     nonzero_rows = sum(1 for i in range(rows) if any(map(any, flat[i * cols:(i + 1) * cols])))
     nonzero_cols = sum(1 for j in range(cols) if any(map(any, flat[j::cols])))
@@ -100,7 +117,11 @@ def _assert_routes_agree(flat, rows, cols):
     assert (res != 0).tolist() == [any(q) for q in flat]  # the support is exact
     assert bareiss(list(flat), rows, cols, det=False, res=res) == (rank, None)
     m = res.reshape(rows, cols)
-    assert _full_rank_mod_p_int64(m) == _full_rank_mod_p(m.tolist(), cols)
+    pivot_rows, pivot_cols = _pivots_mod_p_int64(m)
+    r = len(pivot_rows)
+    assert (r == min(rows, cols)) == _full_rank_mod_p(m.tolist(), cols)
+    assert r == len(pivot_cols) == _rank_mod_p(m.tolist()) <= rank
+    assert _full_rank_mod_p(m[np.ix_(pivot_rows, pivot_cols)].tolist(), r)  # det != 0 mod P
     assert np.array_equal(m, residues(flat).reshape(rows, cols))  # not modified
 
 
@@ -129,10 +150,10 @@ def test_residues_near_p_stay_reduced():
     flat = [(-1, 0, 0, 0)] * (16 * 16)
     assert residues(flat[:1]).tolist() == [P - 1]
     m = np.full((16, 16), P - 1, dtype=np.int64)
-    assert not _full_rank_mod_p_int64(m)
+    assert _pivots_mod_p_int64(m) == ([0], [0])
     assert bareiss(flat, 16, 16, det=False) == (1, None)
     m[np.arange(16), np.arange(16)] = P - 2  # -(J + I), of determinant 17 mod P
-    assert _full_rank_mod_p_int64(m)
+    assert len(_pivots_mod_p_int64(m)[0]) == 16
 
 
 def test_vanishing_line_falls_back_to_exact_rank():
@@ -141,7 +162,8 @@ def test_vanishing_line_falls_back_to_exact_rank():
     flat[5 * 16:6 * 16] = [VANISHING_MOD_P[j % 3] for j in range(16)]
     m = residues(flat).reshape(16, 16)
     assert m[5].tolist() == [P] * 16  # nonzero, but 0 mod P
-    assert not _full_rank_mod_p_int64(m)
+    pivot_rows, pivot_cols = _pivots_mod_p_int64(m)
+    assert len(pivot_rows) == 15 and 5 not in pivot_rows
     assert not _full_rank_mod_p(m.tolist(), 16)
     assert bareiss(flat, 16, 16, det=False)[0] == _eliminate(flat, 16, 16)[0] == 16
     # the same line as a column survives the support check too
@@ -160,7 +182,7 @@ def _dense_block(rows, cols, pad=0):
 
 def test_route_follows_the_compressed_size(monkeypatch):
     calls = []
-    for name in ("_full_rank_mod_p", "_full_rank_mod_p_int64"):
+    for name in ("_full_rank_mod_p", "_pivots_mod_p_int64"):
         def spy(*args, _name=name, _real=getattr(kernels, name)):
             calls.append(_name)
             return _real(*args)
@@ -169,7 +191,7 @@ def test_route_follows_the_compressed_size(monkeypatch):
     assert bareiss(_dense_block(4, 8), 4, 8, det=False) == (4, None)
     # zero rows and columns do not count towards the size
     assert bareiss(_dense_block(4, 8, pad=4), 8, 12, det=False) == (4, None)
-    assert calls == ["_full_rank_mod_p_int64"] * 2
+    assert calls == ["_pivots_mod_p_int64"] * 2
     calls.clear()
     assert bareiss(_dense_block(4, 7), 4, 7, det=False) == (4, None)
     assert bareiss(_dense_block(4, 7, pad=4), 8, 11, det=False) == (4, None)

@@ -1,0 +1,350 @@
+"""The rank-deficiency certificate agrees with exact Bareiss elimination.
+
+From ``CERTIFY_MIN_CELLS`` compressed cells on, a matrix whose rank mod P
+falls short is not eliminated exactly: the F_P pivot minor proves
+rank >= r and the bordered minors, checked mod enough table primes to
+pass the Hadamard bound on their norms, prove rank <= r.  Every case
+compares ``bareiss(det=False)`` with ``_eliminate``; the fixed cases also
+pin which route answered, and the hand-built ones sit on the edges of the
+proof: a minor vanishing mod P only, a minor vanishing mod every prime but
+the last one the bound needs, a pivot vanishing mod a table prime, and
+components too large for int64.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sloccrank._kernels as kernels
+from sloccrank._kernels import (
+    CERTIFY_MIN_CELLS,
+    I_P,
+    P,
+    PRIME_BITS,
+    PRIME_TABLE,
+    S_P,
+    ZERO4,
+    _eliminate,
+    _hadamard_bits,
+    adjoint_and_norm,
+    bareiss,
+    mul4,
+)
+
+SHAPES = [(8, 8), (16, 16), (8, 32), (32, 8)]
+SEEDS = st.integers(0, 2**32)  # cells come from a seeded generator, as in test_int64_rank
+ONES = (1, 0, 0, 0)
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def _outer_sum(left, right):
+    """Row-major sum of the outer products left[:, k] x right[k, :]."""
+    flat = []
+    for row in left:
+        for j in range(len(right[0]) if right else 0):
+            acc = ZERO4
+            for k, x in enumerate(row):
+                acc = _add(acc, mul4(x, right[k][j]))
+            flat.append(acc)
+    return flat
+
+
+def _small(rng, span=3):
+    return tuple(rng.randint(-span, span) for _ in range(4))
+
+
+def _nonzero(rng, span=3):
+    x = _small(rng, span)
+    return x if any(x) else ONES
+
+
+def _assert_ranks_agree(flat, rows, cols):
+    rank, det = bareiss(list(flat), rows, cols, det=False)
+    assert det is None
+    assert rank == _eliminate(list(flat), rows, cols)[0]
+    return rank
+
+
+@pytest.fixture
+def eliminate_calls(monkeypatch):
+    calls = []
+
+    def spy(entries, nrows, ncols):
+        calls.append((nrows, ncols))
+        return _eliminate(entries, nrows, ncols)
+
+    monkeypatch.setattr(kernels, "_eliminate", spy)
+    return calls
+
+
+# --- the prime table --------------------------------------------------------
+
+
+def _is_prime(n):
+    """Miller-Rabin with bases 2, 3, 5 and 7, deterministic below 3,215,031,751."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    if any(n % a == 0 for a in (2, 3, 5, 7)):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table():
+    primes = [p for p, _, _ in PRIME_TABLE]
+    assert len(set(primes + [P])) == len(primes) + 1 >= 60  # distinct, and none is P
+    for p, i_p, s_p in PRIME_TABLE + ((P, I_P, S_P),):
+        assert _is_prime(p) and p % 8 == 1
+        assert i_p * i_p % p == p - 1
+        assert s_p * s_p % p == 2
+        assert 2**PRIME_BITS < p < 2**31  # so every product of two residues is below 2**62
+
+
+def test_miller_rabin_helper():
+    assert [n for n in range(60) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
+    ]
+    assert _is_prime(2147483647) and not _is_prime(2147483647 * 3)
+    assert not _is_prime(2047)  # the strong pseudoprime to base 2
+    assert max(p for p, _, _ in PRIME_TABLE) < P < 3215031751
+
+
+# --- the norm bound ---------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.sampled_from((1, 3, 2**20)))
+def test_hadamard_bits_bound_every_minor_norm(seed, size, span):
+    rng = random.Random(seed)
+    rows, cols = size + rng.randint(0, 3), size + rng.randint(0, 3)
+    # no zero line, as in a compressed matrix
+    q = np.array([_nonzero(rng, span) for _ in range(rows * cols)]).reshape(rows, cols, 4)
+    bits = _hadamard_bits(q, size)
+    for _ in range(5):
+        ri = sorted(rng.sample(range(rows), size))
+        ci = sorted(rng.sample(range(cols), size))
+        minor = [tuple(int(v) for v in q[i, j]) for i in ri for j in ci]
+        det = _eliminate(minor, size, size)[1]
+        assert abs(adjoint_and_norm(det)[1]) < 2**bits
+
+
+# --- differential suites ----------------------------------------------------
+
+
+@st.composite
+def outer_product_sums(draw):
+    """Rank at most r: sums of r outer products of small quadruples."""
+    rows, cols = draw(st.sampled_from(SHAPES))
+    r = draw(st.integers(0, min(rows, cols, 10)))
+    rng = random.Random(draw(SEEDS))
+    span = draw(st.sampled_from((1, 3, 1000)))
+    left = [[_small(rng, span) for _ in range(r)] for _ in range(rows)]
+    right = [[_small(rng, span) for _ in range(cols)] for _ in range(r)]
+    flat = _outer_sum(left, right) if r else [ZERO4] * (rows * cols)
+    return flat, rows, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer_product_sums())
+def test_sums_of_outer_products(case):
+    _assert_ranks_agree(*case)
+
+
+@st.composite
+def product_like_matrices(draw):
+    """Kronecker products of small factors, some lines zeroed: product-state splits."""
+    rng = random.Random(draw(SEEDS))
+    shape_a = draw(st.sampled_from(((2, 4), (4, 2), (4, 4), (2, 8))))
+    shape_b = draw(st.sampled_from(((4, 4), (2, 4), (4, 2), (8, 4))))
+    zeros = draw(st.sampled_from((0.0, 0.25)))
+    factors = []
+    for fr, fc in (shape_a, shape_b):
+        rank = rng.randint(1, min(fr, fc))
+        left = [[_small(rng) for _ in range(rank)] for _ in range(fr)]
+        right = [[_small(rng) for _ in range(fc)] for _ in range(rank)]
+        cells = _outer_sum(left, right)
+        factors.append([ZERO4 if rng.random() < zeros else x for x in cells])
+    (ar, ac), (br, bc) = shape_a, shape_b
+    a, b = factors
+    flat = [
+        mul4(a[(i // br) * ac + j // bc], b[(i % br) * bc + j % bc])
+        for i in range(ar * br)
+        for j in range(ac * bc)
+    ]
+    return flat, ar * br, ac * bc
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_like_matrices())
+def test_sparse_product_like_matrices(case):
+    _assert_ranks_agree(*case)
+
+
+# --- fixed cases on the edges of the proof ------------------------------------
+
+
+def test_rank_deficient_matrices_are_certified_without_elimination(eliminate_calls):
+    rng = random.Random(11)
+    for (rows, cols), r in zip(SHAPES, (4, 8, 4, 3)):
+        left = [[_small(rng) for _ in range(r)] for _ in range(rows)]
+        right = [[_small(rng) for _ in range(cols)] for _ in range(r)]
+        assert bareiss(_outer_sum(left, right), rows, cols, det=False) == (r, None)
+    assert eliminate_calls == []
+
+
+def test_small_matrices_stay_on_elimination(eliminate_calls):
+    assert CERTIFY_MIN_CELLS == 64
+    flat = [ONES] * 64
+    assert bareiss(flat[:32], 4, 8, det=False) == (1, None)  # 32 cells: int64 F_P, then Bareiss
+    assert bareiss(flat, 8, 8, det=False) == (1, None)
+    assert eliminate_calls == [(4, 8)]
+
+
+def _ones_with_corner(x, rows=8, cols=8):
+    """All ones but the last cell, 1 + x: rank 2, and its one nonzero bordered minor is x."""
+    flat = [ONES] * (rows * cols)
+    flat[-1] = _add(ONES, x)
+    return flat
+
+
+def test_minor_vanishing_mod_p_only_is_not_certified(eliminate_calls):
+    # x = P vanishes mod P, so F_P sees rank 1, but no table prime divides it
+    flat = _ones_with_corner((P, 0, 0, 0))
+    assert bareiss(flat, 8, 8, det=False) == (2, None)
+    assert eliminate_calls == [(8, 8)]
+    # the same with an algebraic x = I_P - i, and in a wide and a tall shape
+    for rows, cols in ((8, 32), (32, 8)):
+        flat = _ones_with_corner((I_P, -1, 0, 0), rows, cols)
+        assert _assert_ranks_agree(flat, rows, cols) == 2
+
+
+def _lll(basis):
+    """LLL-reduced basis (delta 3/4) of the lattice spanned by the integer rows."""
+    b = [list(v) for v in basis]
+    n = len(b)
+
+    def gram_schmidt():
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / sum(
+                    y * y for y in star[j]
+                )
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            c = round(mu[k][j])
+            if c:
+                b[k] = [x - c * y for x, y in zip(b[k], b[j])]
+                star, mu = gram_schmidt()
+        norm_k = sum(x * x for x in star[k])
+        norm_k1 = sum(x * x for x in star[k - 1])
+        if norm_k >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm_k1:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
+def _vanishing_under(primes):
+    """A short nonzero quadruple whose image is 0 mod every (p, I_p, S_p) given.
+
+    The images a + b I + c S + d I S (mod Q = prod p) of such quadruples
+    form a lattice of determinant Q, so LLL finds one of size about Q**(1/4).
+    """
+    q = math.prod(p for p, _, _ in primes)
+    i_q = s_q = 0
+    for p, i_p, s_p in primes:  # CRT: one pair (I, S) for all the primes
+        e = (q // p) * pow(q // p, -1, p)
+        i_q, s_q = (i_q + i_p * e) % q, (s_q + s_p * e) % q
+    basis = [(q, 0, 0, 0), (-i_q % q, 1, 0, 0), (-s_q % q, 0, 1, 0), (-(i_q * s_q) % q, 0, 0, 1)]
+    x = tuple(min(_lll(basis), key=lambda v: sum(t * t for t in v)))
+    for p, i_p, s_p in primes:
+        assert (x[0] + x[1] * i_p + x[2] * s_p + x[3] * i_p * s_p) % p == 0
+    return x
+
+
+def _table_primes_needed(flat, rows, cols, r):
+    bits = _hadamard_bits(np.array(flat, dtype=np.int64).reshape(rows, cols, 4), r + 1)
+    return math.ceil((bits - PRIME_BITS) / PRIME_BITS)
+
+
+def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
+    """x vanishes mod P and the first k - 1 table primes, where the bound needs k.
+
+    A certificate that stopped one prime short would call this rank 1.
+    """
+    found = []
+    for k in range(2, 6):
+        x = _vanishing_under([(P, I_P, S_P)] + list(PRIME_TABLE[: k - 1]))
+        flat = _ones_with_corner(x)
+        if _table_primes_needed(flat, 8, 8, 1) == k:
+            found.append(k)
+            assert bareiss(flat, 8, 8, det=False) == (2, None)
+    assert found  # the bound is tight enough for at least one k to land exactly
+    assert eliminate_calls == [(8, 8)] * len(found)
+
+
+def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):
+    # row 0 is all y, so y is the first pivot; y is 0 mod the first table prime
+    y = _vanishing_under(PRIME_TABLE[:1])
+    assert kernels.residues([y])[0] != 0  # but not mod P
+    rng = random.Random(5)
+    left = [[y]] + [[_nonzero(rng)] for _ in range(7)]
+    flat = _outer_sum(left, [[ONES] * 8])
+    assert _table_primes_needed(flat, 8, 8, 1) >= 1  # the first table prime is needed
+    assert bareiss(flat, 8, 8, det=False) == (1, None)
+    assert eliminate_calls == []
+    # and a rank-2 matrix with that pivot still reaches the exact rank
+    flat[-1] = _add(flat[-1], ONES)
+    assert bareiss(flat, 8, 8, det=False) == (2, None)
+
+
+def test_entries_near_2_31_are_certified(eliminate_calls):
+    rng = random.Random(9)
+    big = [2**31 - 1, 2**31 + 1, P - 1, P + 1, -(2**31)]
+    for (rows, cols), r in zip(SHAPES, (2, 3, 2, 1)):
+        left = [[tuple(rng.choice(big) * rng.choice((0, 1)) for _ in range(4)) for _ in range(r)]
+                for _ in range(rows)]
+        for row in left:
+            row[0] = (rng.choice(big), 0, 0, 0)  # no zero row
+        right = [[(1 + rng.randint(0, 2), 0, 0, rng.randint(-1, 1)) for _ in range(cols)]
+                 for _ in range(r)]
+        assert _assert_ranks_agree(_outer_sum(left, right), rows, cols) <= r
+    assert eliminate_calls == []
+
+
+def test_components_beyond_int64_take_elimination(eliminate_calls):
+    flat = [(2**62 + 1, 0, 0, 0)] * 64
+    flat[0] = (2**63 + 1, 0, 0, 0)  # beyond int64, and rows 0 and 1 leave the span of the rest
+    flat[9] = (-(2**63) - 1, 0, 0, 0)
+    assert _assert_ranks_agree(flat, 8, 8) == 3
+    assert eliminate_calls == [(8, 8)]

@@ -97,6 +97,14 @@ def test_partition_examples():
     assert separability_partition(ghz(4)).is_genuinely_entangled()
 
 
+def test_one_qubit_is_not_genuinely_entangled():
+    partition = separability_partition(state(1, [1, 1]))
+    assert partition.blocks == ((1,),)
+    assert partition.label() == "A"
+    assert not partition.is_genuinely_entangled()
+    assert separability_partition(epr()).is_genuinely_entangled()
+
+
 def test_partition_invariant_under_local_ops():
     rng = random.Random(73)
     cases = [

@@ -8,6 +8,7 @@ import pytest
 from sloccrank.checks import check_matrix_transform, check_rank_invariance
 from sloccrank.coeffmatrix import coefficient_matrix, rank_signature, singular_values
 from sloccrank.families import instantiate
+from sloccrank.scalars import ExactScalar
 from sloccrank.slocc import (
     IDENTITY_OP,
     I_SIGMA_Z,
@@ -110,6 +111,28 @@ def test_random_operator_determinism_and_invertibility():
         assert not op.det().is_zero()
     c = random_invertible_local(4, 43)
     assert a != c
+
+
+def _reference_draw(n, seed, rejected):
+    """The sampler with its determinant test in ``ExactScalar`` arithmetic."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(n):
+        while True:
+            vals = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            if not (vals[0] * vals[3] - vals[1] * vals[2]).is_zero():
+                break
+            rejected.append(seed)
+        ops.append(LocalOperator(((vals[0], vals[1]), (vals[2], vals[3]))))
+    return LocalOperatorSet(tuple(ops))
+
+
+def test_random_operators_follow_the_exact_scalar_reference():
+    rejected = []
+    for n in (1, 2, 4):
+        for seed in range(150):
+            assert random_invertible_local(n, seed) == _reference_draw(n, seed, rejected)
+    assert rejected  # some draws were singular and redrawn
 
 
 def test_rank_invariance_theorem():
