@@ -57,6 +57,23 @@ r outer products of random quadruples (same host), certificate against
 elimination (a 32-cell cutoff slowed ``sloccrank verify all`` by 5%).
 Exact ``rank_signature`` of a 10-qubit product of 3-, 3- and 4-qubit
 factors with shuffled qubits fell from 6.1-7.0 s to 0.9-1.0 s.
+
+A stack of matrices of one shape (``stacked_rank``, which the rule-table
+scans use) is proved without pivots.  Each matrix is reduced modulo the
+first k primes of ``STACK_PRIMES`` = (P,) + ``PRIME_TABLE``, enough for
+their product to pass the Hadamard bound 2**B on the norms of its
+min(r, c)-minors (a zero line counts as norm 1, so the bound covers every
+smaller minor), and one F_p elimination runs over all k * B residue
+matrices.  The largest rank R over the k primes is the exact rank: no
+prime sees more than the exact rank, and every (R+1)-minor x vanishes
+modulo all k primes, so their product divides N(x), which is below 2**B,
+so x = 0.  The stack pays a fixed cost in numpy calls that one matrix
+does not amortise, so lone matrices keep the routes above.  Timed on the
+same host (single runs vary by about 30%), a stack of one took 0.8-1.3 ms
+at 16 x 16 rank 8 (18 primes) against 0.7-0.9 ms for the bordered minors,
+and 0.12-0.22 ms at 4 x 4 against 0.04-0.09 ms for ``_eliminate``; a
+stack of 48 4 x 4 matrices (16 four-qubit tuples, 5 primes) takes
+0.4-0.6 ms, about 10 us a matrix.
 """
 
 import math
@@ -112,6 +129,7 @@ PRIME_TABLE = (
     (2147478481, 411266291, 2116800879), (2147478089, 1948947042, 1392030773),
     (2147478049, 1177723471, 347015307), (2147478017, 1404461508, 244346993),
 )
+STACK_PRIMES = ((P, I_P, S_P),) + PRIME_TABLE  # the primes of ``stacked_rank``, P first
 
 
 def mul4(x, y):
@@ -299,17 +317,22 @@ def _pivots_mod_p_int64(m):
 def _hadamard_bits(q, size):
     """A bound B with |N(x)| < 2**B for every ``size``-minor x of ``q``.
 
-    ``q`` is an (m, n, 4) array of quadruples.  Every embedding of an
-    entry (a, b, c, d) into C has modulus at most
-    h = |(|a| + sqrt2 |c|) + (|b| + sqrt2 |d|) i|, so by Hadamard each
-    embedding of a minor is at most the product of its ``size`` largest
-    column (or row) norms of h, and the norm N(x), the product of the
-    four embeddings, at most that to the fourth.  The float sums get a
-    margin far above their rounding error.
+    ``q`` is an (..., m, n, 4) array of quadruples, and the bound has the
+    shape of its leading axes.  Every embedding of an entry (a, b, c, d)
+    into C has modulus at most h = |(|a| + sqrt2 |c|) + (|b| + sqrt2 |d|) i|,
+    so by Hadamard each embedding of a minor is at most the product of its
+    ``size`` largest column (or row) norms of h, and the norm N(x), the
+    product of the four embeddings, at most that to the fourth.  A zero
+    line counts as norm 1 (a nonzero one is at least 1), so the bound
+    covers every smaller minor too.  The float sums get a margin far above
+    their rounding error.
     """
     f = np.abs(q.astype(np.float64))
     h2 = (f[..., 0] + np.sqrt(2) * f[..., 2]) ** 2 + (f[..., 1] + np.sqrt(2) * f[..., 3]) ** 2
-    log_norms = min(np.sort(np.log2(h2.sum(axis=a)))[-size:].sum() for a in (0, 1))
+    log_norms = np.minimum(*(
+        np.sort(np.log2(np.maximum(h2.sum(axis=a), 1)), axis=-1)[..., -size:].sum(axis=-1)
+        for a in (-2, -1)
+    ))
     return 2 * log_norms * (1 + 1e-9) + 1
 
 
@@ -397,6 +420,73 @@ def _certified_rank(entries, nrows, ncols, res=None):
     ):
         return len(pivot_rows)
     return _eliminate(sub, len(rows), len(cols))[0]
+
+
+def stacked_rank(q):
+    """Exact ranks of a stack of quadruple matrices, as an int64 array.
+
+    ``q`` is a (B, r, c, 4) integer array, int64 or object (Python ints).
+    Each matrix is reduced modulo the first k primes of ``(P,) +
+    PRIME_TABLE``, with k the least count whose bits pass its
+    ``_hadamard_bits`` bound on min(r, c)-minors; the batch takes the
+    largest k.  One F_p elimination runs over all (k * B) residue matrices:
+    each row in turn pivots on its largest residue x, or on x = 1 when it
+    is zero (the update then leaves the block unchanged), and every later
+    row becomes ``(x * row' - row'[j] * row) % p``.  The rank of a matrix
+    is its largest rank over the k primes, which is exact (see the module
+    docstring).  A matrix with a component beyond int64, or whose bound
+    needs more primes than the table holds, goes to ``_eliminate``.
+    """
+    count, nrows, ncols = q.shape[:3]
+    ranks = np.zeros(count, dtype=np.int64)
+    fits = np.ones(count, dtype=bool)
+    if q.dtype == object:
+        fits = (np.abs(q) < 2**63).reshape(count, -1).all(axis=1)
+        q = q.astype(np.int64) if fits.all() else q
+    need = np.zeros(count, dtype=np.int64)
+    if fits.any():
+        q64 = q if fits.all() else q[fits].astype(np.int64)
+        need[fits] = np.ceil(_hadamard_bits(q64, min(nrows, ncols)) / PRIME_BITS)
+    fast = fits & (need <= len(STACK_PRIMES))
+    for b in np.flatnonzero(~fast).tolist():
+        entries = list(map(tuple, q[b].reshape(-1, 4).tolist()))
+        ranks[b] = _eliminate(entries, nrows, ncols)[0]
+    if not fast.any():
+        return ranks
+    if not fast.all():
+        q = q[fast].astype(np.int64)
+    if nrows > ncols:  # wide orientation: one step per row
+        q = q.swapaxes(1, 2)
+    k = int(need[fast].max())
+    # p, I_p and S_p of each prime as (k, 1) columns, to broadcast over the cells
+    p, i_p, s_p = np.array(STACK_PRIMES[:k], dtype=np.int64)[:, :, None].transpose(1, 0, 2)
+    weights = np.stack([np.ones_like(p), i_p, s_p, i_p * s_p % p], axis=1)  # (k, 4, 1)
+    flat = q.reshape(-1, 4).T  # (4, cells)
+    if q.min() > -2**30 and q.max() < 2**30:  # each weighted sum stays below 2**63
+        m = weights[:, :, 0] @ flat
+    else:
+        m = (flat % p[:, None] * weights % p[:, None]).sum(axis=1)
+    m %= p
+    m = m.reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
+    p_rows = np.repeat(p, len(q))[:, None, None]
+    mod_ranks = np.zeros(len(m), dtype=np.int64)
+    at = np.arange(len(m))
+    last = m.shape[1] - 1
+    for t in range(last + 1):
+        row = m[:, t]
+        j = row.argmax(axis=1)
+        x = row[at, j]
+        live = x != 0
+        mod_ranks += live
+        if t == last:
+            break
+        rest = m[:, t + 1:]
+        col = np.take_along_axis(rest, j[:, None, None], axis=2)
+        rest *= np.where(live, x, 1)[:, None, None]
+        rest -= col * row[:, None, :]
+        rest %= p_rows
+    ranks[fast] = mod_ranks.reshape(k, -1).max(axis=0)
+    return ranks
 
 
 def bareiss(entries, nrows, ncols, det=True, res=None):

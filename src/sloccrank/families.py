@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
-from ._kernels import echelon
+import numpy as np
+
+from ._kernels import echelon, stacked_rank
 from .coeffmatrix import coefficient_matrix, rank
 from .scalars import (
     ExactScalar,
@@ -155,6 +159,45 @@ class Predicate:
             return True
         return any(all(a.holds(bindings) for a in conj) for conj in self.conjunctions)
 
+    def mask(self, symbols, nums, dens) -> np.ndarray:
+        """``holds`` on T rational tuples at once, as a boolean array.
+
+        ``nums`` and ``dens`` are (T, len(symbols)) integer arrays: the
+        tuples' numerators and positive denominators, in ``symbols``
+        order.  With x = xn/xd, y = yn/yd and N = n/d, the atom x = N*y
+        holds exactly when xn * yd * d == n * yn * xd.  The products are
+        taken in int64 while every factor is below 2**21, else in Python
+        ints.
+        """
+        if not self.conjunctions:
+            return np.ones(len(nums), dtype=bool)
+        atoms = {a for conj in self.conjunctions for a in conj}
+        factors = [abs(a.coef.numerator) for a in atoms] + [a.coef.denominator for a in atoms]
+        if max(factors + [int(np.abs(nums).max(initial=0)), int(dens.max(initial=0))]) >= 2**21:
+            nums, dens = nums.astype(object), dens.astype(object)
+        cols = {s: k for k, s in enumerate(symbols)}
+        tests = {}  # x = 0 or x = ±N*y, shared by the atom and its negation
+        masks = {}
+        for a in atoms:
+            key = (a.lhs, a.rhs_sym, a.coef, a.plus_minus)
+            if key not in tests:
+                xn, xd = nums[:, cols[a.lhs]], dens[:, cols[a.lhs]]
+                if a.rhs_sym is None:
+                    tests[key] = xn == 0
+                else:
+                    yn, yd = nums[:, cols[a.rhs_sym]], dens[:, cols[a.rhs_sym]]
+                    left = xn * yd * a.coef.denominator
+                    right = yn * xd * a.coef.numerator
+                    hit = left == right
+                    if a.plus_minus:
+                        hit |= left == -right
+                    tests[key] = hit
+            masks[a] = tests[key] if a.equal else ~tests[key]
+        out = np.zeros(len(nums), dtype=bool)
+        for conj in self.conjunctions:
+            out |= np.logical_and.reduce([masks[a] for a in conj])
+        return out
+
     def symbols(self) -> set[str]:
         out = set()
         for conj in self.conjunctions:
@@ -236,6 +279,28 @@ class FamilyTemplate:
             for i, e in enumerate(self.amps)
             if not e.const.is_zero() or e.coeffs
         )
+
+    @cached_property
+    def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(const, coeffs)``: the template as integer quadruple arrays.
+
+        Over one common denominator, amplitude k at parameters v is
+        ``const[k] + sum_j v_j * coeffs[j, k]``; ``const`` is (16, 4) and
+        ``coeffs`` (len(params), 16, 4), int64 when every component fits
+        and Python ints otherwise.  The dropped denominator scales the
+        state, which changes no rank.
+        """
+        zero = ExactScalar(0)
+        by_symbol = [dict(e.coeffs) for e in self.amps]
+        values = [e.const for e in self.amps]
+        values += [terms.get(s, zero) for s in self.params for terms in by_symbol]
+        quads, _ = common_denominator(values)
+        form = np.array(quads, dtype=object).reshape(1 + len(self.params), 16, 4)
+        try:
+            form = form.astype(np.int64)
+        except OverflowError:
+            pass
+        return form[0], form[1:]
 
 
 @dataclass(frozen=True)
@@ -522,23 +587,85 @@ def classify_subfamily(
         for rule in entry.rules
         if rule.predicate is not None and rule.predicate.holds(bindings)
     ]
+    failure = classification_failure(family, bindings.values(), triple, matches)
+    if failure:
+        raise ClassificationError(failure)
+    return matches[0], triple
+
+
+def classification_failure(family: str, values, triple: RankTriple, matches) -> str | None:
+    """Why a tuple with computed ``triple`` and matching rows ``matches`` fails to classify.
+
+    None when exactly one row matches and its triple is the computed one;
+    otherwise the text of the ``ClassificationError``.  ``values`` are the
+    parameter values, in the family's parameter order.
+    """
     if not matches:
-        raise ClassificationError(
+        return (
             f"no predicate row of {family} matches parameters"
-            f" {tuple(str(v) for v in bindings.values())} (triple {triple})"
+            f" {tuple(str(v) for v in values)} (triple {triple})"
         )
     if len(matches) > 1:
         triples = ", ".join(str(r.triple) for r in matches)
-        raise ClassificationError(
-            f"rule table defect: rows {triples} of {family} all match"
-        )
-    rule = matches[0]
-    if triple != rule.triple:
-        raise ClassificationError(
-            f"library defect: {family} row {rule.triple} matched but the"
+        return f"rule table defect: rows {triples} of {family} all match"
+    if triple != matches[0].triple:
+        return (
+            f"library defect: {family} row {matches[0].triple} matched but the"
             f" computed triple is {triple}"
         )
-    return rule, triple
+    return None
+
+
+TRIPLE_CHUNK = 16  # tuples per stacked rank call; larger chunks run faster but hold more memory
+# the (3, 4, 4) picks of C_AB, C_AC and C_AD out of a four-qubit amplitude vector
+_SPLIT_PICKS = np.stack([
+    np.arange(16).reshape((2,) * 4).transpose([b - 1 for b in bits] + [
+        q for q in range(4) if q + 1 not in bits
+    ]).reshape(4, 4)
+    for bits in SPLIT_BITS.values()
+])
+
+
+def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
+    """Integer quadruple amplitudes of T rational parameter tuples, as (T, 16, 4).
+
+    ``nums`` and ``dens`` are (T, len(params)) integer arrays of the
+    values' numerators and positive denominators.  Row t is the template
+    at tuple t times ``integer_form``'s denominator and the product D_t
+    of the tuple's denominators, so it is integral and has the ranks of
+    ``instantiate``'s state.  int64 when a bound on the components and
+    the scales fits, Python ints otherwise.
+    """
+    const, coeffs = template.integer_form
+
+    def top(a):
+        return int(np.abs(a).max(initial=0))
+
+    scale_top = math.prod(int(d) for d in dens.max(axis=0, initial=1))
+    weight_tops = [int(n) * scale_top for n in np.abs(nums).max(axis=0, initial=0)]
+    bound = top(const) * scale_top + sum(top(c) * w for c, w in zip(coeffs, weight_tops))
+    if const.dtype == object or max([bound, scale_top, *weight_tops]) >= 2**63:
+        const, coeffs, nums, dens = (a.astype(object) for a in (const, coeffs, nums, dens))
+    scale = np.prod(dens, axis=1)
+    weights = nums * (scale[:, None] // dens)
+    amps = scale[:, None] * const.reshape(1, -1) + weights @ coeffs.reshape(len(coeffs), -1)
+    return amps.reshape(-1, 16, 4)
+
+
+def rank_triples(template: FamilyTemplate, nums, dens) -> np.ndarray:
+    """``rank_triple`` of T parameter tuples at once, as a (T, 3) array.
+
+    The tuples are given as for ``_instantiate_stack``, and their AB, AC
+    and AD matrices go through ``stacked_rank`` ``TRIPLE_CHUNK`` tuples at
+    a time.  A tuple giving the zero vector has triple (0, 0, 0).
+    """
+    out = np.zeros((len(nums), 3), dtype=np.int64)
+    for start in range(0, len(nums), TRIPLE_CHUNK):
+        end = start + TRIPLE_CHUNK
+        amps = _instantiate_stack(template, nums[start:end], dens[start:end])
+        mats = amps[:, _SPLIT_PICKS].reshape(-1, 4, 4, 4)
+        out[start:end] = stacked_rank(mats).reshape(-1, 3)
+    return out
 
 
 def classify_g_split(
@@ -573,6 +700,10 @@ def grid_rational(rng: random.Random) -> Fraction:
     num = _GRID_NUMERATORS[rng.randrange(len(_GRID_NUMERATORS))]
     den = _GRID_DENOMINATORS[rng.randrange(len(_GRID_DENOMINATORS))]
     return Fraction(num, den)
+
+
+# the distinct values of the grid, ascending
+GRID_VALUES = tuple(sorted({Fraction(n, d) for n in _GRID_NUMERATORS for d in _GRID_DENOMINATORS}))
 
 
 class _RatioUnionFind:

@@ -3,8 +3,10 @@
 Tables 1 and 2 pin the rank signatures of the degenerate three- and
 four-qubit families; table 3 pins structural rank patterns of five-qubit
 partitions; tables 4-8 validate the four-qubit subfamily rule tables by
-predicate-directed sampling.  The expected values ship as data, so the
-reproduction is a regression check rather than a re-derivation.
+predicate-directed sampling, and by scans of grid tuples that confirm
+the unreachable rows and the coverage of the listed ones.  The expected
+values ship as data, so the reproduction is a regression check rather
+than a re-derivation.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .coeffmatrix import coefficient_matrix, enumerate_bipartitions, rank, rank_signature
 from .families import (
+    GRID_VALUES,
     SPLIT_BITS,
     ClassificationError,
     FamilyError,
@@ -24,14 +29,16 @@ from .families import (
     RankTriple,
     SamplingError,
     SubfamilyRule,
+    classification_failure,
     classify_g_split,
     classify_subfamily,
     default_registry,
     grid_rational,
     instantiate,
-    rank_triple,
+    rank_triples,
     sample_predicate,
 )
+from .scalars import ExactScalar
 from .separability import separability_partition
 from .states import PureState, product_state, random_exact_state, state
 
@@ -165,13 +172,16 @@ class TableReport:
         return any(r.verdict == "match" for r in self.rows) and all(r.passed for r in self.rows)
 
 
+def _verdict_row(name: str, expected: str, failure: str | None, done: str) -> RowReport:
+    """A mismatch reading ``failure``, or a match reading ``done`` when there is none."""
+    if failure:
+        return RowReport(name, expected, failure, "mismatch")
+    return RowReport(name, expected, done, "match")
+
+
 def _row(name: str, expected: str, inputs, check, done: str) -> RowReport:
     """First message ``check`` returns over ``inputs`` is a mismatch; none is a match."""
-    for x in inputs:
-        bad = check(x)
-        if bad:
-            return RowReport(name, expected, bad, "mismatch")
-    return RowReport(name, expected, done, "match")
+    return _verdict_row(name, expected, next(filter(None, map(check, inputs)), None), done)
 
 
 def _sampled_row(
@@ -319,6 +329,70 @@ def _classified_as(family: str, rule: SubfamilyRule, registry: FamilyRegistry):
     return check
 
 
+def _scan_draws(params, count: int, seeds) -> tuple[dict, str]:
+    """Each seed's scan tuples, and how the row texts name them.
+
+    A scan draws ``count`` grid tuples from its seed, or takes the whole
+    grid, in ascending order, when that has no more tuples than ``count``.
+    """
+    size = len(GRID_VALUES) ** len(params)
+    if size <= count:
+        grid = list(itertools.product(GRID_VALUES, repeat=len(params)))
+        return {s: grid for s in seeds}, f"all {size} grid tuples"
+    return {s: list(_grid_tuples(params, count, s)) for s in seeds}, f"{count} tuples"
+
+
+class _Scan:
+    """One family's scan tuples, ranked together.
+
+    Every distinct tuple of every scan is instantiated once, and its rank
+    triple taken in one stacked pass (``rank_triples``).  A row reports the
+    first of its own draws that fails, in draw order.
+    """
+
+    def __init__(self, entry, draws: dict):
+        self.entry = entry
+        distinct: dict = {}
+        self.positions = {
+            s: np.array([distinct.setdefault(t, len(distinct)) for t in ts], dtype=np.int64)
+            for s, ts in draws.items()
+        }
+        self.tuples = list(distinct)
+        shape = (len(self.tuples), len(entry.params))
+        self.nums = np.array([v.numerator for t in self.tuples for v in t], np.int64).reshape(shape)
+        self.dens = np.array([v.denominator for t in self.tuples for v in t], np.int64).reshape(shape)
+        self.triples = rank_triples(entry.template, self.nums, self.dens)
+        self.zero = ~self.triples.any(axis=1)  # the zero vector, which instantiate refuses
+
+    def first(self, seed: int, bad: np.ndarray) -> int | None:
+        """Distinct index of the first tuple drawn from ``seed`` that ``bad`` flags, or None."""
+        hits = np.flatnonzero(bad[self.positions[seed]])
+        return int(self.positions[seed][hits[0]]) if hits.size else None
+
+    def hit(self, seed: int, triple: RankTriple) -> str | None:
+        t = self.first(seed, (self.triples == triple.as_tuple()).all(axis=1))
+        return None if t is None else f"hit at {self.tuples[t]}"
+
+    def uncovered(self, seed: int) -> str | None:
+        rules = [r for r in self.entry.rules if r.predicate is not None]
+        masks = np.array([r.predicate.mask(self.entry.params, self.nums, self.dens) for r in rules])
+        masks = masks.reshape(len(rules), len(self.tuples))
+        rows = np.array([r.triple.as_tuple() for r in rules]).reshape(len(rules), 3)
+        single = masks.sum(axis=0) == 1
+        agree = (masks.T.astype(np.int64) @ rows == self.triples).all(axis=1)  # when single
+        t = self.first(seed, ~(single & agree) & ~self.zero)
+        if t is None:
+            return None
+        values = self.tuples[t]
+        failure = classification_failure(
+            self.entry.name,
+            [ExactScalar._coerce(v) for v in values],
+            RankTriple(*self.triples[t].tolist()),
+            [r for r, m in zip(rules, masks[:, t]) if m],
+        )
+        return f"params {values}: {failure}"
+
+
 def _run_family_rows(
     report: TableReport,
     family: str,
@@ -328,50 +402,37 @@ def _run_family_rows(
     scan: bool,
 ) -> None:
     entry = registry.get(family)
-    has_template = entry.template is not None
-    count = samples * SCAN_PER_SAMPLE
+    if entry.template is None:
+        report.rows.extend(
+            RowReport(f"{family} {rule.triple}", str(rule.triple), "-", "skipped: no template")
+            for rule in entry.rules
+        )
+        return
+    # the empty rows are confirmed unreachable, and the coverage scan
+    # classifies, on grid tuples that are ranked together
+    seeds = [seed + 17 * k for k, rule in enumerate(entry.rules) if rule.empty]
+    if scan:
+        seeds.append(seed + 9999)
+    if seeds:
+        draws, drawn = _scan_draws(entry.params, samples * SCAN_PER_SAMPLE, seeds)
+        scanned = _Scan(entry, draws)
     for k, rule in enumerate(entry.rules):
         name = f"{family} {rule.triple}"
-        if not has_template:
-            report.rows.append(
-                RowReport(name, str(rule.triple), "-", "skipped: no template")
-            )
-        elif rule.empty:
-            # confirmed unreachable by scanning random parameter tuples
-
-            def hit(values):
-                try:
-                    psi = instantiate(family, values, registry)
-                except FamilyError:
-                    return None  # the all-zero tuple
-                return f"hit at {values}" if rank_triple(psi) == rule.triple else None
-
-            report.rows.append(
-                _row(name, "unreachable", _grid_tuples(entry.params, count, seed + 17 * k),
-                     hit, f"not hit in {count} tuples")
-            )
+        if rule.empty:
+            report.rows.append(_verdict_row(
+                name, "unreachable", scanned.hit(seed + 17 * k, rule.triple), f"not hit in {drawn}"
+            ))
         else:
             report.rows.append(
                 _sampled_row(name, str(rule.triple), rule, samples, seed + 13 * k,
                              _classified_as(family, rule, registry),
                              f"{samples} samples classified")
             )
-    if scan and has_template:
-
-        def uncovered(values):
-            try:
-                classify_subfamily(family, values, registry)
-            except FamilyError:
-                pass  # the all-zero tuple
-            except ClassificationError as exc:
-                return f"params {values}: {exc}"
-            return None
-
-        report.rows.append(
-            _row(f"{family} coverage scan", "every tuple falls in a listed row",
-                 _grid_tuples(entry.params, count, seed + 9999), uncovered,
-                 f"{count} tuples covered")
-        )
+    if scan:
+        report.rows.append(_verdict_row(
+            f"{family} coverage scan", "every tuple falls in a listed row",
+            scanned.uncovered(seed + 9999), f"{drawn} covered",
+        ))
 
 
 def run_table(
@@ -380,9 +441,15 @@ def run_table(
     seed: int = 0,
     registry: FamilyRegistry | None = None,
 ) -> TableReport:
-    """Reproduce one bundled table; every row gets a verdict."""
+    """Reproduce one bundled table; every row gets a verdict.
+
+    ``samples`` must be at least 1: with none, every sampled row would
+    pass having checked nothing.
+    """
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     registry = registry or default_registry()
     if table_id in (1, 2):
         return _run_grid_table(table_id)

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sloccrank.families import (
@@ -137,6 +138,21 @@ def test_predicate_plus_minus_semantics():
 def test_predicate_empty_means_always():
     assert parse_predicate("").holds({})
     assert parse_predicate("  ").holds({})
+
+
+def test_predicate_mask_follows_holds():
+    """The vectorised test equals ``holds``: in int64, and past 2**21 in Python ints."""
+    small = [Fraction(n, d) for n in (-7, -3, -1, 0, 1, 2, 3, 6) for d in (1, 2, 3)]
+    texts = ("a=b & a!=0 | b=-3a & a!=0", "a!=±b & b!=0", f"b=±{10**30}a", "", "a=0 | b=±3a")
+    for values in (small, small + [Fraction(3 * 10**30)]):
+        tuples = [(a, b) for a in values for b in values]
+        nums = np.array([[a.numerator, b.numerator] for a, b in tuples])
+        dens = np.array([[a.denominator, b.denominator] for a, b in tuples])
+        for text in texts:
+            pred = parse_predicate(text)
+            want = [pred.holds({"a": ExactScalar._coerce(a), "b": ExactScalar._coerce(b)})
+                    for a, b in tuples]
+            assert pred.mask(("a", "b"), nums, dens).tolist() == want
 
 
 def test_predicate_parse_errors():

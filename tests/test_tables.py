@@ -8,7 +8,18 @@ import pytest
 
 import sloccrank.tables as tables_mod
 from sloccrank.coeffmatrix import rank_signature
-from sloccrank.families import FamilyRegistry, grid_rational
+from sloccrank.families import (
+    GRID_VALUES,
+    ClassificationError,
+    FamilyError,
+    FamilyRegistry,
+    classify_subfamily,
+    default_registry,
+    grid_rational,
+    instantiate,
+    rank_triple,
+)
+from sloccrank.scalars import ExactScalar
 from sloccrank.tables import (
     TABLE_IDS,
     build_representative,
@@ -186,3 +197,121 @@ def test_coverage_scan_goes_through_classify_subfamily(quick_scans):
     scan = gap.rows[-1]
     assert scan.name == "ghz_ab coverage scan" and scan.verdict == "mismatch"
     assert "no predicate row of ghz_ab matches" in scan.computed and "(triple 111)" in scan.computed
+
+
+def test_run_table_rejects_samples_below_one():
+    # samples=0 used to pass every table with "0 samples classified" rows
+    for tid in TABLE_IDS:
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                run_table(tid, samples=samples)
+
+
+def test_small_grid_is_scanned_whole():
+    assert len(GRID_VALUES) == 27
+    report = run_table(8, samples=2, seed=3)
+    assert report.passed, [(r.name, r.computed) for r in report.rows if not r.passed]
+    rows = {r.name: r.computed for r in report.rows}
+    assert rows["L_ab3' 424"] == rows["L_ab3' 442"] == "not hit in all 729 grid tuples"
+    assert rows["L_ab3' coverage scan"] == "all 729 grid tuples covered"
+    # a grid larger than the scan stays on seeded draws
+    assert run_table(6, samples=2, seed=3).rows[-1].computed == "1000 tuples covered"
+
+
+# --- the batched scan against the per-tuple route ------------------------------
+
+
+def _per_tuple_hit(family, registry, draws, triple):
+    for values in draws:
+        try:
+            psi = instantiate(family, values, registry)
+        except FamilyError:
+            continue
+        if rank_triple(psi) == triple:
+            return f"hit at {values}"
+    return None
+
+
+def _per_tuple_uncovered(family, registry, draws):
+    for values in draws:
+        try:
+            classify_subfamily(family, values, registry)
+        except FamilyError:
+            continue
+        except ClassificationError as exc:
+            return f"params {values}: {exc}"
+    return None
+
+
+def _assert_scan_follows_tuples(family, registry, draws):
+    """Triples, predicate masks, matched rows, skips and messages, tuple by tuple."""
+    entry = registry.get(family)
+    scan = tables_mod._Scan(entry, {0: draws})
+    assert len(scan.tuples) == len(set(draws))
+    rules = [r for r in entry.rules if r.predicate is not None]
+    masks = [r.predicate.mask(entry.params, scan.nums, scan.dens) for r in rules]
+    for t, values in enumerate(scan.tuples):
+        bindings = {s: ExactScalar._coerce(v) for s, v in zip(entry.params, values)}
+        assert [m[t] for m in masks] == [r.predicate.holds(bindings) for r in rules]
+        try:
+            want = rank_triple(instantiate(family, values, registry)).as_tuple()
+        except FamilyError:
+            want = (0, 0, 0)  # the zero vector, skipped by both routes
+        assert tuple(scan.triples[t]) == want
+        assert scan.zero[t] == (want == (0, 0, 0))
+        try:
+            rule, _ = classify_subfamily(family, values, registry)
+        except (FamilyError, ClassificationError):
+            continue
+        assert [r for r, m in zip(rules, masks) if m[t]] == [rule]
+    for rule in entry.rules:
+        assert scan.hit(0, rule.triple) == _per_tuple_hit(family, registry, draws, rule.triple)
+    assert scan.uncovered(0) == _per_tuple_uncovered(family, registry, draws)
+
+
+def test_batched_scan_on_the_whole_l_ab3_prime_grid():
+    draws, drawn = tables_mod._scan_draws(("a", "b"), 729, [0])
+    assert drawn == "all 729 grid tuples" and len(set(draws[0])) == 729
+    _assert_scan_follows_tuples("L_ab3'", default_registry(), draws[0])
+
+
+@pytest.mark.parametrize("family, count", [("G_abcd", 400), ("L_abc2", 400), ("L_ab3", 300)])
+def test_batched_scan_on_seeded_draws(family, count):
+    registry = default_registry()
+    draws = list(tables_mod._grid_tuples(registry.get(family).params, count, 21))
+    if family == "G_abcd":
+        draws.append((0, 0, 0, 0))  # the zero vector
+    _assert_scan_follows_tuples(family, registry, draws)
+
+
+def test_batched_scan_reports_each_gap_as_the_per_tuple_route_does():
+    draws = list(tables_mod._grid_tuples(("a", "b"), 40, 10000))
+    assert (0, 0) in draws
+    generic = {"triple": "222", "predicate": "a!=0 & b!=0"}
+    one_zero = {"triple": "111", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
+    wrong = {"triple": "222", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
+    overlap = {"triple": "111", "predicate": "a=0 & b!=0 | b=0 & a!=0 | a=b"}
+    messages = []
+    for rules in ([generic, one_zero], [generic], [generic, wrong], [generic, overlap], []):
+        _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws)
+        messages.append(tables_mod._Scan(
+            _ghz_family(rules).get("ghz_ab"), {0: draws}).uncovered(0))
+    assert messages[0] is None
+    assert "no predicate row of ghz_ab matches" in messages[1]
+    assert "library defect" in messages[2]
+    assert "rule table defect" in messages[3]
+    assert "no predicate row of ghz_ab matches" in messages[4]
+
+
+def test_batched_scan_on_coefficients_beyond_int64():
+    registry = FamilyRegistry(include_builtin=False)
+    amps = ["0"] * 16
+    amps[0], amps[3], amps[12] = f"{10**20}*a", "1*b", "1*b"
+    amps[15], amps[6] = f"{2**70}*a + 1", "1*a - 3*b"
+    registry.register_entry({"name": "big", "params": ["a", "b"], "amps": amps, "rules": [
+        {"triple": "444", "predicate": "a!=0 & b!=0"},
+    ]})
+    const, coeffs = registry.get("big").template.integer_form
+    assert const.dtype == coeffs.dtype == object
+    draws = list(tables_mod._grid_tuples(("a", "b"), 60, 4))
+    _assert_scan_follows_tuples("big", registry, draws)
