@@ -425,50 +425,43 @@ def _certified_rank(entries, nrows, ncols, res=None):
 def stacked_rank(q):
     """Exact ranks of a stack of quadruple matrices, as an int64 array.
 
-    ``q`` is a (B, r, c, 4) integer array, int64 or object (Python ints).
-    Each matrix is reduced modulo the first k primes of ``(P,) +
-    PRIME_TABLE``, with k the least count whose bits pass its
-    ``_hadamard_bits`` bound on min(r, c)-minors; the batch takes the
-    largest k.  One F_p elimination runs over all (k * B) residue matrices:
-    each row in turn pivots on its largest residue x, or on x = 1 when it
-    is zero (the update then leaves the block unchanged), and every later
-    row becomes ``(x * row' - row'[j] * row) % p``.  The rank of a matrix
-    is its largest rank over the k primes, which is exact (see the module
-    docstring).  A matrix with a component beyond int64, or whose bound
-    needs more primes than the table holds, goes to ``_eliminate``.
+    ``q`` is a (B, r, c, 4) int64 array.  Each matrix is reduced modulo
+    the first k primes of ``(P,) + PRIME_TABLE``, with k the least count
+    whose bits pass its ``_hadamard_bits`` bound on min(r, c)-minors; the
+    batch takes the largest k.  One F_p elimination runs over all
+    (k * B) residue matrices: each row in turn pivots on its largest
+    residue x, or on x = 1 when it is zero (the update then leaves the
+    block unchanged), and every later row becomes
+    ``(x * row' - row'[j] * row) % p``.  The rank of a matrix is its
+    largest rank over the k primes, which is exact (see the module
+    docstring).  A matrix whose bound needs more primes than the table
+    holds goes to ``_eliminate``.
     """
+    if q.dtype != np.int64:
+        raise TypeError(f"stacked_rank takes an int64 stack, got {q.dtype}")
     count, nrows, ncols = q.shape[:3]
     ranks = np.zeros(count, dtype=np.int64)
-    fits = np.ones(count, dtype=bool)
-    if q.dtype == object:
-        fits = (np.abs(q) < 2**63).reshape(count, -1).all(axis=1)
-        q = q.astype(np.int64) if fits.all() else q
-    need = np.zeros(count, dtype=np.int64)
-    if fits.any():
-        q64 = q if fits.all() else q[fits].astype(np.int64)
-        need[fits] = np.ceil(_hadamard_bits(q64, min(nrows, ncols)) / PRIME_BITS)
-    fast = fits & (need <= len(STACK_PRIMES))
+    need = np.ceil(_hadamard_bits(q, min(nrows, ncols)) / PRIME_BITS).astype(np.int64)
+    fast = need <= len(STACK_PRIMES)
     for b in np.flatnonzero(~fast).tolist():
         entries = list(map(tuple, q[b].reshape(-1, 4).tolist()))
         ranks[b] = _eliminate(entries, nrows, ncols)[0]
     if not fast.any():
         return ranks
     if not fast.all():
-        q = q[fast].astype(np.int64)
+        q = q[fast]
     if nrows > ncols:  # wide orientation: one step per row
         q = q.swapaxes(1, 2)
     k = int(need[fast].max())
-    # p, I_p and S_p of each prime as (k, 1) columns, to broadcast over the cells
-    p, i_p, s_p = np.array(STACK_PRIMES[:k], dtype=np.int64)[:, :, None].transpose(1, 0, 2)
-    weights = np.stack([np.ones_like(p), i_p, s_p, i_p * s_p % p], axis=1)  # (k, 4, 1)
-    flat = q.reshape(-1, 4).T  # (4, cells)
-    if q.min() > -2**30 and q.max() < 2**30:  # each weighted sum stays below 2**63
-        m = weights[:, :, 0] @ flat
-    else:
-        m = (flat % p[:, None] * weights % p[:, None]).sum(axis=1)
+    # p, I_p and S_p of each prime, shaped to broadcast over (B, r, c) stacks
+    p, i_p, s_p = np.array(STACK_PRIMES[:k], dtype=np.int64).T[:, :, None, None, None]
+    # reduce each component first, as in ``_bordered_minors_vanish``: exact for any int64
+    m = q[..., 0] % p
+    for c, w in ((1, i_p), (2, s_p), (3, i_p * s_p % p)):
+        m += q[..., c] % p * w % p
     m %= p
     m = m.reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
-    p_rows = np.repeat(p, len(q))[:, None, None]
+    p_rows = np.repeat(p.ravel(), len(q))[:, None, None]
     mod_ranks = np.zeros(len(m), dtype=np.int64)
     at = np.arange(len(m))
     last = m.shape[1] - 1

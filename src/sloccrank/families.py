@@ -162,19 +162,16 @@ class Predicate:
     def mask(self, symbols, nums, dens) -> np.ndarray:
         """``holds`` on T rational tuples at once, as a boolean array.
 
-        ``nums`` and ``dens`` are (T, len(symbols)) integer arrays: the
+        ``nums`` and ``dens`` are (T, len(symbols)) int64 arrays: the
         tuples' numerators and positive denominators, in ``symbols``
         order.  With x = xn/xd, y = yn/yd and N = n/d, the atom x = N*y
-        holds exactly when xn * yd * d == n * yn * xd.  The products are
-        taken in int64 while every factor is below 2**21, else in Python
-        ints.
+        holds exactly when xn * yd * d == n * yn * xd.  Every factor must
+        be below ``MASK_FACTOR_LIMIT``, as ``fits_int64`` checks, so that
+        the products fit int64.
         """
         if not self.conjunctions:
             return np.ones(len(nums), dtype=bool)
         atoms = {a for conj in self.conjunctions for a in conj}
-        factors = [abs(a.coef.numerator) for a in atoms] + [a.coef.denominator for a in atoms]
-        if max(factors + [int(np.abs(nums).max(initial=0)), int(dens.max(initial=0))]) >= 2**21:
-            nums, dens = nums.astype(object), dens.astype(object)
         cols = {s: k for k, s in enumerate(symbols)}
         tests = {}  # x = 0 or x = ±N*y, shared by the atom and its negation
         masks = {}
@@ -281,25 +278,24 @@ class FamilyTemplate:
         )
 
     @cached_property
-    def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(const, coeffs)``: the template as integer quadruple arrays.
+    def integer_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(const, coeffs)``: the template as int64 quadruple arrays.
 
         Over one common denominator, amplitude k at parameters v is
         ``const[k] + sum_j v_j * coeffs[j, k]``; ``const`` is (16, 4) and
-        ``coeffs`` (len(params), 16, 4), int64 when every component fits
-        and Python ints otherwise.  The dropped denominator scales the
-        state, which changes no rank.
+        ``coeffs`` (len(params), 16, 4).  The dropped denominator scales
+        the state, which changes no rank.  None when a component does not
+        fit int64.
         """
         zero = ExactScalar(0)
         by_symbol = [dict(e.coeffs) for e in self.amps]
         values = [e.const for e in self.amps]
         values += [terms.get(s, zero) for s in self.params for terms in by_symbol]
         quads, _ = common_denominator(values)
-        form = np.array(quads, dtype=object).reshape(1 + len(self.params), 16, 4)
         try:
-            form = form.astype(np.int64)
+            form = np.array(quads, dtype=np.int64).reshape(1 + len(self.params), 16, 4)
         except OverflowError:
-            pass
+            return None
         return form[0], form[1:]
 
 
@@ -616,7 +612,11 @@ def classification_failure(family: str, values, triple: RankTriple, matches) -> 
     return None
 
 
-TRIPLE_CHUNK = 16  # tuples per stacked rank call; larger chunks run faster but hold more memory
+# Tuples per stacked rank call.  Over rule-table passes in one process, 16 -> 32
+# tuples cut a pass by about 9% for 0.25 MB more peak RSS, 32 -> 64 by at most
+# 5% for 0.35 MB more, and one call per family holds 4 MB more.
+TRIPLE_CHUNK = 32
+MASK_FACTOR_LIMIT = 2**21  # a product of three factors below this fits int64
 # the (3, 4, 4) picks of C_AB, C_AC and C_AD out of a four-qubit amplitude vector
 _SPLIT_PICKS = np.stack([
     np.arange(16).reshape((2,) * 4).transpose([b - 1 for b in bits] + [
@@ -626,17 +626,19 @@ _SPLIT_PICKS = np.stack([
 ])
 
 
-def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
-    """Integer quadruple amplitudes of T rational parameter tuples, as (T, 16, 4).
+def fits_int64(entry: FamilyEntry, nums, dens) -> bool:
+    """Whether ``rank_triples`` and the rules' ``Predicate.mask`` take these tuples in int64.
 
-    ``nums`` and ``dens`` are (T, len(params)) integer arrays of the
-    values' numerators and positive denominators.  Row t is the template
-    at tuple t times ``integer_form``'s denominator and the product D_t
-    of the tuple's denominators, so it is integral and has the ranks of
-    ``instantiate``'s state.  int64 when a bound on the components and
-    the scales fits, Python ints otherwise.
+    ``nums`` and ``dens`` are as for ``_instantiate_stack``.  The template
+    must have an ``integer_form``, a bound on every component and scale
+    that ``_instantiate_stack`` forms must be below 2**63, and every
+    factor of the predicates' cross-multiplied products below
+    ``MASK_FACTOR_LIMIT``.  The bound is taken in Python ints.
     """
-    const, coeffs = template.integer_form
+    form = entry.template.integer_form
+    if form is None:
+        return False
+    const, coeffs = form
 
     def top(a):
         return int(np.abs(a).max(initial=0))
@@ -644,8 +646,25 @@ def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
     scale_top = math.prod(int(d) for d in dens.max(axis=0, initial=1))
     weight_tops = [int(n) * scale_top for n in np.abs(nums).max(axis=0, initial=0)]
     bound = top(const) * scale_top + sum(top(c) * w for c, w in zip(coeffs, weight_tops))
-    if const.dtype == object or max([bound, scale_top, *weight_tops]) >= 2**63:
-        const, coeffs, nums, dens = (a.astype(object) for a in (const, coeffs, nums, dens))
+    if max([bound, scale_top, *weight_tops]) >= 2**63:
+        return False
+    predicates = [r.predicate for r in entry.rules if r.predicate is not None]
+    atoms = [a for pred in predicates for conj in pred.conjunctions for a in conj]
+    factors = [top(nums), top(dens)]
+    factors += [f for a in atoms for f in (abs(a.coef.numerator), a.coef.denominator)]
+    return max(factors) < MASK_FACTOR_LIMIT
+
+
+def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
+    """Integer quadruple amplitudes of T rational parameter tuples, as (T, 16, 4).
+
+    ``nums`` and ``dens`` are (T, len(params)) int64 arrays of the values'
+    numerators and positive denominators, for which ``fits_int64`` holds.
+    Row t is the template at tuple t times ``integer_form``'s denominator
+    and the product D_t of the tuple's denominators, so it is integral and
+    has the ranks of ``instantiate``'s state.
+    """
+    const, coeffs = template.integer_form
     scale = np.prod(dens, axis=1)
     weights = nums * (scale[:, None] // dens)
     amps = scale[:, None] * const.reshape(1, -1) + weights @ coeffs.reshape(len(coeffs), -1)

@@ -33,8 +33,10 @@ from .families import (
     classify_g_split,
     classify_subfamily,
     default_registry,
+    fits_int64,
     grid_rational,
     instantiate,
+    rank_triple,
     rank_triples,
     sample_predicate,
 )
@@ -345,24 +347,51 @@ def _scan_draws(params, count: int, seeds) -> tuple[dict, str]:
 class _Scan:
     """One family's scan tuples, ranked together.
 
-    Every distinct tuple of every scan is instantiated once, and its rank
-    triple taken in one stacked pass (``rank_triples``).  A row reports the
-    first of its own draws that fails, in draw order.
+    Every distinct tuple of every scan is ranked once: in one stacked pass
+    (``rank_triples``) when the family ``fits_int64`` on them, else tuple
+    by tuple through ``instantiate`` and ``rank_triple``.  A row reports
+    the first of its own draws that fails, in draw order.
     """
 
-    def __init__(self, entry, draws: dict):
-        self.entry = entry
+    def __init__(self, family: str, draws: dict, registry: FamilyRegistry):
+        self.entry = registry.get(family)
+        self.registry = registry
         distinct: dict = {}
         self.positions = {
             s: np.array([distinct.setdefault(t, len(distinct)) for t in ts], dtype=np.int64)
             for s, ts in draws.items()
         }
         self.tuples = list(distinct)
-        shape = (len(self.tuples), len(entry.params))
-        self.nums = np.array([v.numerator for t in self.tuples for v in t], np.int64).reshape(shape)
-        self.dens = np.array([v.denominator for t in self.tuples for v in t], np.int64).reshape(shape)
-        self.triples = rank_triples(entry.template, self.nums, self.dens)
+        shape = (len(self.tuples), len(self.entry.params))
+        values = [v for t in self.tuples for v in t]
+        self.nums = np.array([v.numerator for v in values], np.int64).reshape(shape)
+        self.dens = np.array([v.denominator for v in values], np.int64).reshape(shape)
+        self.batched = fits_int64(self.entry, self.nums, self.dens)
+        if self.batched:
+            self.triples = rank_triples(self.entry.template, self.nums, self.dens)
+        else:
+            triples = [self._exact_triple(t) for t in self.tuples]
+            self.triples = np.array(triples, np.int64).reshape(-1, 3)
         self.zero = ~self.triples.any(axis=1)  # the zero vector, which instantiate refuses
+        self.rules = [r for r in self.entry.rules if r.predicate is not None]
+
+    def _exact_triple(self, values) -> tuple[int, int, int]:
+        try:
+            return rank_triple(instantiate(self.entry.name, values, self.registry)).as_tuple()
+        except FamilyError:  # the zero vector
+            return (0, 0, 0)
+
+    def masks(self) -> np.ndarray:
+        """Whether each rule row with a predicate holds, as a (rows, T) array."""
+        if self.batched:
+            masks = [r.predicate.mask(self.entry.params, self.nums, self.dens) for r in self.rules]
+        else:
+            bindings = [
+                {s: ExactScalar._coerce(v) for s, v in zip(self.entry.params, t)}
+                for t in self.tuples
+            ]
+            masks = [[r.predicate.holds(b) for b in bindings] for r in self.rules]
+        return np.array(masks, dtype=bool).reshape(len(self.rules), len(self.tuples))
 
     def first(self, seed: int, bad: np.ndarray) -> int | None:
         """Distinct index of the first tuple drawn from ``seed`` that ``bad`` flags, or None."""
@@ -374,10 +403,8 @@ class _Scan:
         return None if t is None else f"hit at {self.tuples[t]}"
 
     def uncovered(self, seed: int) -> str | None:
-        rules = [r for r in self.entry.rules if r.predicate is not None]
-        masks = np.array([r.predicate.mask(self.entry.params, self.nums, self.dens) for r in rules])
-        masks = masks.reshape(len(rules), len(self.tuples))
-        rows = np.array([r.triple.as_tuple() for r in rules]).reshape(len(rules), 3)
+        masks = self.masks()
+        rows = np.array([r.triple.as_tuple() for r in self.rules]).reshape(len(self.rules), 3)
         single = masks.sum(axis=0) == 1
         agree = (masks.T.astype(np.int64) @ rows == self.triples).all(axis=1)  # when single
         t = self.first(seed, ~(single & agree) & ~self.zero)
@@ -388,7 +415,7 @@ class _Scan:
             self.entry.name,
             [ExactScalar._coerce(v) for v in values],
             RankTriple(*self.triples[t].tolist()),
-            [r for r, m in zip(rules, masks[:, t]) if m],
+            [r for r, m in zip(self.rules, masks[:, t]) if m],
         )
         return f"params {values}: {failure}"
 
@@ -415,7 +442,7 @@ def _run_family_rows(
         seeds.append(seed + 9999)
     if seeds:
         draws, drawn = _scan_draws(entry.params, samples * SCAN_PER_SAMPLE, seeds)
-        scanned = _Scan(entry, draws)
+        scanned = _Scan(family, draws, registry)
     for k, rule in enumerate(entry.rules):
         name = f"{family} {rule.triple}"
         if rule.empty:

@@ -9,6 +9,7 @@ import pytest
 
 from sloccrank.families import (
     ALL_PERMUTATIONS,
+    MASK_FACTOR_LIMIT,
     ClassificationError,
     FamilyError,
     FamilyRegistry,
@@ -21,6 +22,7 @@ from sloccrank.families import (
     classify_g_split,
     classify_subfamily,
     default_registry,
+    fits_int64,
     full_permutation_scan,
     instantiate,
     match_template,
@@ -141,18 +143,42 @@ def test_predicate_empty_means_always():
 
 
 def test_predicate_mask_follows_holds():
-    """The vectorised test equals ``holds``: in int64, and past 2**21 in Python ints."""
-    small = [Fraction(n, d) for n in (-7, -3, -1, 0, 1, 2, 3, 6) for d in (1, 2, 3)]
-    texts = ("a=b & a!=0 | b=-3a & a!=0", "a!=±b & b!=0", f"b=±{10**30}a", "", "a=0 | b=±3a")
-    for values in (small, small + [Fraction(3 * 10**30)]):
-        tuples = [(a, b) for a in values for b in values]
-        nums = np.array([[a.numerator, b.numerator] for a, b in tuples])
-        dens = np.array([[a.denominator, b.denominator] for a, b in tuples])
-        for text in texts:
-            pred = parse_predicate(text)
-            want = [pred.holds({"a": ExactScalar._coerce(a), "b": ExactScalar._coerce(b)})
-                    for a, b in tuples]
-            assert pred.mask(("a", "b"), nums, dens).tolist() == want
+    """The vectorised int64 test equals ``holds``."""
+    values = [Fraction(n, d) for n in (-7, -3, -1, 0, 1, 2, 3, 6) for d in (1, 2, 3)]
+    values.append(Fraction(MASK_FACTOR_LIMIT - 1, MASK_FACTOR_LIMIT - 2))
+    texts = ("a=b & a!=0 | b=-3a & a!=0", "a!=±b & b!=0", f"b=±{MASK_FACTOR_LIMIT - 1}a", "",
+             "a=0 | b=±3a")
+    tuples = [(a, b) for a in values for b in values]
+    nums = np.array([[a.numerator, b.numerator] for a, b in tuples])
+    dens = np.array([[a.denominator, b.denominator] for a, b in tuples])
+    for text in texts:
+        pred = parse_predicate(text)
+        want = [pred.holds({"a": ExactScalar._coerce(a), "b": ExactScalar._coerce(b)})
+                for a, b in tuples]
+        assert pred.mask(("a", "b"), nums, dens).tolist() == want
+
+
+def test_fits_int64_bounds_every_int64_product():
+    """One check covers the template, the instantiated stack and the predicate products."""
+
+    def entry(amp="1*a + 2*b", predicate="a!=0 & b!=0"):
+        registry = FamilyRegistry(include_builtin=False)
+        registry.register_entry({"name": "f", "params": ["a", "b"],
+                                 "amps": [amp] + ["1*b"] * 15,
+                                 "rules": [{"triple": "111", "predicate": predicate}]})
+        return registry.get("f")
+
+    small = np.array([[6, -6], [1, 0]]), np.array([[3, 2], [1, 1]])
+    assert fits_int64(entry(), *small)
+    assert fits_int64(entry(predicate=f"a=±{MASK_FACTOR_LIMIT - 1}b"), *small)
+    assert not fits_int64(entry(predicate=f"a=±{MASK_FACTOR_LIMIT}b"), *small)
+    assert not fits_int64(entry(), np.array([[MASK_FACTOR_LIMIT, 1]]), np.array([[1, 1]]))
+    assert not fits_int64(entry(), np.array([[1, 1]]), np.array([[MASK_FACTOR_LIMIT, 1]]))
+    # components: beyond int64 in the template, or once scaled by the tuples
+    assert entry(amp=f"{2**63}*a").template.integer_form is None
+    assert not fits_int64(entry(amp=f"{2**63}*a"), *small)
+    assert fits_int64(entry(amp=f"{2**58}*a"), np.array([[6, 1]]), np.array([[1, 1]]))
+    assert not fits_int64(entry(amp=f"{2**58}*a"), *small)
 
 
 def test_predicate_parse_errors():

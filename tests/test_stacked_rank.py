@@ -5,7 +5,7 @@ k primes of ``STACK_PRIMES``, with k set by the Hadamard bound on the
 matrix's minors.  Every case compares it with ``_eliminate`` on each
 matrix of a stack that mixes ranks; the fixed cases sit on the edges of
 the proof: a minor vanishing mod every prime but the last one the bound
-needs, components beyond int64, and a bound beyond the table.
+needs, components up to the ends of int64, and a bound beyond the table.
 """
 
 import math
@@ -117,17 +117,16 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
     assert eliminate_calls == []
 
 
-def test_components_beyond_int64_take_elimination(eliminate_calls):
+def test_components_beyond_int64_are_refused():
+    # such a stack cannot be int64; the rule-table scans rank its family tuple by
+    # tuple instead (tests/test_tables.py::test_batched_scan_on_coefficients_beyond_int64)
     rng = random.Random(7)
     stack = [_matrix(rng, 4, 4, r, 3) for r in (1, 2, 3)]
     stack[1] = [(2**70, 0, 0, 0) if k == 0 else x for k, x in enumerate(stack[1])]
-    got = stacked_rank(_array(stack, 4, 4, dtype=object))
-    assert got.tolist() == _exact_ranks(stack, 4, 4)
-    assert eliminate_calls == [(4, 4)]
-    # Python ints that fit int64 stay on the stacked route
-    small = [_matrix(rng, 4, 4, 2, 3)]
-    assert stacked_rank(_array(small, 4, 4, dtype=object)).tolist() == [2]
-    assert eliminate_calls == [(4, 4)]
+    with pytest.raises(OverflowError):
+        _array(stack, 4, 4)
+    with pytest.raises(TypeError, match="int64"):
+        stacked_rank(_array(stack, 4, 4, dtype=object))
 
 
 def test_bound_beyond_the_table_takes_elimination(eliminate_calls):
@@ -140,7 +139,7 @@ def test_bound_beyond_the_table_takes_elimination(eliminate_calls):
 
 
 def test_residues_of_large_components():
-    # components from 2**30 on take the reduce-first route to the residues
+    # each component is reduced before it is weighted, so any int64 value is exact
     rng = random.Random(9)
     stack = [_matrix(rng, 4, 4, r, 2**28) for r in (1, 2, 3, 4)]
     stack.append([tuple(-(2**63) if c == 0 else 0 for c in range(4))] * 16)

@@ -243,13 +243,14 @@ def _per_tuple_uncovered(family, registry, draws):
     return None
 
 
-def _assert_scan_follows_tuples(family, registry, draws):
+def _assert_scan_follows_tuples(family, registry, draws, batched=True):
     """Triples, predicate masks, matched rows, skips and messages, tuple by tuple."""
     entry = registry.get(family)
-    scan = tables_mod._Scan(entry, {0: draws})
+    scan = tables_mod._Scan(family, {0: draws}, registry)
+    assert scan.batched == batched
     assert len(scan.tuples) == len(set(draws))
     rules = [r for r in entry.rules if r.predicate is not None]
-    masks = [r.predicate.mask(entry.params, scan.nums, scan.dens) for r in rules]
+    masks = scan.masks()
     for t, values in enumerate(scan.tuples):
         bindings = {s: ExactScalar._coerce(v) for s, v in zip(entry.params, values)}
         assert [m[t] for m in masks] == [r.predicate.holds(bindings) for r in rules]
@@ -294,8 +295,7 @@ def test_batched_scan_reports_each_gap_as_the_per_tuple_route_does():
     messages = []
     for rules in ([generic, one_zero], [generic], [generic, wrong], [generic, overlap], []):
         _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws)
-        messages.append(tables_mod._Scan(
-            _ghz_family(rules).get("ghz_ab"), {0: draws}).uncovered(0))
+        messages.append(tables_mod._Scan("ghz_ab", {0: draws}, _ghz_family(rules)).uncovered(0))
     assert messages[0] is None
     assert "no predicate row of ghz_ab matches" in messages[1]
     assert "library defect" in messages[2]
@@ -304,6 +304,7 @@ def test_batched_scan_reports_each_gap_as_the_per_tuple_route_does():
 
 
 def test_batched_scan_on_coefficients_beyond_int64():
+    # a template beyond int64 takes the per-tuple route for the whole family
     registry = FamilyRegistry(include_builtin=False)
     amps = ["0"] * 16
     amps[0], amps[3], amps[12] = f"{10**20}*a", "1*b", "1*b"
@@ -311,7 +312,23 @@ def test_batched_scan_on_coefficients_beyond_int64():
     registry.register_entry({"name": "big", "params": ["a", "b"], "amps": amps, "rules": [
         {"triple": "444", "predicate": "a!=0 & b!=0"},
     ]})
-    const, coeffs = registry.get("big").template.integer_form
-    assert const.dtype == coeffs.dtype == object
+    assert registry.get("big").template.integer_form is None
     draws = list(tables_mod._grid_tuples(("a", "b"), 60, 4))
-    _assert_scan_follows_tuples("big", registry, draws)
+    _assert_scan_follows_tuples("big", registry, draws, batched=False)
+    # and so does one that fits int64 until the tuples scale it
+    amps[0], amps[15] = "1*a", f"{2**60}*a + 1"
+    registry.register_entry({"name": "scaled", "params": ["a", "b"], "amps": amps, "rules": [
+        {"triple": "444", "predicate": "a!=0 & b!=0"},
+    ]})
+    assert registry.get("scaled").template.integer_form is not None
+    _assert_scan_follows_tuples("scaled", registry, draws, batched=False)
+
+
+def test_batched_scan_on_predicate_coefficients_beyond_int64_products():
+    # so does a predicate whose cross-multiplied products could pass int64
+    draws = list(tables_mod._grid_tuples(("a", "b"), 40, 10000))
+    rules = [{"triple": "222", "predicate": "a!=0 & b!=0"},
+             {"triple": "111", "predicate": f"a=0 & b!=0 | b=0 & a!=0 | a=±{2**40}b"}]
+    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, batched=False)
+    rules[1]["predicate"] = "a=0 & b!=0 | b=0 & a!=0"
+    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, batched=True)
