@@ -7,8 +7,8 @@ every division below is by construction remainder-free, and a nonzero
 remainder raises instead of silently corrupting the result.
 
 This module is the one home of the quadruple product (``mul4``) and of
-the adjoint/norm pair behind every field inverse; ``ExactScalar`` in
-``scalars`` builds on both.
+the adjoint/norm pair behind every field inverse; ``scalars.ExactScalar``
+builds on both.
 
 Rank-only requests first try the prime field F_P.  Since P = 1 (mod 8),
 both -1 and 2 are squares mod P, and i -> I_P, sqrt2 -> S_P is a ring
@@ -16,26 +16,18 @@ homomorphism Z[i, sqrt2] -> F_P.  An exactly vanishing minor vanishes
 mod P, so the rank mod P is a lower bound on the exact rank; when it
 reaches min(nonzero rows, nonzero columns) it is the exact rank.
 
-The exactly zero rows and columns are found on the residues (see
-``residues``: an entry that is nonzero but vanishes mod P is stored as
-P, not 0), so no quadruple is scanned.  The F_P elimination has two
-routes, chosen by the size of the matrix left after dropping those rows
-and columns.  From ``INT64_MIN_CELLS`` cells on, the residues go into an
-int64 array that is reduced mod P, eliminated a whole row block at a
-time and reduced again after every update: residues below P < 2**31
-keep each product below 2**62.  Below it, Python lists are as fast or
-faster, because a numpy call costs as much as a few dozen list updates;
-the same cutoff picks how the zero rows and columns are found.  Timed
-through ``_certified_rank`` on random full-rank matrices with the
-residues given (one core of a 2-CPU x86-64 host, Python 3.11, numpy
-2.4), lists against int64 took 13 vs 18 us at 2 x 4, 28 vs 29 us at
-4 x 4, 34 vs 21 us at 4 x 8, 84 vs 42 us at 8 x 8, 362 vs 88 us at
-16 x 16 and 13.9 vs 2.4 ms at 64 x 64.
+A lone matrix (``_certified_rank``) takes one route.  It drops its
+exactly zero rows and columns, found on the residues (see ``residues``:
+an entry that is nonzero but vanishes mod P is stored as P, not 0), so
+no quadruple is scanned.  What is left is eliminated in int64
+(``_pivots_mod_p_int64``), a whole row block at a time and reduced again
+after every update: residues below P < 2**31 keep each product below
+2**62.
 
 A rank r mod P below full is proved exact rather than recomputed, from
-``CERTIFY_MIN_CELLS`` compressed cells on.  The int64 elimination names
-its pivot rows I and columns J; the minor A = M[I, J] is nonzero mod P,
-so it is nonzero, and rank M >= r.  Each bordered minor
+``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination names its
+pivot rows I and columns J; the minor A = M[I, J] is nonzero mod P, so
+it is nonzero, and rank M >= r.  Each bordered minor
 x_ij = det M[I + i, J + j] equals det(A) times an entry of the Schur
 complement of A (Guttman's rank additivity), so rank M = r exactly when
 every x_ij is 0.  All of them vanish mod P.  If x_ij also vanishes mod
@@ -43,20 +35,17 @@ the distinct primes p_2, ..., p_k of ``PRIME_TABLE`` (each = 1 mod 8,
 mapped the same way), then P * p_2 * ... * p_k divides the integer
 N(x_ij), the product of its four complex embeddings; each embedding is
 at most a Hadamard bound H, so a product above H**4 forces x_ij = 0.
-The check runs r steps of division-free elimination on the fixed pivots
-for a whole batch of primes in one (k, m, n) int64 array: with nonzero
-pivots mod p the trailing block vanishes exactly when every x_ij does.
-A prime on which a pivot vanishes is replaced by the next one.  A
-nonzero trailing block (the exact rank is above r), a component beyond
-int64 or a bound beyond the table sends the matrix to ``_eliminate``,
-as does every rank-deficient matrix under the cutoff.  Timed on sums of
-r outer products of random quadruples (same host), certificate against
-``_eliminate`` took 0.7 vs 7.4-8.5 ms at 16 x 16 rank 8, 0.4-0.6 vs
-3.9-4.7 ms at 8 x 32 rank 4, 0.3 vs 0.9 ms at 8 x 8 rank 4 and
-0.1-0.2 vs 0.15-0.17 ms at 4 x 8 rank 2, where the cutoff keeps
-elimination (a 32-cell cutoff slowed ``sloccrank verify all`` by 5%).
-Exact ``rank_signature`` of a 10-qubit product of 3-, 3- and 4-qubit
-factors with shuffled qubits fell from 6.1-7.0 s to 0.9-1.0 s.
+The check (``_bordered_minors_vanish``) runs r steps of division-free
+elimination on the fixed pivots for a whole batch of primes in one
+(k, m, n) int64 array: with nonzero pivots mod p the trailing block
+vanishes exactly when every x_ij does.  A prime on which a pivot
+vanishes is replaced by the next one.  A nonzero trailing block (the
+exact rank is above r), a component beyond int64 or a bound beyond the
+table sends the matrix to ``_eliminate``, as does every rank-deficient
+matrix under the cutoff.  On sums of r random outer products (one core
+of a 2-CPU x86-64 host, Python 3.11, numpy 2.4) the certificate took
+0.7 vs 7.4-8.5 ms for ``_eliminate`` at 16 x 16 rank 8 and 0.3 vs 0.9 ms
+at 8 x 8 rank 4; at 4 x 8 rank 2 the two tie.
 
 A stack of matrices of one shape (``stacked_rank``, which the rule-table
 scans use) is proved without pivots.  Each matrix is reduced modulo the
@@ -68,12 +57,8 @@ matrices.  The largest rank R over the k primes is the exact rank: no
 prime sees more than the exact rank, and every (R+1)-minor x vanishes
 modulo all k primes, so their product divides N(x), which is below 2**B,
 so x = 0.  The stack pays a fixed cost in numpy calls that one matrix
-does not amortise, so lone matrices keep the routes above.  Timed on the
-same host (single runs vary by about 30%), a stack of one took 0.8-1.3 ms
-at 16 x 16 rank 8 (18 primes) against 0.7-0.9 ms for the bordered minors,
-and 0.12-0.22 ms at 4 x 4 against 0.04-0.09 ms for ``_eliminate``; a
-stack of 48 4 x 4 matrices (16 four-qubit tuples, 5 primes) takes
-0.4-0.6 ms, about 10 us a matrix.
+does not amortise, so lone matrices keep the route above.  Both reduce
+int64 quadruples modulo a batch of primes through ``_residues_mod``.
 """
 
 import math
@@ -88,9 +73,8 @@ P = 2147483497  # prime, P = 1 (mod 8), below 2**31
 I_P = 1731803418  # I_P**2 = -1 (mod P)
 S_P = 974023842  # S_P**2 = 2 (mod P)
 IS_P = 391447392  # I_P * S_P % P
-INT64_MIN_CELLS = 32  # full-rank tests from this many cells on run in int64
-# rank-deficient matrices from this many cells on are certified; at least
-# INT64_MIN_CELLS, since the certificate starts from the int64 route's pivots
+# rank-deficient matrices from this many cells on are certified; certifying
+# every one slowed verify_all by about 7% (4.90-4.94 s against 4.44-4.62 s)
 CERTIFY_MIN_CELLS = 64
 PRIME_BITS = 30.99  # every prime of PRIME_TABLE, and P, exceeds 2**PRIME_BITS
 # (p, I_p, S_p): the next primes p = 1 (mod 8) below P, with I_p**2 = -1 and
@@ -249,38 +233,6 @@ def residues(quads):
     )
 
 
-def _full_rank_mod_p(rows, ncols):
-    """Whether the F_P matrix ``rows`` has rank ``min(len(rows), ncols)``.
-
-    ``rows`` is a list of ``ncols``-long int lists standing for their
-    residues mod P; it is consumed.  Entries are reduced only where they
-    are tested or become a pivot row (a multi-digit ``%`` costs more than
-    the update itself), so each update grows an entry by less than P**2.
-    Stops at the first pivotless column that rules full rank out.
-    """
-    slack = ncols - min(len(rows), ncols)  # columns that may lack a pivot
-    for c in range(ncols):
-        for k, row in enumerate(rows):
-            x = row[c] % P
-            if x:
-                break
-        else:
-            slack -= 1
-            if slack < 0:
-                return False
-            continue
-        del rows[k]
-        if not rows:
-            return True
-        inv = pow(x, -1, P)
-        piv = [v * inv % P for v in row[c + 1:]]
-        for other in rows:
-            x = other[c] % P
-            if x:
-                other[c + 1:] = [v - x * p for v, p in zip(other[c + 1:], piv)]
-    return True
-
-
 def _pivots_mod_p_int64(m):
     """Pivot rows and columns of the F_P elimination of a ``residues`` array.
 
@@ -336,21 +288,31 @@ def _hadamard_bits(q, size):
     return 2 * log_norms * (1 + 1e-9) + 1
 
 
+def _residues_mod(q, primes):
+    """Residues of the int64 quadruples ``q``, shape (..., 4), modulo each prime.
+
+    ``primes`` is a (k, 3) int64 array of rows (p, I_p, S_p), and the
+    result has shape (k,) + ``q.shape[:-1]``.  Each component is reduced
+    before it is weighted by I_p, S_p or I_p * S_p, so every product stays
+    below p**2 < 2**62: exact for any int64 component.
+    """
+    p, i_p, s_p = primes.T.reshape(3, -1, *(1,) * (q.ndim - 1))
+    m = q[..., 0] % p
+    for c, w in ((1, i_p), (2, s_p), (3, i_p * s_p % p)):
+        m += q[..., c] % p * w % p
+    m %= p
+    return m
+
+
 def _bordered_minors_vanish(entries, nrows, ncols, pivot_rows, pivot_cols):
     """Whether every bordered minor of a quadruple matrix's pivot minor is 0.
 
     ``entries`` is row-major, as for ``echelon``, and its residues mod P
     have the pivots ``pivot_rows``, ``pivot_cols`` (see
-    ``_pivots_mod_p_int64``), so all (r+1)-minors vanish mod P.  A
-    bordered minor x vanishing mod distinct primes p_1 = P, p_2, ...
-    makes their product divide N(x), so once that product exceeds the
-    ``_hadamard_bits`` bound, x = 0.  Each table prime is checked by r
-    steps of division-free elimination on the fixed pivots, for a batch
-    of primes at once; a prime on which a pivot vanishes proves nothing
-    and is replaced.  With nonzero pivots the trailing block is zero
-    exactly when every bordered minor vanishes mod p.  False means some
-    minor is nonzero mod a prime (so the rank exceeds r), a component
-    does not fit int64, or the table ran out before the bound.
+    ``_pivots_mod_p_int64``), so all (r+1)-minors vanish mod P; the
+    proof from there is in the module docstring.  False means some minor
+    is nonzero mod a prime (so the rank exceeds r), a component does not
+    fit int64, or the table ran out before the ``_hadamard_bits`` bound.
     """
     try:
         q = np.fromiter(chain.from_iterable(entries), np.int64, 4 * nrows * ncols)
@@ -360,17 +322,17 @@ def _bordered_minors_vanish(entries, nrows, ncols, pivot_rows, pivot_cols):
     r = len(pivot_rows)
     order_rows = pivot_rows + sorted(set(range(nrows)).difference(pivot_rows))
     order_cols = pivot_cols + sorted(set(range(ncols)).difference(pivot_cols))
-    quads = np.moveaxis(q[np.ix_(order_rows, order_cols)], 2, 0)
+    quads = q[order_rows][:, order_cols]
     need = _hadamard_bits(q, r + 1) - PRIME_BITS  # P is the first prime
     start = 0
     while need > 0:
         count = math.ceil(need / PRIME_BITS)
         if start + count > len(PRIME_TABLE):
             return False
-        p, i_p, s_p = np.array(PRIME_TABLE[start:start + count], dtype=np.int64).T[:, :, None, None]
+        primes = np.array(PRIME_TABLE[start:start + count], dtype=np.int64)
         start += count
-        a, b, c, d = quads[:, None] % p
-        res = (a + b * i_p % p + c * s_p % p + d * (i_p * s_p % p) % p) % p
+        p = primes[:, 0, None, None]
+        res = _residues_mod(quads, primes)
         for t in range(r):  # row t is final from here on
             below = res[:, t + 1:, t + 1:]
             prod = res[:, t + 1:, t, None] * res[:, t, None, t + 1:]
@@ -393,28 +355,21 @@ def _certified_rank(entries, nrows, ncols, res=None):
     if res is None:
         res = residues(entries)
     mod = res.reshape(nrows, ncols)
-    if mod.size < INT64_MIN_CELLS:  # as for the F_P test, lists beat numpy calls here
-        lines = mod.tolist()
-        rows = [i for i, line in enumerate(lines) if any(line)]
-        cols = [j for j, line in enumerate(zip(*lines)) if any(line)]
-    else:
-        rows = np.flatnonzero(mod.any(axis=1)).tolist()
-        cols = np.flatnonzero(mod.any(axis=0)).tolist()
+    rows = mod.any(axis=1).nonzero()[0]
+    cols = mod.any(axis=0).nonzero()[0]
     full = min(len(rows), len(cols))
     if full <= 1:
         return full
     cells = len(rows) * len(cols)
-    if cells < INT64_MIN_CELLS:
-        lines = mod.tolist()
-        if _full_rank_mod_p([[lines[i][j] for j in cols] for i in rows], len(cols)):
-            return full
-    else:
-        if cells < mod.size:
-            mod = mod[np.ix_(rows, cols)]
-        pivot_rows, pivot_cols = _pivots_mod_p_int64(mod)
-        if len(pivot_rows) == full:
-            return full
+    if cells < mod.size:
+        mod = mod[rows][:, cols]
+    # not stacked_rank's loop: a stack of one costs 2.3x per step (16 x 16: 158 vs 65 us)
+    pivot_rows, pivot_cols = _pivots_mod_p_int64(mod)
+    if len(pivot_rows) == full:
+        return full
+    rows, cols = rows.tolist(), cols.tolist()
     sub = [entries[i * ncols + j] for i in rows for j in cols]
+    # bordered minors: the largest rank over several primes cost lowrank_signatures 18-25%
     if cells >= CERTIFY_MIN_CELLS and _bordered_minors_vanish(
         sub, len(rows), len(cols), pivot_rows, pivot_cols
     ):
@@ -453,15 +408,9 @@ def stacked_rank(q):
     if nrows > ncols:  # wide orientation: one step per row
         q = q.swapaxes(1, 2)
     k = int(need[fast].max())
-    # p, I_p and S_p of each prime, shaped to broadcast over (B, r, c) stacks
-    p, i_p, s_p = np.array(STACK_PRIMES[:k], dtype=np.int64).T[:, :, None, None, None]
-    # reduce each component first, as in ``_bordered_minors_vanish``: exact for any int64
-    m = q[..., 0] % p
-    for c, w in ((1, i_p), (2, s_p), (3, i_p * s_p % p)):
-        m += q[..., c] % p * w % p
-    m %= p
-    m = m.reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
-    p_rows = np.repeat(p.ravel(), len(q))[:, None, None]
+    primes = np.array(STACK_PRIMES[:k], dtype=np.int64)
+    m = _residues_mod(q, primes).reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
+    p_rows = np.repeat(primes[:, 0], len(q))[:, None, None]
     mod_ranks = np.zeros(len(m), dtype=np.int64)
     at = np.arange(len(m))
     last = m.shape[1] - 1

@@ -73,12 +73,13 @@ def _count(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
+    """A relative singular-value cutoff: from 1 on it would drop sigma_max itself."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not 0 <= value < 1:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a number with 0 <= t < 1, got {text!r}")
     return value
 
 

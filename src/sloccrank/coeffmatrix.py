@@ -179,7 +179,11 @@ def rank(C: CoefficientMatrix, *, tolerance: float | None = None) -> int:
 
     Exact entries run fraction-free elimination over Q(i, sqrt2);
     floating entries count singular values above ``tolerance * sigma_max``.
+    A tolerance must satisfy 0 <= t < 1: from 1 on the cutoff is at or
+    above sigma_max, so every rank would read 0.
     """
+    if tolerance is not None and not 0 <= tolerance < 1:  # also refuses nan
+        raise ValueError(f"tolerance must satisfy 0 <= t < 1, got {tolerance!r}")
     if C.is_exact:
         quads, _, res = _cleared(C)
         return bareiss(quads, C.rows, C.cols, det=False, res=res)[0]

@@ -273,7 +273,8 @@ def bell_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "abc"])
+# "1" and "2" would put the cutoff at or above sigma_max, so every rank would read 0
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "abc", "1", "2"])
 def test_tolerance_must_be_finite_and_non_negative(bell_file, tolerance, capsys):
     assert main(["ranks", bell_file, "--mode", "numeric", "--tolerance", tolerance]) == 1
     captured = capsys.readouterr()

@@ -175,6 +175,14 @@ def test_rank_route_follows_entry_kind(monkeypatch):
         rank_signature(exact, "numeric")
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, float("nan"), 1.0])
+def test_rank_refuses_tolerance_outside_zero_to_one(tolerance):
+    product = state(2, [1, 0, 0, 0]).to_float()
+    with pytest.raises(ValueError, match="tolerance"):
+        rank_signature(product, tolerance=tolerance)
+    assert rank_signature(product, tolerance=0.5)[(1,)] == 1
+
+
 def test_exact_and_numeric_ranks_agree():
     rng = random.Random(19)
     for _ in range(40):

@@ -1,0 +1,30 @@
+"""The docs name only kernel symbols that exist.
+
+Every bare identifier in double backticks in the ``_kernels`` module
+docstring, and every ``_kernels.<name>`` in README.md, must be an
+attribute of ``sloccrank._kernels``: a constant or routine deleted from
+the code must not live on in the prose.
+"""
+
+import re
+from pathlib import Path
+
+import sloccrank._kernels as kernels
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _missing(names):
+    return sorted(name for name in set(names) if not hasattr(kernels, name))
+
+
+def test_kernel_docstring_names_existing_symbols():
+    names = re.findall(r"``([A-Za-z_]\w*)``", kernels.__doc__)
+    assert {"_certified_rank", "CERTIFY_MIN_CELLS", "stacked_rank"} <= set(names)
+    assert _missing(names) == []
+
+
+def test_readme_names_existing_kernel_symbols():
+    names = re.findall(r"\b_kernels\.([A-Za-z_]\w*)", README.read_text())
+    assert {"echelon", "stacked_rank"} <= set(names)
+    assert _missing(names) == []

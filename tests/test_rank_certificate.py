@@ -16,7 +16,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +36,7 @@ from sloccrank._kernels import (
 )
 
 SHAPES = [(8, 8), (16, 16), (8, 32), (32, 8)]
-SEEDS = st.integers(0, 2**32)  # cells come from a seeded generator, as in test_int64_rank
+SEEDS = st.integers(0, 2**32)  # cells come from a seeded generator, as in test_modular_rank
 ONES = (1, 0, 0, 0)
 
 
@@ -71,18 +70,6 @@ def _assert_ranks_agree(flat, rows, cols):
     assert det is None
     assert rank == _eliminate(list(flat), rows, cols)[0]
     return rank
-
-
-@pytest.fixture
-def eliminate_calls(monkeypatch):
-    calls = []
-
-    def spy(entries, nrows, ncols):
-        calls.append((nrows, ncols))
-        return _eliminate(entries, nrows, ncols)
-
-    monkeypatch.setattr(kernels, "_eliminate", spy)
-    return calls
 
 
 # --- the prime table --------------------------------------------------------

@@ -8,6 +8,7 @@ the proof: a minor vanishing mod every prime but the last one the bound
 needs, components up to the ends of int64, and a bound beyond the table.
 """
 
+import itertools
 import math
 import random
 
@@ -17,13 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rank_certificate import _add, _outer_sum, _small, _vanishing_under
 
-import sloccrank._kernels as kernels
 from sloccrank._kernels import (
     PRIME_BITS,
+    PRIME_TABLE,
     STACK_PRIMES,
     ZERO4,
+    P,
     _eliminate,
     _hadamard_bits,
+    _residues_mod,
+    bareiss,
+    residues,
     stacked_rank,
 )
 
@@ -50,18 +55,6 @@ def _primes_needed(stack, rows, cols):
     return np.ceil(bits / PRIME_BITS).astype(int)
 
 
-@pytest.fixture
-def eliminate_calls(monkeypatch):
-    calls = []
-
-    def spy(entries, nrows, ncols):
-        calls.append((nrows, ncols))
-        return _eliminate(entries, nrows, ncols)
-
-    monkeypatch.setattr(kernels, "_eliminate", spy)
-    return calls
-
-
 @st.composite
 def mixed_stacks(draw):
     """Stacks of one shape whose matrices have ranks 0..min(r, c), some lines zeroed."""
@@ -82,7 +75,9 @@ def mixed_stacks(draw):
 @given(mixed_stacks())
 def test_stacks_agree_with_elimination(case):
     stack, rows, cols = case
-    assert stacked_rank(_array(stack, rows, cols)).tolist() == _exact_ranks(stack, rows, cols)
+    ranks = stacked_rank(_array(stack, rows, cols)).tolist()
+    assert ranks == _exact_ranks(stack, rows, cols)
+    assert [bareiss(flat, rows, cols, det=False)[0] for flat in stack] == ranks
 
 
 def test_one_stack_holds_every_rank_and_needs_several_primes(eliminate_calls):
@@ -145,3 +140,21 @@ def test_residues_of_large_components():
     stack.append([tuple(-(2**63) if c == 0 else 0 for c in range(4))] * 16)
     assert math.log2(max(abs(v) for flat in stack for x in flat for v in x)) >= 30
     assert stacked_rank(_array(stack, 4, 4)).tolist() == _exact_ranks(stack, 4, 4)
+
+
+# every quadruple over components at the ends of int64, at +-2**31 and next to P
+EDGE_QUADS = list(itertools.product(
+    (2**63 - 1, -(2**63 - 1), -(2**63), 2**31, -(2**31), P + 1, P - 1, 0), repeat=4
+))
+EDGE_PRIMES = (STACK_PRIMES[0], PRIME_TABLE[0], PRIME_TABLE[-1])
+
+
+@pytest.mark.parametrize("shape", [(4096,), (64, 64), (16, 16, 16)])
+def test_residues_mod_matches_python_ints(shape):
+    q = np.array(EDGE_QUADS, dtype=np.int64).reshape(*shape, 4)
+    got = _residues_mod(q, np.array(EDGE_PRIMES, dtype=np.int64))
+    assert got.shape == (len(EDGE_PRIMES),) + shape
+    got = got.reshape(len(EDGE_PRIMES), -1).tolist()
+    assert got[0] == (residues(EDGE_QUADS) % P).tolist()
+    for row, (p, i_p, s_p) in zip(got, EDGE_PRIMES):
+        assert row == [(a + b * i_p + c * s_p + d * i_p * s_p) % p for a, b, c, d in EDGE_QUADS]
