@@ -194,7 +194,9 @@ def echelon(entries, nrows, ncols):
                 t = mul4(piv, m[i * ncols + j])
                 u = mul4(x, m[r * ncols + j])
                 diff = (t[0] - u[0], t[1] - u[1], t[2] - u[2], t[3] - u[3])
-                m[i * ncols + j] = _div_exact(diff, prev_adj, prev_norm)
+                # at r == 0 the divisor is the sentinel 1; a later unit pivot
+                # such as i has norm 1 too, but dividing by it is no identity
+                m[i * ncols + j] = _div_exact(diff, prev_adj, prev_norm) if r else diff
             m[i * ncols + c] = ZERO4
         prev_adj, prev_norm = adjoint_and_norm(piv)
         pivots.append(c)

@@ -28,11 +28,12 @@ import numpy as np
 from ._kernels import echelon, stacked_rank
 from .coeffmatrix import coefficient_matrix, rank
 from .scalars import (
+    RATIONAL,
     ExactScalar,
     ScalarFormatError,
+    TermScanner,
     common_denominator,
     parse_exact,
-    signed_terms,
 )
 from .states import PureState, QubitPermutation, permute_qubits, state
 
@@ -80,24 +81,30 @@ class AffineExpr:
 
 
 _RESERVED = {"i", "r2"}
+_RATIONAL = re.compile(RATIONAL)
+_AFFINE = TermScanner(None, "+-*/")  # any term, split as exact scalar text splits
 
 
 def parse_affine(text: str, symbols) -> AffineExpr:
-    """Parse ``COEFF`` / ``COEFF*SYMBOL`` terms (state-grammar coefficients)."""
+    """Parse ``COEFF`` / ``COEFF*SYMBOL`` terms (state-grammar coefficients).
+
+    A term's last ``*``-factor is its symbol unless it is ``i``, ``r2``
+    or a rational; the rest is the coefficient, parsed by ``parse_exact``.
+    """
     symbols = set(symbols)
     const = ExactScalar(0)
     coeffs: dict[str, ExactScalar] = {}
     try:
-        for sign, term, _ in signed_terms(text):
-            parts = term.split("*")
-            sym = None
-            if parts[-1] not in _RESERVED and not re.fullmatch(r"\d+(?:/\d+)?", parts[-1]):
-                sym = parts[-1]
-                if sym not in symbols:
-                    raise FamilyError(f"unknown parameter {sym!r} in {text!r}")
-                parts = parts[:-1]
-            coeff = parse_exact("*".join(parts)) if parts else ExactScalar(1)
-            if sign < 0:
+        for m in _AFFINE.terms(text):
+            body = m[2]
+            head, star, sym = body.rpartition("*")
+            if sym in _RESERVED or _RATIONAL.fullmatch(sym):
+                coeff, sym = parse_exact(body), None
+            elif sym in symbols:
+                coeff = parse_exact(head) if star else ExactScalar(1)
+            else:
+                raise FamilyError(f"unknown parameter {sym!r} in {text!r}")
+            if m[1] == "-":
                 coeff = -coeff
             if sym is None:
                 const = const + coeff

@@ -11,8 +11,13 @@ elimination kernels directly.
 Text grammar (used by state files and the family registry): a scalar is
 a sum of signed terms, each ``RAT``, ``RAT*i``, ``RAT*r2`` or
 ``RAT*i*r2`` with ``RAT := INT | INT/POSINT``; whitespace is
-insignificant.  A literal containing a decimal point or exponent is a
-floating literal instead, and its value must be finite.
+insignificant, even inside a number (``"1 2"`` is 12).  A literal
+containing a decimal point or exponent is a floating literal instead,
+and its value must be finite.  One scanner, ``TermScanner``, reads all
+of it: it strips the whitespace once and matches each signed term with
+one anchored regex; exact terms are summed as integer numerators over a
+running lcm denominator.  Only on failure is the error position found,
+by mapping the offset in the stripped text back to the original.
 """
 
 from __future__ import annotations
@@ -236,90 +241,87 @@ def common_denominator(values) -> tuple[list[tuple[int, int, int, int]], int]:
 
 _FLOAT_MARK = re.compile(r"[.eE]")
 
-_NUMBER = {
-    False: r"\d+(?:/\d+)?",
-    True: r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|\d+/\d+",
-}
-# NUMBER with optional *i and *r2 units, or a bare unit
-_TERM = {
-    floating: re.compile(rf"({number})((?:\*i)?(?:\*r2)?)|(i(?:\*r2)?|r2)")
-    for floating, number in _NUMBER.items()
-}
-
 
 def is_float_literal(text: str) -> bool:
     """Decimal point or exponent marks a floating literal."""
     return bool(_FLOAT_MARK.search(text))
 
 
-def signed_terms(text: str, base_pos: int = 0, floating: bool = False):
-    """Split scalar text into ``(sign, body, position)`` terms.
+class TermScanner:
+    """Splits scalar text into signed terms, one anchored match per term.
 
-    Whitespace is insignificant.  A ``+`` or ``-`` starts a new term
-    unless it follows ``+-*/`` or, in floating text only, an exponent
-    marker ``e``/``E``; each term carries at most one leading sign.
+    A ``+`` or ``-`` starts a new term unless it follows a character of
+    ``glue``, so a term's extent runs to the next such sign.  ``body`` is
+    the regex of a term after its sign and must match its whole extent;
+    None accepts any non-empty extent, as group 2.
     """
-    compact = []
-    positions = []
-    for idx, ch in enumerate(text):
-        if not ch.isspace():
-            compact.append(ch)
-            positions.append(base_pos + idx)
-    if not compact:
-        raise ScalarFormatError("empty scalar literal", base_pos)
-    glue = "eE+-*/" if floating else "+-*/"
-    starts = [0]
-    starts += [k for k in range(1, len(compact)) if compact[k] in "+-" and compact[k - 1] not in glue]
-    for start, end in zip(starts, starts[1:] + [len(compact)]):
-        sign = -1 if compact[start] == "-" else 1
-        body = "".join(compact[start + (compact[start] in "+-") : end])
-        if not body:
-            raise ScalarFormatError("dangling sign in scalar literal", positions[start])
-        yield sign, body, positions[start]
+
+    def __init__(self, body: str | None, glue: str):
+        char = rf"(?:[^+\-]|(?<=[{re.escape(glue)}])[+-])"
+        self._extent = re.compile(rf"([+-]?)({char}*)")
+        self._term = re.compile(rf"([+-]?)(?:{body or f'({char}+)'})(?=[+-]|\Z)")
+
+    def terms(self, text: str, base_pos: int = 0):
+        """Yield each term's match in the whitespace-free text; group 1 is the sign."""
+        compact = "".join(text.split())
+        if not compact:
+            raise ScalarFormatError("empty scalar literal", base_pos)
+        pos = 0
+        while pos < len(compact):
+            m = self._term.match(compact, pos)
+            if m is None:
+                body = self._extent.match(compact, pos)[2]
+                message = f"bad scalar term {body!r}" if body else "dangling sign in scalar literal"
+                raise _error(message, text, pos, base_pos)
+            yield m
+            pos = m.end()
 
 
-def _scalar_terms(text: str, base_pos: int, floating: bool):
-    """Yield ``(sign, number, slot, position)`` for each term of a scalar.
+def _error(message: str, text: str, offset: int, base_pos: int) -> ScalarFormatError:
+    """The error at the ``offset``-th non-whitespace character of ``text``."""
+    kept = [idx for idx, ch in enumerate(text) if not ch.isspace()]
+    return ScalarFormatError(message, base_pos + kept[offset])
 
-    ``number`` is the coefficient text (None for a bare unit) and
-    ``slot`` indexes the basis ``(1, i, r2, i*r2)``.
-    """
-    term = _TERM[floating]
-    for sign, body, pos in signed_terms(text, base_pos, floating):
-        m = term.fullmatch(body)
-        if not m:
-            raise ScalarFormatError(f"bad scalar term {body!r}", pos)
-        number, unit, bare = m.groups()
-        unit = bare or unit
-        yield sign, number, ("i" in unit) + 2 * ("r2" in unit), pos
+
+# NUMBER (group 2) with optional *i and *r2 (group 3), or a bare unit (group 4)
+_UNITS = r"((?:\*i)?(?:\*r2)?)|(i(?:\*r2)?|r2)"
+RATIONAL = r"\d+(?:/\d+)?"
+EXACT = TermScanner(rf"({RATIONAL}){_UNITS}", "+-*/")
+FLOATING = TermScanner(
+    rf"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|\d+/\d+){_UNITS}", "eE+-*/"
+)
+_SLOT = {"": 0, "*i": 1, "*r2": 2, "*i*r2": 3, "i": 1, "r2": 2, "i*r2": 3}  # basis 1, i, r2, i*r2
 
 
 def parse_exact(text: str, base_pos: int = 0) -> ExactScalar:
     """Parse an exact scalar literal; raises ScalarFormatError otherwise."""
     comps = [0, 0, 0, 0]
-    for sign, number, slot, pos in _scalar_terms(text, base_pos, False):
-        num, _, den = (number or "1").partition("/")
-        den = int(den or 1)
-        if den == 0:
-            raise ScalarFormatError("zero denominator", pos)
-        comps[slot] += Fraction(sign * int(num), den)
-    return ExactScalar.from_components(*comps)
+    den = 1  # running lcm of the term denominators
+    for m in EXACT.terms(text, base_pos):
+        num, _, q = (m[2] or "1").partition("/")
+        q = int(q or 1)
+        if q == 0:
+            raise _error("zero denominator", text, m.start(), base_pos)
+        if den % q:
+            lcm = math.lcm(den, q)
+            comps = [x * (lcm // den) for x in comps]
+            den = lcm
+        num = int(num) * (den // q)
+        comps[_SLOT[m[4] or m[3]]] += -num if m[1] == "-" else num
+    return ExactScalar(*comps, den, _normalised=den == 1)
 
 
 def parse_float(text: str, base_pos: int = 0) -> complex:
     """Parse a scalar literal to a finite complex float (`r2` -> 1.4142...)."""
     total = 0j
-    for sign, number, slot, pos in _scalar_terms(text, base_pos, True):
-        if number is None:
-            value = 1.0
-        elif "/" in number:
-            num, den = number.split("/")
-            if float(den) == 0:
-                raise ScalarFormatError("zero denominator", pos)
-            value = float(num) / float(den)
-        else:
-            value = float(number)
-        value *= sign
+    for m in FLOATING.terms(text, base_pos):
+        num, _, den = (m[2] or "1").partition("/")
+        if den and float(den) == 0:
+            raise _error("zero denominator", text, m.start(), base_pos)
+        value = float(num) / float(den) if den else float(num)
+        if m[1] == "-":
+            value = -value
+        slot = _SLOT[m[4] or m[3]]
         if slot & 2:
             value *= SQRT2_FLOAT
         total += complex(0.0, value) if slot & 1 else complex(value, 0.0)
@@ -328,29 +330,16 @@ def parse_float(text: str, base_pos: int = 0) -> complex:
     return total
 
 
-def _render_rat(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def render_exact(x: ExactScalar) -> str:
     """Canonical rendering: terms in (1, i, r2, i*r2) order, zeros omitted."""
-    parts = []
-    for comp, suffix in ((x.p, ""), (x.q, "*i"), (x.r, "*r2"), (x.s, "*i*r2")):
-        if comp == 0:
-            continue
-        parts.append((comp, suffix))
-    if not parts:
-        return "0"
     out = []
-    for k, (comp, suffix) in enumerate(parts):
-        mag = _render_rat(abs(comp)) + suffix
-        if k == 0:
-            out.append(("-" if comp < 0 else "") + mag)
-        else:
-            out.append((" - " if comp < 0 else " + ") + mag)
-    return "".join(out)
+    for num, suffix in zip(x.quad, ("", "*i", "*r2", "*i*r2")):
+        if num:
+            g = math.gcd(num, x.den)
+            mag = f"{abs(num) // g}" + (f"/{x.den // g}" if x.den > g else "") + suffix
+            lead = (" - " if num < 0 else " + ") if out else ("-" if num < 0 else "")
+            out.append(lead + mag)
+    return "".join(out) or "0"
 
 
 def render_float(z: complex) -> str:

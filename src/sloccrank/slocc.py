@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import apply_single_qubit
+from ._kernels import apply_single_qubit, mul4
 from .coeffmatrix import CoefficientMatrix, _cleared
 from .scalars import (
     ExactScalar,
@@ -36,7 +36,15 @@ class LocalOperator:
     def __post_init__(self):
         if len(self.entries) != 2 or any(len(r) != 2 for r in self.entries):
             raise ValueError("operator must be 2x2")
-        if self.det() == 0:
+        (a, b), (c, d) = self.entries
+        if all(isinstance(x, ExactScalar) for x in (a, b, c, d)):
+            # ad == bc, cleared of denominators: no ExactScalar is built
+            ad, bc = mul4(a.quad, d.quad), mul4(b.quad, c.quad)
+            left, right = b.den * c.den, a.den * d.den
+            singular = all(x * left == y * right for x, y in zip(ad, bc))
+        else:
+            singular = self.det() == 0
+        if singular:
             raise ValueError("operator must be invertible (zero determinant)")
 
     @classmethod

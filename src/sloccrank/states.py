@@ -11,6 +11,7 @@ classification is scale-invariant.
 from __future__ import annotations
 
 import random
+import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,6 +267,13 @@ def random_exact_state(n: int, rng: random.Random, span: int = 3) -> PureState:
 # --- state file format -------------------------------------------------------
 
 
+_WS = re.compile(r"\s*")
+_KEY = re.compile(r"\w+")
+_STRING = re.compile(r'"([^"]*)"')
+# one array item: the string, then the ',' or ']' after it if there is one
+_ARRAY_ITEM = re.compile(r'\s*"([^"]*)"\s*([,\]]?)')
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -275,45 +283,35 @@ class _Scanner:
         raise StateFormatError(message, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def peek(self):
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if self.peek() != ch:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
     def key(self) -> str:
-        self.skip_ws()
         if self.peek() == '"':
             return self.string()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        m = _KEY.match(self.text, self.pos)
+        if m is None:
             self.error("expected a key")
-        return self.text[start : self.pos]
+        self.pos = m.end()
+        return m[0]
 
     def string(self) -> str:
-        self.skip_ws()
         if self.peek() != '"':
             self.error("expected a string")
-        self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != '"':
-            self.pos += 1
-        if self.pos >= len(self.text):
+        m = _STRING.match(self.text, self.pos)
+        if m is None:
+            self.pos = len(self.text)
             self.error("unterminated string")
-        value = self.text[start : self.pos]
-        self.pos += 1
-        return value
+        self.pos = m.end()
+        return m[1]
 
     def integer(self) -> int:
         self.skip_ws()
@@ -327,23 +325,22 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
     def string_array(self) -> list[tuple[str, int]]:
+        """A ``[...]`` array of strings as ``(value, position of its quote)`` pairs."""
         self.expect("[")
         items = []
         if self.peek() == "]":
             self.pos += 1
             return items
         while True:
-            self.skip_ws()
-            pos = self.pos
-            items.append((self.string(), pos))
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "]":
-                self.pos += 1
+            m = _ARRAY_ITEM.match(self.text, self.pos)
+            if m is None:
+                self.string()  # raises: no opening quote or no closing one
+            items.append((m[1], m.start(1) - 1))
+            self.pos = m.end()
+            if m[2] == "]":
                 return items
-            self.error("expected ',' or ']'")
+            if not m[2]:
+                self.error("expected ',' or ']'")
 
 
 def parse_state(text: str) -> PureState:

@@ -2,16 +2,20 @@
 
 These deliberately avoid the package's fraction-free kernel: rank by
 division-based Gaussian elimination with field inverses, determinant by
-the permutation-sum expansion.
+the permutation-sum expansion; and its term scanner: the scalar text
+grammar as a split-then-match parser over Fractions.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
+import re
 from fractions import Fraction
 
-from sloccrank.scalars import ExactScalar
+from sloccrank.families import AffineExpr, FamilyError
+from sloccrank.scalars import SQRT2_FLOAT, ExactScalar, ScalarFormatError
 from sloccrank.slocc import LocalOperator, LocalOperatorSet
 
 
@@ -181,3 +185,110 @@ def ref_apply_local(amps, n: int, mats) -> list:
             out[w] = a * x0 + b * x1
             out[w | bit] = c * x0 + d * x1
     return out
+
+
+# --- the scalar text grammar as a split-then-match parser --------------------
+#
+# The parsers the package used before its single-pass term scanner: compact
+# the text character by character, split it at every '+' or '-' that does not
+# follow a glue character, then full-match each term body and sum the terms
+# as Fractions.  Values and errors (message and position) are the reference.
+
+_REF_NUMBER = {
+    False: r"\d+(?:/\d+)?",
+    True: r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|\d+/\d+",
+}
+_REF_TERM = {
+    floating: re.compile(rf"({number})((?:\*i)?(?:\*r2)?)|(i(?:\*r2)?|r2)")
+    for floating, number in _REF_NUMBER.items()
+}
+
+
+def ref_signed_terms(text: str, base_pos: int = 0, floating: bool = False):
+    """Split scalar text into ``(sign, body, position)`` terms."""
+    compact = []
+    positions = []
+    for idx, ch in enumerate(text):
+        if not ch.isspace():
+            compact.append(ch)
+            positions.append(base_pos + idx)
+    if not compact:
+        raise ScalarFormatError("empty scalar literal", base_pos)
+    glue = "eE+-*/" if floating else "+-*/"
+    starts = [0]
+    starts += [k for k in range(1, len(compact)) if compact[k] in "+-" and compact[k - 1] not in glue]
+    for start, end in zip(starts, starts[1:] + [len(compact)]):
+        sign = -1 if compact[start] == "-" else 1
+        body = "".join(compact[start + (compact[start] in "+-") : end])
+        if not body:
+            raise ScalarFormatError("dangling sign in scalar literal", positions[start])
+        yield sign, body, positions[start]
+
+
+def _ref_scalar_terms(text: str, base_pos: int, floating: bool):
+    term = _REF_TERM[floating]
+    for sign, body, pos in ref_signed_terms(text, base_pos, floating):
+        m = term.fullmatch(body)
+        if not m:
+            raise ScalarFormatError(f"bad scalar term {body!r}", pos)
+        number, unit, bare = m.groups()
+        unit = bare or unit
+        yield sign, number, ("i" in unit) + 2 * ("r2" in unit), pos
+
+
+def ref_parse_exact(text: str, base_pos: int = 0) -> ExactScalar:
+    comps = [Fraction(0)] * 4
+    for sign, number, slot, pos in _ref_scalar_terms(text, base_pos, False):
+        num, _, den = (number or "1").partition("/")
+        den = int(den or 1)
+        if den == 0:
+            raise ScalarFormatError("zero denominator", pos)
+        comps[slot] += Fraction(sign * int(num), den)
+    return ExactScalar.from_components(*comps)
+
+
+def ref_parse_float(text: str, base_pos: int = 0) -> complex:
+    total = 0j
+    for sign, number, slot, pos in _ref_scalar_terms(text, base_pos, True):
+        if number is None:
+            value = 1.0
+        elif "/" in number:
+            num, den = number.split("/")
+            if float(den) == 0:
+                raise ScalarFormatError("zero denominator", pos)
+            value = float(num) / float(den)
+        else:
+            value = float(number)
+        value *= sign
+        if slot & 2:
+            value *= SQRT2_FLOAT
+        total += complex(0.0, value) if slot & 1 else complex(value, 0.0)
+    if not cmath.isfinite(total):
+        raise ScalarFormatError(f"non-finite scalar literal {text.strip()!r}", base_pos)
+    return total
+
+
+def ref_parse_affine(text: str, symbols) -> AffineExpr:
+    symbols = set(symbols)
+    const = ExactScalar(0)
+    coeffs: dict[str, ExactScalar] = {}
+    try:
+        for sign, term, _ in ref_signed_terms(text):
+            parts = term.split("*")
+            sym = None
+            if parts[-1] not in ("i", "r2") and not re.fullmatch(r"\d+(?:/\d+)?", parts[-1]):
+                sym = parts[-1]
+                if sym not in symbols:
+                    raise FamilyError(f"unknown parameter {sym!r} in {text!r}")
+                parts = parts[:-1]
+            coeff = ref_parse_exact("*".join(parts)) if parts else ExactScalar(1)
+            if sign < 0:
+                coeff = -coeff
+            if sym is None:
+                const = const + coeff
+            else:
+                coeffs[sym] = coeffs.get(sym, ExactScalar(0)) + coeff
+    except ScalarFormatError as exc:
+        raise FamilyError(f"bad amplitude expression {text!r}: {exc}") from exc
+    ordered = tuple((s, coeffs[s]) for s in sorted(coeffs) if not coeffs[s].is_zero())
+    return AffineExpr(const, ordered)

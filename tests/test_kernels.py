@@ -2,7 +2,7 @@
 
 import random
 
-from sloccrank._kernels import apply_single_qubit, bareiss
+from sloccrank._kernels import apply_single_qubit, bareiss, echelon
 from sloccrank.scalars import ExactScalar
 from _oracles import quad_matrix_to_scalars, ref_det_leibniz, ref_rank_exact
 
@@ -37,6 +37,26 @@ def test_rank_deficient_matrices():
     assert bareiss(list(flat), 2, 2) == (1, (0, 0, 0, 0))
     zeros = [(0, 0, 0, 0)] * 6
     assert bareiss(zeros, 2, 3)[0] == 0
+
+
+def test_unit_pivots_are_divided_out():
+    # pivot i in step 1, then 1 + r2 in step 2: both have norm 1, but only
+    # the sentinel before step 1 divides as the identity
+    unit_i, one_plus_r2 = (0, 1, 0, 0), (1, 0, 1, 0)
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        flat = _random_flat(rng, n, n, span=3)
+        flat[0] = unit_i
+        flat[n] = (0, 0, 0, 0)
+        flat[n + 1] = (0, -1, 0, -1)  # i * (-i - i*r2) = 1 + r2
+        m, pivots, sign = echelon(list(flat), n, n)
+        assert m[0] == unit_i and m[n + 1] == one_plus_r2
+        scalars = quad_matrix_to_scalars(flat, n, n)
+        assert len(pivots) == ref_rank_exact(scalars)
+        rank, det4 = bareiss(list(flat), n, n)
+        assert rank == len(pivots)
+        assert ExactScalar(*det4) == ref_det_leibniz(scalars)
 
 
 def test_structured_low_rank_matrices():

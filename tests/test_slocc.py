@@ -1,6 +1,7 @@
 """Local operator application, matrix transforms, sampling, invariance."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ def test_non_invertible_operator_rejected():
         LocalOperator.of(1, 1, 1, 1)
     with pytest.raises(ValueError):
         LocalOperator.of(0, 0, 0, 0)
+
+
+def test_exact_invertibility_test_matches_the_determinant():
+    # the constructor compares ad and bc cleared of their denominators;
+    # (1/2)(2) = (1)(1) is singular only with each side scaled correctly
+    with pytest.raises(ValueError, match="zero determinant"):
+        LocalOperator.of(Fraction(1, 2), 1, 1, 2)
+    rng = random.Random(19)
+    pool = [
+        ExactScalar(rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-1, 1), 0, rng.randint(1, 3))
+        for _ in range(12)
+    ]
+    for _ in range(400):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        d = b * c * a.inverse() if a and rng.random() < 0.5 else rng.choice(pool)
+        singular = (a * d - b * c).is_zero()
+        try:
+            LocalOperator(((a, b), (c, d)))
+        except ValueError as exc:
+            assert singular and "zero determinant" in str(exc)
+        else:
+            assert not singular
 
 
 def test_operator_entries_are_coerced_like_amplitudes():
