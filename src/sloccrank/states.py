@@ -271,7 +271,7 @@ _WS = re.compile(r"\s*")
 _KEY = re.compile(r"\w+")
 _STRING = re.compile(r'"([^"]*)"')
 # one array item: the string, then the ',' or ']' after it if there is one
-_ARRAY_ITEM = re.compile(r'\s*"([^"]*)"\s*([,\]]?)')
+_ARRAY_ITEM = re.compile(rf"\s*{_STRING.pattern}\s*([,\]]?)")
 
 
 class _Scanner:
