@@ -258,7 +258,7 @@ class TermScanner:
 
     def __init__(self, body: str | None, glue: str):
         char = rf"(?:[^+\-]|(?<=[{re.escape(glue)}])[+-])"
-        self._extent = re.compile(rf"([+-]?)({char}*)")
+        self._extent = rf"([+-]?)({char}*)"  # compiled on the first error only
         self._term = re.compile(rf"([+-]?)(?:{body or f'({char}+)'})(?=[+-]|\Z)")
 
     def terms(self, text: str, base_pos: int = 0):
@@ -270,7 +270,7 @@ class TermScanner:
         while pos < len(compact):
             m = self._term.match(compact, pos)
             if m is None:
-                body = self._extent.match(compact, pos)[2]
+                body = re.compile(self._extent).match(compact, pos)[2]
                 message = f"bad scalar term {body!r}" if body else "dangling sign in scalar literal"
                 raise _error(message, text, pos, base_pos)
             yield m

@@ -6,9 +6,10 @@
 
 Each pair runs one workload once in each checkout, one run at a time; the
 parent goes first on even pair indices and the change on odd ones.  Before
-the first pair every workload runs once per checkout for ``--warmup``
-seconds, unrecorded, so each checkout has its bytecode.  Each run's final
-stdout line is perfbench's JSON result.  For every workload and end-to-end
+the first pair every workload runs once per checkout for ``WARMUP``
+seconds, unrecorded, so each checkout has its bytecode; every measured
+run on either side lasts ``SECONDS``.  Each run's final stdout line is
+perfbench's JSON result.  For every workload and end-to-end
 metric the file holds, per side, the median and quartiles (inclusive
 method) of the runs, the raw runs, the failed executions summed over the
 runs and whether every run was correct, and ``change_better_pairs``: the
@@ -29,6 +30,8 @@ from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 20  # perfbench run length of every measured run
+WARMUP = 2  # seconds of each checkout's unrecorded first run per workload
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -81,8 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--warmup", type=float, default=2.0, help="seconds of the unrecorded first runs")
     parser.add_argument("--claim", default="none", help="the gain the change claims, in words")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -91,10 +92,10 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side in SIDES:
         for workload in args.workloads:
-            run_once(checkouts[side], workload, args.seed, args.warmup)
+            run_once(checkouts[side], workload, args.seed, WARMUP)
     better = directions(checkouts["change"])
     doc = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS}",
         "host": (
             f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {metadata.version('numpy')};"
             " times calibrated by perfbench to its reference host"
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
         "pair_order": (
             f"{args.pairs} pairs per workload, alternating which side runs first (parent first on"
             " even pair indices); workloads one after another, one run at a time; each checkout ran"
-            f" every workload once for {args.warmup:g} s before the first measured run"
+            f" every workload once for {WARMUP} s before the first measured run"
         ),
         "runs": {f"seed {args.seed}": "the change against the parent commit, each from its own copy of the committed files"},
     }
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
         results = {side: [] for side in SIDES}
         for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                results[side].append(run_once(checkouts[side], workload, args.seed, args.seconds))
+                results[side].append(run_once(checkouts[side], workload, args.seed, SECONDS))
         doc.update(collect(results, workload, args.seed, better))
         args.output.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"{workload}: {args.pairs} pairs written to {args.output}", flush=True)
