@@ -16,6 +16,7 @@ from .coeffmatrix import (
     rank_signature,
     reduced_density,
     singular_values,
+    split_rank,
 )
 from .families import (
     ClassificationError,

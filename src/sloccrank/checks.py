@@ -16,9 +16,9 @@ from .coeffmatrix import (
     det_coeff,
     det_density_exact,
     enumerate_bipartitions,
-    rank,
     rank_signature,
     reduced_density,
+    split_rank,
 )
 from .families import default_registry, instantiate
 from .invariants import dxy, dxy_covariance_factor, f1, f2
@@ -131,7 +131,7 @@ def check_kron_rank(trials: int = 100, seed: int = 0) -> CheckResult:
         psi = product_state(factors, n)
         for bp in enumerate_bipartitions(n):
             via_product = recursive_rank(factors, bp.row_bits)
-            direct = rank(coefficient_matrix(psi, bp.row_bits, bp.col_bits))
+            direct = split_rank(psi, bp.row_bits, bp.col_bits)
             if via_product != direct:
                 failures.append(
                     f"trial {t}: split {bp.canonical_key()} product {via_product} != {direct}"
@@ -164,10 +164,11 @@ def check_dxy_covariance(trials: int = 100, seed: int = 0) -> CheckResult:
         psi = random_exact_state(4, rng)
         ops = random_invertible_local(4, seed + 104729 * t + 11)
         lhs = dxy(apply_local(psi, ops))
-        rhs = dxy(psi) * dxy_covariance_factor(ops)
+        before = dxy(psi)
+        rhs = before * dxy_covariance_factor(ops)
         if lhs != rhs:
             failures.append(f"trial {t}: covariance violated (op seed {seed + 104729 * t + 11})")
-        elif (dxy(psi).is_zero()) != lhs.is_zero():
+        elif before.is_zero() != lhs.is_zero():
             failures.append(f"trial {t}: vanishing not preserved")
     return CheckResult("dxy-covariance", trials, seed, not failures, failures)
 

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import checks
-from .coeffmatrix import coefficient_matrix, rank, rank_signature
+from .coeffmatrix import rank_signature, split_rank
 from .families import (
     SPLIT_BITS,
     ClassificationError,
@@ -167,7 +167,7 @@ def cmd_ranks(args) -> int:
     psi, mode = _load_state(args.state_file, args.mode)
     if args.bits is not None:
         positions = _split_bits(psi, args.bits)
-        value = rank(coefficient_matrix(psi, positions), tolerance=args.tolerance)
+        value = split_rank(psi, positions, tolerance=args.tolerance)
         if args.output == "machine":
             print(json.dumps({"bits": args.bits, "rank": value, "mode": mode}))
         else:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,24 +107,49 @@ class CoefficientMatrix:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _indices(n: int) -> tuple[int, ...]:
-    return tuple(range(1 << n))
+class SplitPlan(NamedTuple):
+    """A validated split with its canonical key and its matricisation:
+    ``amplitude_tensor(psi).transpose(axes).reshape(rows, cols)``."""
+
+    bipartition: Bipartition
+    key: tuple[int, ...]
+    axes: tuple[int, ...]
+    rows: int
+    cols: int
 
 
-@lru_cache(maxsize=256)
-def _gather(n: int, axes: tuple[int, ...]) -> tuple[itemgetter, np.ndarray]:
-    """Picks a matricisation's entries, row-major, out of a flat amplitude vector.
+@lru_cache(maxsize=1 << 13)
+def _plan(n: int, row_bits: tuple, col_bits: tuple | None) -> SplitPlan:
+    bp = Bipartition.from_row_bits(n, row_bits, col_bits)
+    axes = tuple(b - 1 for b in bp.row_bits + bp.col_bits)
+    return SplitPlan(bp, bp.canonical_key(), axes, 1 << len(bp.row_bits), 1 << len(bp.col_bits))
 
-    The index order is that of ``amplitude_tensor`` transposed to
-    ``axes``, as an ``itemgetter`` for lists and an index array for
-    numpy.  It depends on the split only, so it is built once per
-    ``(n, axes)`` and shared by every state.  The orders of one ``n``
-    share their index objects (``_indices``), so a full cache holds
-    16 MB at n = 12.
+
+def split_plan(n: int, row_bits, col_bits=None) -> SplitPlan:
+    """The plan of a split, built on first use and cached (8,192 most recent).
+
+    Invalid bits raise on every call: an exception is never cached.
     """
-    order = np.arange(1 << n).reshape((2,) * n).transpose(axes).ravel()
-    return itemgetter(*itemgetter(*order.tolist())(_indices(n))), order
+    return _plan(n, tuple(row_bits), None if col_bits is None else tuple(col_bits))
+
+
+def _array(psi: PureState, plan: SplitPlan) -> np.ndarray:
+    return amplitude_tensor(psi).transpose(plan.axes).reshape(plan.rows, plan.cols)
+
+
+def _matrix(psi: PureState, plan: SplitPlan) -> CoefficientMatrix:
+    m = _array(psi, plan)
+    if not psi.is_exact:
+        return CoefficientMatrix(plan.rows, plan.cols, m, plan.bipartition)
+    quads, res = _cells(psi, plan)
+    cleared = (quads, psi.cleared[1], res)
+    return CoefficientMatrix(plan.rows, plan.cols, _entries(m), plan.bipartition, cleared)
+
+
+def _cells(psi: PureState, plan: SplitPlan) -> tuple[list, np.ndarray]:
+    """The split's row-major quadruples and residues (``PureState.cleared_tensors``)."""
+    quads, res = psi.cleared_tensors
+    return quads.transpose(plan.axes).ravel().tolist(), res.transpose(plan.axes).ravel()
 
 
 def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMatrix:
@@ -132,17 +158,7 @@ def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMa
     An exact state's matrix also carries the split's share of the
     state's cleared form (``PureState.cleared``) for ``rank``.
     """
-    bp = Bipartition.from_row_bits(psi.n, row_bits, col_bits)
-    axes = tuple(b - 1 for b in bp.row_bits + bp.col_bits)
-    rows, cols = 1 << len(bp.row_bits), 1 << len(bp.col_bits)
-    if not psi.is_exact:
-        m = amplitude_tensor(psi).transpose(axes).reshape(rows, cols)
-        return CoefficientMatrix(rows, cols, m, bp)
-    take, order = _gather(psi.n, axes)
-    flat = take(psi.amps)
-    entries = tuple(flat[i:i + cols] for i in range(0, rows * cols, cols))
-    quads, den, res = psi.cleared
-    return CoefficientMatrix(rows, cols, entries, bp, (take(quads), den, res[order]))
+    return _matrix(psi, split_plan(psi.n, row_bits, col_bits))
 
 
 def _entries(m: np.ndarray):
@@ -150,19 +166,26 @@ def _entries(m: np.ndarray):
     return tuple(map(tuple, m.tolist())) if m.dtype == object else m
 
 
-def enumerate_bipartitions(n: int) -> list[Bipartition]:
-    """The 2**(n-1) - 1 canonical splits, by size then lexicographic."""
+@lru_cache(maxsize=8)
+def _canonical_plans(n: int) -> tuple[SplitPlan, ...]:
     if not 1 <= n <= QUBIT_CAP:
         raise ValueError(f"qubit count {n} outside 1..{QUBIT_CAP}")
-    out = []
-    from itertools import combinations
+    return tuple(
+        split_plan(n, subset)
+        for size in range(1, n // 2 + 1)
+        for subset in combinations(range(1, n + 1), size)
+        # keep one representative of each unordered split
+        if 2 * size < n or 1 in subset
+    )
 
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(1, n + 1), size):
-            if 2 * size == n and 1 not in subset:
-                continue  # keep one representative of each unordered split
-            out.append(Bipartition.from_row_bits(n, subset))
-    return out
+
+def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
+    """The 2**(n-1) - 1 canonical splits, by size then lexicographic.
+
+    Their plans are built once per ``n`` and kept for the eight most
+    recent ``n``, at about 1 KB per split.
+    """
+    return tuple(plan.bipartition for plan in _canonical_plans(n))
 
 
 def default_tolerance(rows: int, cols: int) -> float:
@@ -174,6 +197,11 @@ def singular_values(C: CoefficientMatrix) -> list[float]:
     return [float(s) for s in np.linalg.svd(C.to_complex_array(), compute_uv=False)]
 
 
+def _check_tolerance(tolerance: float | None) -> None:
+    if tolerance is not None and not 0 <= tolerance < 1:  # also refuses nan
+        raise ValueError(f"tolerance must satisfy 0 <= t < 1, got {tolerance!r}")
+
+
 def rank(C: CoefficientMatrix, *, tolerance: float | None = None) -> int:
     """Rank of a coefficient matrix, by the kind of its entries.
 
@@ -182,8 +210,7 @@ def rank(C: CoefficientMatrix, *, tolerance: float | None = None) -> int:
     A tolerance must satisfy 0 <= t < 1: from 1 on the cutoff is at or
     above sigma_max, so every rank would read 0.
     """
-    if tolerance is not None and not 0 <= tolerance < 1:  # also refuses nan
-        raise ValueError(f"tolerance must satisfy 0 <= t < 1, got {tolerance!r}")
+    _check_tolerance(tolerance)
     if C.is_exact:
         quads, _, res = _cleared(C)
         return bareiss(quads, C.rows, C.cols, det=False, res=res)[0]
@@ -245,18 +272,40 @@ class RankSignature:
         return f"RankSignature({body})"
 
 
+def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int:
+    """Rank of one split of a state; an exact state's is memoised on it.
+
+    An exact rank is computed once per state and split
+    (``PureState.split_ranks``), by one ``bareiss`` call on the split's
+    cells.  A floating rank depends on ``tolerance`` and is never kept.
+    """
+    if not psi.is_exact:
+        return rank(_matrix(psi, plan), tolerance=tolerance)
+    memo = psi.split_ranks
+    value = memo.get(plan.key)
+    if value is None:
+        quads, res = _cells(psi, plan)
+        value = memo[plan.key] = bareiss(quads, plan.rows, plan.cols, det=False, res=res)[0]
+    return value
+
+
+def split_rank(psi: PureState, row_bits, col_bits=None, *, tolerance: float | None = None) -> int:
+    """``rank(coefficient_matrix(psi, row_bits, col_bits))``, without building
+    the matrix of an exact state or ranking one of its splits twice."""
+    _check_tolerance(tolerance)
+    return _split_rank(psi, split_plan(psi.n, row_bits, col_bits), tolerance)
+
+
 def rank_signature(psi: PureState, *, tolerance: float | None = None) -> RankSignature:
     """Ranks across all canonical bipartitions of the register."""
-    ranks = {}
-    for bp in enumerate_bipartitions(psi.n):
-        C = coefficient_matrix(psi, bp.row_bits, bp.col_bits)
-        ranks[bp.canonical_key()] = rank(C, tolerance=tolerance)
+    _check_tolerance(tolerance)
+    ranks = {plan.key: _split_rank(psi, plan, tolerance) for plan in _canonical_plans(psi.n)}
     return RankSignature(psi.n, psi.labels, ranks)
 
 
 def reduced_density(psi: PureState, kept_bits):
     """``rho = C C^dagger`` for the kept qubits; Hermitian PSD by construction."""
-    m = np.asarray(coefficient_matrix(psi, tuple(kept_bits)).entries)
+    m = _array(psi, split_plan(psi.n, kept_bits))
     return _entries(m @ m.conj().T)
 
 

@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from ._kernels import echelon, stacked_rank
-from .coeffmatrix import coefficient_matrix, rank
+from .coeffmatrix import split_rank
 from .scalars import (
     RATIONAL,
     ExactScalar,
@@ -568,9 +568,7 @@ def rank_triple(psi: PureState, *, tolerance=None) -> RankTriple:
     """(rank C_AB, rank C_AC, rank C_AD) of a four-qubit state."""
     if psi.n != 4:
         raise ValueError("rank triples are defined for four-qubit states")
-    return RankTriple(*(
-        rank(coefficient_matrix(psi, bits), tolerance=tolerance) for bits in SPLIT_BITS.values()
-    ))
+    return RankTriple(*(split_rank(psi, bits, tolerance=tolerance) for bits in SPLIT_BITS.values()))
 
 
 def classify_subfamily(

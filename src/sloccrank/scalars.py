@@ -43,6 +43,8 @@ class ScalarFormatError(ValueError):
 
 
 def _normalise(a: int, b: int, c: int, d: int, den: int):
+    if den == 1:  # gcd(a, b, c, d, 1) == 1: already normal
+        return a, b, c, d, den
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
@@ -148,12 +150,14 @@ class ExactScalar:
         if other is None:
             return NotImplemented
         d1, d2 = self.den, other.den
+        den = d1 * d2
         return ExactScalar(
             self.a * d2 + other.a * d1,
             self.b * d2 + other.b * d1,
             self.c * d2 + other.c * d1,
             self.d * d2 + other.d * d1,
-            d1 * d2,
+            den,
+            _normalised=den == 1,
         )
 
     __radd__ = __add__
@@ -162,20 +166,30 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        d1, d2 = self.den, other.den
+        den = d1 * d2
+        return ExactScalar(
+            self.a * d2 - other.a * d1,
+            self.b * d2 - other.b * d1,
+            self.c * d2 - other.c * d1,
+            self.d * d2 - other.d * d1,
+            den,
+            _normalised=den == 1,
+        )
 
     def __rsub__(self, other) -> ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b, c, d = mul4((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        return ExactScalar(a, b, c, d, self.den * other.den)
+        den = self.den * other.den
+        return ExactScalar(a, b, c, d, den, _normalised=den == 1)
 
     __rmul__ = __mul__
 
@@ -299,14 +313,17 @@ def parse_exact(text: str, base_pos: int = 0) -> ExactScalar:
     den = 1  # running lcm of the term denominators
     for m in EXACT.terms(text, base_pos):
         num, _, q = (m[2] or "1").partition("/")
-        q = int(q or 1)
+        try:
+            num, q = int(num), int(q or 1)
+        except ValueError:  # beyond Python's int-string limit
+            raise _error("integer literal too long", text, m.start(2), base_pos) from None
         if q == 0:
             raise _error("zero denominator", text, m.start(), base_pos)
         if den % q:
             lcm = math.lcm(den, q)
             comps = [x * (lcm // den) for x in comps]
             den = lcm
-        num = int(num) * (den // q)
+        num *= den // q
         comps[_SLOT[m[4] or m[3]]] += -num if m[1] == "-" else num
     return ExactScalar(*comps, den, _normalised=den == 1)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffmatrix import RankSignature, coefficient_matrix, rank, rank_signature
+from .coeffmatrix import RankSignature, coefficient_matrix, rank_signature, split_rank
 from .states import PureState, state
 
 EN_DASH = "–"
@@ -57,7 +57,8 @@ def recursive_rank(factors, row_bits) -> int:
 
     ``factors`` is a list of (state, placement) pairs whose placements
     partition the combined register; ``row_bits`` refer to combined
-    positions.
+    positions.  A factor wholly on one side of the split has rank 1 there
+    (it is nonzero), so no matrix is built for it.
     """
     placements = [tuple(pos) for _, pos in factors]
     cover = sorted(p for pos in placements for p in pos)
@@ -67,9 +68,11 @@ def recursive_rank(factors, row_bits) -> int:
     row_set = set(row_bits)
     out = 1
     for psi, pos in factors:
+        if len(pos) != psi.n:
+            raise ValueError("placement size does not match factor")
         local_rows = tuple(t + 1 for t, p in enumerate(pos) if p in row_set)
-        C = coefficient_matrix(psi, local_rows)
-        out *= rank(C)
+        if 0 < len(local_rows) < psi.n:
+            out *= split_rank(psi, local_rows)
     return out
 
 
@@ -84,9 +87,9 @@ def is_biseparable_across(psi: PureState, subset, *, tolerance=None):
     if not subset or len(subset) >= psi.n:
         raise ValueError("subset must be a proper nonempty part of the register")
     comp = tuple(p for p in range(1, psi.n + 1) if p not in subset)
-    C = coefficient_matrix(psi, subset, comp)
-    if rank(C, tolerance=tolerance) != 1:
+    if split_rank(psi, subset, comp, tolerance=tolerance) != 1:
         return False, None
+    C = coefficient_matrix(psi, subset, comp)
     if C.is_exact:
         pivot = None
         for u in range(C.rows):

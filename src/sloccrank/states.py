@@ -117,6 +117,28 @@ class PureState:
         quads, den = common_denominator(self.amps)
         return quads, den, residues(quads)
 
+    @cached_property
+    def cleared_tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``cleared``'s quadruples (an object array) and residues, each as a
+        2 x ... x 2 array with qubit p on axis p - 1, as ``amplitude_tensor``.
+
+        A split's row-major cells are one transpose of each; cached like
+        ``cleared``.
+        """
+        quads, _, res = self.cleared
+        shape = (2,) * self.n
+        quad_array = np.fromiter(quads, dtype=object, count=len(quads))
+        return quad_array.reshape(shape), res.reshape(shape)
+
+    @cached_property
+    def split_ranks(self) -> dict[tuple[int, ...], int]:
+        """Exact ranks already computed, keyed by ``Bipartition.canonical_key``.
+
+        ``coeffmatrix`` fills it for exact states only: a floating rank
+        depends on its tolerance.  Like ``cleared`` it is not a field.
+        """
+        return {}
+
     def to_float(self) -> PureState:
         if not self.is_exact:
             return self
@@ -269,6 +291,7 @@ def random_exact_state(n: int, rng: random.Random, span: int = 3) -> PureState:
 
 _WS = re.compile(r"\s*")
 _KEY = re.compile(r"\w+")
+_INTEGER = re.compile(r"-?\d+")  # \d: the decimal digits int() reads
 _STRING = re.compile(r'"([^"]*)"')
 # one array item: the string, then the ',' or ']' after it if there is one
 _ARRAY_ITEM = re.compile(rf"\s*{_STRING.pattern}\s*([,\]]?)")
@@ -315,17 +338,18 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        m = _INTEGER.match(self.text, self.pos)
+        if m is None:
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            value = int(m[0])
+        except ValueError:  # beyond Python's int-string limit
+            self.error("integer literal too long")
+        self.pos = m.end()
+        return value
 
     def string_array(self) -> list[tuple[str, int]]:
-        """A ``[...]`` array of strings as ``(value, position of its quote)`` pairs."""
+        """A ``[...]`` array of strings as ``(value, position of its first character)`` pairs."""
         self.expect("[")
         items = []
         if self.peek() == "]":
@@ -335,7 +359,7 @@ class _Scanner:
             m = _ARRAY_ITEM.match(self.text, self.pos)
             if m is None:
                 self.string()  # raises: no opening quote or no closing one
-            items.append((m[1], m.start(1) - 1))
+            items.append((m[1], m.start(1)))
             self.pos = m.end()
             if m[2] == "]":
                 return items

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .coeffmatrix import coefficient_matrix, enumerate_bipartitions, rank, rank_signature
+from .coeffmatrix import enumerate_bipartitions, rank_signature, split_rank
 from .families import (
     GRID_VALUES,
     SPLIT_BITS,
@@ -263,7 +263,7 @@ def _run_table3(samples: int, seed: int) -> TableReport:
         blocks, psi = draw
         for bp in bipartitions:
             allowed = expected_rank_set(blocks, bp.canonical_key())
-            got = rank(coefficient_matrix(psi, bp.row_bits, bp.col_bits))
+            got = split_rank(psi, bp.row_bits, bp.col_bits)
             if got not in allowed:
                 return (
                     f"split {bp.canonical_key()} of blocks {blocks}:"
@@ -295,7 +295,7 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
             )
 
             def check(values):
-                got = rank(coefficient_matrix(instantiate(family, values, registry), bits))
+                got = split_rank(instantiate(family, values, registry), bits)
                 if got != idx:
                     return f"params {values}: rank {got}"
                 if classify_g_split(split, values, registry) != idx:

@@ -53,6 +53,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "bad scalar term" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("{n: \u00b2, amps: []}", "expected an integer", 4),
+    ("{n: -, amps: []}", "expected an integer", 4),
+    ("{n: " + "1" * 5000 + ", amps: []}", "integer literal too long", 4),
+    ('{n: 1, amps: ["1", "2 + ' + "3" * 5000 + '*i"]}', "integer literal too long", 24),
+], ids=["superscript-qubit-count", "sign-only-qubit-count", "long-qubit-count", "long-amplitude"])
+def test_unreadable_integer_is_a_parse_error(text, message, position, tmp_path, capsys):
+    path = tmp_path / "int.state"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ranks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (at position {position})\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["ranks", "/nonexistent/state"]) == 2
 
@@ -108,20 +123,19 @@ def test_classify_one_qubit_is_not_genuinely_entangled(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", [[], ["--mode", "numeric"]])
 def test_classify_computes_one_signature(mode, tmp_path, monkeypatch, capsys):
-    import sloccrank.cli as cli_mod
-    from sloccrank import coeffmatrix, families, separability
+    from sloccrank import coeffmatrix
 
     path = tmp_path / "counter.state"
     path.write_text(render_state(state(4, list(range(1, 17)))))
     splits = []
-    real_rank = coeffmatrix.rank
+    real_split_rank = coeffmatrix._split_rank
 
-    def spy(C, *args, **kwargs):
-        splits.append(C.bipartition.canonical_key())
-        return real_rank(C, *args, **kwargs)
+    def spy(psi, plan, tolerance):
+        splits.append(plan.key)
+        return real_split_rank(psi, plan, tolerance)
 
-    for module in (coeffmatrix, families, separability, cli_mod):
-        monkeypatch.setattr(module, "rank", spy)
+    # every split rank of a state, exact or floating, memoised or not, asks here
+    monkeypatch.setattr(coeffmatrix, "_split_rank", spy)
     assert main(["classify", str(path), "--output", "machine", *mode]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["template_matches"] == []

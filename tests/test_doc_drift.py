@@ -2,20 +2,22 @@
 
 Every bare identifier in double backticks in the ``_kernels`` module
 docstring, and every ``_kernels.<name>`` in README.md, must be an
-attribute of ``sloccrank._kernels``: a constant or routine deleted from
-the code must not live on in the prose.
+attribute of ``sloccrank._kernels``, and every ``coeffmatrix.<name>`` in
+README.md one of ``sloccrank.coeffmatrix``: a constant or routine deleted
+from the code must not live on in the prose.
 """
 
 import re
 from pathlib import Path
 
 import sloccrank._kernels as kernels
+import sloccrank.coeffmatrix as coeffmatrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _missing(names):
-    return sorted(name for name in set(names) if not hasattr(kernels, name))
+def _missing(names, module=kernels):
+    return sorted(name for name in set(names) if not hasattr(module, name))
 
 
 def test_kernel_docstring_names_existing_symbols():
@@ -28,3 +30,9 @@ def test_readme_names_existing_kernel_symbols():
     names = re.findall(r"\b_kernels\.([A-Za-z_]\w*)", README.read_text())
     assert {"echelon", "stacked_rank"} <= set(names)
     assert _missing(names) == []
+
+
+def test_readme_names_existing_coeffmatrix_symbols():
+    names = re.findall(r"\bcoeffmatrix\.([A-Za-z_]\w*)", README.read_text())
+    assert {"split_plan", "rank_signature"} <= set(names)
+    assert _missing(names, coeffmatrix) == []

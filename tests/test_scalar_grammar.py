@@ -109,16 +109,16 @@ def test_whitespace_inside_a_number_joins_it():
     assert parse_exact("3 4 / 5 6*i") == parse_exact("34/56*i")
 
 
-# positions as the split-then-match parser and the character-loop state
-# scanner reported them
+# an amplitude's scalar error is at its faulty character, counted from the
+# character after the opening quote (an empty literal: that character)
 @pytest.mark.parametrize(
     "text, message, position",
     [
-        ('{n: 1, amps: ["1", "2*x"]}', "bad scalar term '2*x'", 19),
-        ('{n: 1, amps: ["1",  "1 +"]}', "dangling sign in scalar literal", 22),
-        ('{n: 1, amps: ["1", " 1 / 0"]}', "zero denominator", 20),
-        ('{n: 1, amps: ["1", "  "]}', "empty scalar literal", 19),
-        ('{n: 1, amps: ["1.5", "1e999"]}', "non-finite scalar literal '1e999'", 21),
+        ('{n: 1, amps: ["1", "2*x"]}', "bad scalar term '2*x'", 20),
+        ('{n: 1, amps: ["1",  "1 +"]}', "dangling sign in scalar literal", 23),
+        ('{n: 1, amps: ["1", " 1 / 0"]}', "zero denominator", 21),
+        ('{n: 1, amps: ["1", "  "]}', "empty scalar literal", 20),
+        ('{n: 1, amps: ["1.5", "1e999"]}', "non-finite scalar literal '1e999'", 22),
         ('{n: 1, amps: ["1", "0}', "unterminated string", 22),
         ('{n: 1, amps: ["1", "0" }', "expected ',' or ']'", 23),
         ('{n: 1, amps: ["1", "0"', "expected ',' or ']'", 22),

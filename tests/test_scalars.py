@@ -188,3 +188,40 @@ def test_rational_scalars_hash_like_int_and_fraction():
     assert table[Fraction(1, 2)] == "half"
     assert table[ExactScalar(0, 0, 0, 1, 2)] == "i/r2"
     assert {ExactScalar(2), 2, Fraction(4, 2)} == {2}
+
+
+def _fraction_product(x, y):
+    """(p, q, r, s) of x * y from the rational components, with i**2 = -1, sqrt2**2 = 2."""
+    p1, q1, r1, s1 = x
+    p2, q2, r2, s2 = y
+    return (
+        p1 * p2 - q1 * q2 + 2 * (r1 * r2 - s1 * s2),
+        p1 * q2 + q1 * p2 + 2 * (r1 * s2 + s1 * r2),
+        p1 * r2 + r1 * p2 - q1 * s2 - s1 * q2,
+        p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2,
+    )
+
+
+COMPONENT = st.integers(-60, 60)
+DENOMINATOR = st.one_of(st.just(1), st.just(-1), st.integers(-12, 12).filter(bool))
+RAW = st.tuples(COMPONENT, COMPONENT, COMPONENT, COMPONENT, DENOMINATOR)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RAW, RAW)
+def test_sum_difference_and_product_are_fully_normalised(raw_x, raw_y):
+    x, y = ExactScalar(*raw_x), ExactScalar(*raw_y)
+    fx = tuple(Fraction(c, raw_x[4]) for c in raw_x[:4])
+    fy = tuple(Fraction(c, raw_y[4]) for c in raw_y[:4])
+    want = {
+        "+": tuple(a + b for a, b in zip(fx, fy)),
+        "-": tuple(a - b for a, b in zip(fx, fy)),
+        "*": _fraction_product(fx, fy),
+    }
+    for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+        assert got.den > 0
+        assert math.gcd(got.a, got.b, got.c, got.d, got.den) == 1
+        assert (got.p, got.q, got.r, got.s) == want[op]
+        # the normal form is unique, so it matches a construction from the components
+        assert got == ExactScalar.from_components(*want[op])
+    assert (x - y) == x + (-y) and (3 - x) == ExactScalar(3) + (-x)
