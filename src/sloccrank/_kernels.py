@@ -33,19 +33,34 @@ complement of A (Guttman's rank additivity), so rank M = r exactly when
 every x_ij is 0.  All of them vanish mod P.  If x_ij also vanishes mod
 the distinct primes p_2, ..., p_k of ``PRIME_TABLE`` (each = 1 mod 8,
 mapped the same way), then P * p_2 * ... * p_k divides the integer
-N(x_ij), the product of its four complex embeddings; each embedding is
-at most a Hadamard bound H, so a product above H**4 forces x_ij = 0.
-The check (``_bordered_minors_vanish``) runs r steps of division-free
+N(x_ij), the product of its four complex embeddings.  Every embedding of
+an entry has modulus at most h (see ``_h2``); with T the sum of h**2 over
+all entries, Hadamard and AM-GM bound every s-minor's norm by
+(T/s)**(2s) (``_norm_bits``), so a product of primes above that forces
+x_ij = 0.  One T serves every split of a state, so the inputs are
+prepared once per state, not per split: ``ResidueStack`` holds the
+state's cleared quadruples as one int64 2 x ... x 2 x 4 array, T, and
+their residues modulo the first k table primes, reduced once and grown
+when a later certificate needs more primes.  ``PureState.residue_stack``
+builds it on the first certificate a split of the state needs (never for
+a state whose splits are all full rank mod P) and keeps (k + 4) * 2**n *
+8 bytes as long as the state lives.  A split's certificate takes its
+(k, m, n) residues by one transpose along the split's axes and the
+support compression above, pivots first; a lone matrix builds a stack of
+its own entries.  This T bound is never tighter than the per-matrix
+Hadamard bound of ``_hadamard_bits`` and can cost a prime more.  The
+check (``_bordered_minors_vanish``) runs r steps of division-free
 elimination on the fixed pivots for a whole batch of primes in one
 (k, m, n) int64 array: with nonzero pivots mod p the trailing block
 vanishes exactly when every x_ij does.  A prime on which a pivot
 vanishes is replaced by the next one.  A nonzero trailing block (the
-exact rank is above r), a component beyond int64 or a bound beyond the
-table sends the matrix to ``_eliminate``, as does every rank-deficient
-matrix under the cutoff.  On sums of r random outer products (one core
-of a 2-CPU x86-64 host, Python 3.11, numpy 2.4) the certificate took
-0.7 vs 7.4-8.5 ms for ``_eliminate`` at 16 x 16 rank 8 and 0.3 vs 0.9 ms
-at 8 x 8 rank 4; at 4 x 8 rank 2 the two tie.
+exact rank is above r), a component beyond int64 (no stack) or a bound
+beyond the table sends the matrix to ``_eliminate``, as does every
+rank-deficient matrix under the cutoff.  On sums of r random outer
+products, as lone matrices (one core of a 2-CPU x86-64 host, Python
+3.11, numpy 2.4), the certificate took 0.6 vs 5.9-6.2 ms for
+``_eliminate`` at 16 x 16 rank 8 and 0.2 vs 0.4-0.5 ms at 8 x 8 rank 4;
+at 4 x 8 rank 2 it lost, 0.13 vs 0.09 ms.
 
 A stack of matrices of one shape (``stacked_rank``, which the rule-table
 scans use) is proved without pivots.  Each matrix is reduced modulo the
@@ -114,6 +129,7 @@ PRIME_TABLE = (
     (2147478049, 1177723471, 347015307), (2147478017, 1404461508, 244346993),
 )
 STACK_PRIMES = ((P, I_P, S_P),) + PRIME_TABLE  # the primes of ``stacked_rank``, P first
+_TABLE_PRIMES = np.array([p for p, _, _ in PRIME_TABLE], dtype=np.int64)
 
 
 def mul4(x, y):
@@ -268,26 +284,46 @@ def _pivots_mod_p_int64(m):
     return (rows, cols) if wide else (cols, rows)
 
 
+def _h2(q):
+    """h**2 for each quadruple of the int64 (..., 4) array ``q``, as float64.
+
+    Every embedding of an entry (a, b, c, d) into C has modulus at most
+    h = |(|a| + sqrt2 |c|) + (|b| + sqrt2 |d|) i|.
+    """
+    f = np.abs(q.astype(np.float64))
+    return (f[..., 0] + np.sqrt(2) * f[..., 2]) ** 2 + (f[..., 1] + np.sqrt(2) * f[..., 3]) ** 2
+
+
 def _hadamard_bits(q, size):
     """A bound B with |N(x)| < 2**B for every ``size``-minor x of ``q``.
 
     ``q`` is an (..., m, n, 4) array of quadruples, and the bound has the
-    shape of its leading axes.  Every embedding of an entry (a, b, c, d)
-    into C has modulus at most h = |(|a| + sqrt2 |c|) + (|b| + sqrt2 |d|) i|,
-    so by Hadamard each embedding of a minor is at most the product of its
-    ``size`` largest column (or row) norms of h, and the norm N(x), the
-    product of the four embeddings, at most that to the fourth.  A zero
-    line counts as norm 1 (a nonzero one is at least 1), so the bound
-    covers every smaller minor too.  The float sums get a margin far above
-    their rounding error.
+    shape of its leading axes.  By Hadamard each embedding of a minor is
+    at most the product of its ``size`` largest column (or row) norms of
+    h (see ``_h2``), and the norm N(x), the product of the four
+    embeddings, at most that to the fourth.  A zero line counts as norm 1
+    (a nonzero one is at least 1), so the bound covers every smaller minor
+    too.  The float sums get a margin far above their rounding error.
     """
-    f = np.abs(q.astype(np.float64))
-    h2 = (f[..., 0] + np.sqrt(2) * f[..., 2]) ** 2 + (f[..., 1] + np.sqrt(2) * f[..., 3]) ** 2
+    h2 = _h2(q)
     log_norms = np.minimum(*(
         np.sort(np.log2(np.maximum(h2.sum(axis=a), 1)), axis=-1)[..., -size:].sum(axis=-1)
         for a in (-2, -1)
     ))
     return 2 * log_norms * (1 + 1e-9) + 1
+
+
+def _norm_bits(total, size):
+    """A bound B with |N(x)| < 2**B for every ``size``-minor x of every
+    matrix laid out from entries whose h**2 (see ``_h2``) sum to ``total``.
+
+    The rows of such a minor have h**2 sums rho_k with sum(rho_k) <= T =
+    ``total``, so by Hadamard and the AM-GM inequality each embedding
+    satisfies |sigma(x)|**2 <= prod(rho_k) <= (T / size)**size, and the
+    norm, the product of four embeddings, |N(x)| <= (T / size)**(2 size).
+    The margin is that of ``_hadamard_bits``.
+    """
+    return 2 * size * math.log2(total / size) * (1 + 1e-9) + 1
 
 
 def _residues_mod(q, primes):
@@ -306,35 +342,61 @@ def _residues_mod(q, primes):
     return m
 
 
-def _bordered_minors_vanish(entries, nrows, ncols, pivot_rows, pivot_cols):
-    """Whether every bordered minor of a quadruple matrix's pivot minor is 0.
+class ResidueStack:
+    """An int64 quadruple array, its bound T and its residues modulo the
+    first k primes of ``PRIME_TABLE``, for a k that only grows.
 
-    ``entries`` is row-major, as for ``echelon``, and its residues mod P
-    have the pivots ``pivot_rows``, ``pivot_cols`` (see
-    ``_pivots_mod_p_int64``), so all (r+1)-minors vanish mod P; the
-    proof from there is in the module docstring.  False means some minor
-    is nonzero mod a prime (so the rank exceeds r), a component does not
-    fit int64, or the table ran out before the ``_hadamard_bits`` bound.
+    ``quads`` has shape (..., 4) and ``total`` is T, the sum of h**2 over
+    its entries (see ``_h2`` and ``_norm_bits``).  ``upto(k)`` returns the
+    residues as a (k,) + ``quads.shape[:-1]`` array: primes reduced once
+    are kept, and only the missing ones are reduced.
     """
-    try:
-        q = np.fromiter(chain.from_iterable(entries), np.int64, 4 * nrows * ncols)
-    except OverflowError:
-        return False
-    q = q.reshape(nrows, ncols, 4)
-    r = len(pivot_rows)
-    order_rows = pivot_rows + sorted(set(range(nrows)).difference(pivot_rows))
-    order_cols = pivot_cols + sorted(set(range(ncols)).difference(pivot_cols))
-    quads = q[order_rows][:, order_cols]
-    need = _hadamard_bits(q, r + 1) - PRIME_BITS  # P is the first prime
+
+    __slots__ = ("quads", "total", "residues")
+
+    def __init__(self, quads):
+        self.quads = quads
+        self.total = float(_h2(quads).sum())
+        self.residues = np.empty((0,) + quads.shape[:-1], dtype=np.int64)
+
+    @classmethod
+    def of(cls, entries, shape):
+        """The stack of a flat sequence of int quadruples laid out in ``shape``,
+        or None when a component does not fit int64."""
+        try:
+            q = np.fromiter(chain.from_iterable(entries), np.int64, 4 * math.prod(shape))
+        except OverflowError:
+            return None
+        return cls(q.reshape(*shape, 4))
+
+    def upto(self, k):
+        have = len(self.residues)
+        if k > have:
+            primes = np.array(PRIME_TABLE[have:k], dtype=np.int64)
+            self.residues = np.concatenate((self.residues, _residues_mod(self.quads, primes)))
+        return self.residues[:k]
+
+
+def _bordered_minors_vanish(take, total, r):
+    """Whether every bordered minor of a matrix's r x r pivot minor is 0.
+
+    ``take(start, stop)`` returns the matrix's residues modulo
+    ``PRIME_TABLE[start:stop]`` as a fresh (k, m, n) int64 stack, ordered
+    with the pivot rows and columns of its F_P elimination first (see
+    ``_pivots_mod_p_int64``), so all (r+1)-minors vanish mod P; ``total``
+    is the T of ``_norm_bits``.  The proof from there is in the module
+    docstring.  False means some minor is nonzero mod a prime (so the rank
+    exceeds r) or the table ran out before the bound.
+    """
+    need = _norm_bits(total, r + 1) - PRIME_BITS  # P is the first prime
     start = 0
     while need > 0:
         count = math.ceil(need / PRIME_BITS)
         if start + count > len(PRIME_TABLE):
             return False
-        primes = np.array(PRIME_TABLE[start:start + count], dtype=np.int64)
+        res = take(start, start + count)
+        p = _TABLE_PRIMES[start:start + count, None, None]
         start += count
-        p = primes[:, 0, None, None]
-        res = _residues_mod(quads, primes)
         for t in range(r):  # row t is final from here on
             below = res[:, t + 1:, t + 1:]
             prod = res[:, t + 1:, t, None] * res[:, t, None, t + 1:]
@@ -348,11 +410,23 @@ def _bordered_minors_vanish(entries, nrows, ncols, pivot_rows, pivot_cols):
     return True
 
 
-def _certified_rank(entries, nrows, ncols, res=None):
+def _pivots_first(index, pivots):
+    """``index[pivots]``, then the rest of ``index`` in order."""
+    rest = np.ones(len(index), dtype=bool)
+    rest[pivots] = False
+    return np.concatenate((index[pivots], index[rest]))
+
+
+def _certified_rank(entries, nrows, ncols, res=None, stack=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
     ``res`` is ``residues(entries)`` when the caller has it already; its
     nonzero cells are the nonzero entries, so it gives the support.
+    ``stack`` is a pair ``(owner, axes)`` when the matrix is
+    ``tensor.transpose(axes).reshape(nrows, ncols)`` of a 2 x ... x 2
+    tensor whose ``ResidueStack`` (or None, beyond int64) is
+    ``owner.residue_stack``; it is read only on a certified shortfall.
+    Without it the matrix builds its own stack from ``entries``.
     """
     if res is None:
         res = residues(entries)
@@ -367,15 +441,29 @@ def _certified_rank(entries, nrows, ncols, res=None):
         mod = mod[rows][:, cols]
     # not stacked_rank's loop: a stack of one costs 2.3x per step (16 x 16: 158 vs 65 us)
     pivot_rows, pivot_cols = _pivots_mod_p_int64(mod)
-    if len(pivot_rows) == full:
+    r = len(pivot_rows)
+    if r == full:
         return full
+    # bordered minors: the largest rank over several primes cost lowrank_signatures 18-25%
+    if cells >= CERTIFY_MIN_CELLS:
+        if stack is None:
+            source, axes = ResidueStack.of(entries, (nrows, ncols)), (0, 1)
+        else:
+            owner, axes = stack
+            source = owner.residue_stack
+        if source is not None:
+            moved = (0, *(a + 1 for a in axes))
+            order_rows = _pivots_first(rows, pivot_rows)[:, None]
+            order_cols = _pivots_first(cols, pivot_cols)
+
+            def take(start, stop):
+                t = source.upto(stop)[start:].transpose(moved).reshape(-1, nrows, ncols)
+                return t[:, order_rows, order_cols]
+
+            if _bordered_minors_vanish(take, source.total, r):
+                return r
     rows, cols = rows.tolist(), cols.tolist()
     sub = [entries[i * ncols + j] for i in rows for j in cols]
-    # bordered minors: the largest rank over several primes cost lowrank_signatures 18-25%
-    if cells >= CERTIFY_MIN_CELLS and _bordered_minors_vanish(
-        sub, len(rows), len(cols), pivot_rows, pivot_cols
-    ):
-        return len(pivot_rows)
     return _eliminate(sub, len(rows), len(cols))[0]
 
 
@@ -433,7 +521,7 @@ def stacked_rank(q):
     return ranks
 
 
-def bareiss(entries, nrows, ncols, det=True, res=None):
+def bareiss(entries, nrows, ncols, det=True, res=None, stack=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
     ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
@@ -443,11 +531,12 @@ def bareiss(entries, nrows, ncols, det=True, res=None):
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
     ``res``, the entries' ``residues`` in the same order, spares that
-    route computing them.
+    route computing them, and ``stack`` names the residue stack its
+    certificate reads (see ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)
-    return _certified_rank(entries, nrows, ncols, res), ZERO4 if det else None
+    return _certified_rank(entries, nrows, ncols, res, stack), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

@@ -277,7 +277,9 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
 
     An exact rank is computed once per state and split
     (``PureState.split_ranks``), by one ``bareiss`` call on the split's
-    cells.  A floating rank depends on ``tolerance`` and is never kept.
+    cells; a shortfall it certifies reads the state's residue stack
+    (``PureState.residue_stack``) along the plan's axes.  A floating rank
+    depends on ``tolerance`` and is never kept.
     """
     if not psi.is_exact:
         return rank(_matrix(psi, plan), tolerance=tolerance)
@@ -285,7 +287,9 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
     value = memo.get(plan.key)
     if value is None:
         quads, res = _cells(psi, plan)
-        value = memo[plan.key] = bareiss(quads, plan.rows, plan.cols, det=False, res=res)[0]
+        value = memo[plan.key] = bareiss(
+            quads, plan.rows, plan.cols, det=False, res=res, stack=(psi, plan.axes)
+        )[0]
     return value
 
 

@@ -8,7 +8,9 @@ compares ``bareiss(det=False)`` with ``_eliminate``; the fixed cases also
 pin which route answered, and the hand-built ones sit on the edges of the
 proof: a minor vanishing mod P only, a minor vanishing mod every prime but
 the last one the bound needs, a pivot vanishing mod a table prime, and
-components too large for int64.
+components too large for int64.  These matrices are lone (not a state's
+split), so each builds its own residue stack; ``test_stack_certificate``
+repeats the edges on state splits, which read the state's stack.
 """
 
 import math
@@ -28,8 +30,10 @@ from sloccrank._kernels import (
     PRIME_TABLE,
     S_P,
     ZERO4,
+    ResidueStack,
     _eliminate,
     _hadamard_bits,
+    _norm_bits,
     adjoint_and_norm,
     bareiss,
     mul4,
@@ -279,9 +283,29 @@ def _vanishing_under(primes):
     return x
 
 
-def _table_primes_needed(flat, rows, cols, r):
-    bits = _hadamard_bits(np.array(flat, dtype=np.int64).reshape(rows, cols, 4), r + 1)
-    return math.ceil((bits - PRIME_BITS) / PRIME_BITS)
+def _table_primes_needed(flat, r):
+    """Table primes (after P) the certificate's bound asks for at rank r."""
+    total = ResidueStack.of(flat, (len(flat),)).total
+    return math.ceil((_norm_bits(total, r + 1) - PRIME_BITS) / PRIME_BITS)
+
+
+def _two_rows_with_minor(x, cols=32):
+    """Rows (t, 1, ..., 1) and (c, d, ..., d), with d = x / t rounded and c = t d - x.
+
+    Every bordered minor is t d - c = x, and t is chosen so that the
+    entries' h**2 sum T, and with it the bound (T/2)**4 on N(x), is least:
+    balanced rows keep the bound within a prime of the norm of a short x.
+    """
+    best = None
+    for e in range(21):
+        t = max(1, round(max(map(abs, x)) ** (e / 40)))
+        d = tuple(round(v / t) for v in x)
+        c = tuple(t * dv - xv for dv, xv in zip(d, x))
+        flat = [(t, 0, 0, 0)] + [ONES] * (cols - 1) + [c] + [d] * (cols - 1)
+        needed = _table_primes_needed(flat, 1)
+        if best is None or needed < best[0]:
+            best = (needed, flat)
+    return best
 
 
 def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
@@ -292,12 +316,12 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
     found = []
     for k in range(2, 6):
         x = _vanishing_under([(P, I_P, S_P)] + list(PRIME_TABLE[: k - 1]))
-        flat = _ones_with_corner(x)
-        if _table_primes_needed(flat, 8, 8, 1) == k:
+        needed, flat = _two_rows_with_minor(x)
+        if needed == k:
             found.append(k)
-            assert bareiss(flat, 8, 8, det=False) == (2, None)
+            assert bareiss(flat, 2, 32, det=False) == (2, None)
     assert found  # the bound is tight enough for at least one k to land exactly
-    assert eliminate_calls == [(8, 8)] * len(found)
+    assert eliminate_calls == [(2, 32)] * len(found)
 
 
 def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):
@@ -307,7 +331,7 @@ def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):
     rng = random.Random(5)
     left = [[y]] + [[_nonzero(rng)] for _ in range(7)]
     flat = _outer_sum(left, [[ONES] * 8])
-    assert _table_primes_needed(flat, 8, 8, 1) >= 1  # the first table prime is needed
+    assert _table_primes_needed(flat, 1) >= 1  # the first table prime is needed
     assert bareiss(flat, 8, 8, det=False) == (1, None)
     assert eliminate_calls == []
     # and a rank-2 matrix with that pivot still reaches the exact rank

@@ -1,0 +1,343 @@
+"""Rank shortfalls of state splits are certified from the state's residue stack.
+
+An exact state reduces its cleared quadruples modulo the table primes once
+(``PureState.residue_stack``), on the first certificate a split needs, and
+every split's certificate reads that stack along the split's axes against
+one bound per state, (T/s)**(2s) on the norm of every s-minor.  The
+differential suites compare every split rank with ``_eliminate`` on the
+split's cells; the certificate cutoff is lowered there, so every shortfall
+of every case takes the stack, and a spy checks that it answered.  The
+fixed cases repeat the edges of ``test_rank_certificate`` on state splits,
+and the last ones pin the work the stack must not add.
+"""
+
+import itertools
+import math
+import random
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sloccrank._kernels as kernels
+from sloccrank._kernels import (
+    I_P,
+    P,
+    PRIME_BITS,
+    PRIME_TABLE,
+    S_P,
+    ResidueStack,
+    _eliminate,
+    _norm_bits,
+    _residues_mod,
+    adjoint_and_norm,
+)
+from sloccrank.coeffmatrix import _canonical_plans, _cells, rank_signature, split_rank
+from sloccrank.scalars import ExactScalar
+from sloccrank.states import product_state, random_exact_state, state
+from test_rank_certificate import (
+    ONES,
+    _add,
+    _nonzero,
+    _ones_with_corner,
+    _outer_sum,
+    _two_rows_with_minor,
+    _vanishing_under,
+)
+
+SEEDS = st.integers(0, 2**32)
+
+
+@pytest.fixture
+def certificates():
+    """The results of ``_bordered_minors_vanish``, in call order."""
+    with _route_spies() as (calls, _):
+        yield calls
+
+
+def _scalar(rng, span=2):
+    """A nonzero scalar; about half of them with nonzero sqrt2 and i*sqrt2 parts."""
+    while True:
+        parts = [rng.randint(-span, span) for _ in range(4)]
+        if rng.random() < 0.5:
+            parts[2:] = 0, 0
+        if any(parts):
+            return ExactScalar(*parts)
+
+
+def _factor(kind, size, rng):
+    """A factor state of ``size`` qubits with at least two nonzero amplitudes."""
+    amps = [ExactScalar(0)] * (1 << size)
+    if kind == "ghz":
+        support = [0, (1 << size) - 1]
+    elif kind == "w":
+        support = [1 << k for k in range(size)]
+    elif kind == "dicke":
+        weight = rng.randint(1, size - 1)
+        support = [i for i in range(1 << size) if bin(i).count("1") == weight]
+    elif kind == "sparse":
+        support = rng.sample(range(1 << size), rng.randint(2, max(2, (1 << size) // 3)))
+    else:  # dense
+        support = range(1 << size)
+    common = _scalar(rng)  # a Dicke state is symmetric: one amplitude on its support
+    for i in support:
+        amps[i] = common if kind == "dicke" else _scalar(rng)
+    return state(size, amps)
+
+
+KINDS = ("dense", "ghz", "w", "dicke", "sparse")
+
+
+@st.composite
+def shuffled_products(draw, n_range=(4, 9), min_factor=2, kinds=KINDS):
+    """Products of 2-3 factors of ``min_factor`` qubits or more on shuffled qubits."""
+    n = draw(st.integers(*n_range))
+    rng = random.Random(draw(SEEDS))
+    sizes = [rng.randint(min_factor, n - min_factor)]
+    if n - sizes[0] >= 2 * min_factor and rng.random() < 0.5:
+        sizes.append(rng.randint(min_factor, n - sizes[0] - min_factor))
+    sizes.append(n - sum(sizes))
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    factors, at = [], 0
+    for size in sizes:
+        kind = draw(st.sampled_from(kinds))
+        factors.append((_factor(kind, size, rng), tuple(sorted(order[at:at + size]))))
+        at += size
+    return product_state(factors, n)
+
+
+@st.composite
+def dicke_states(draw):
+    n = draw(st.integers(4, 9))
+    weight = draw(st.integers(2, n - 2))
+    common = _scalar(random.Random(draw(SEEDS)))
+    amps = [common if bin(i).count("1") == weight else ExactScalar(0) for i in range(1 << n)]
+    return state(n, amps)
+
+
+@contextmanager
+def _route_spies(min_cells=None):
+    """Spies on the certificate's results and ``_eliminate``'s shapes, for
+    hypothesis tests (which take no function-scoped fixture)."""
+    calls, eliminated = [], []
+    real_certificate, real_eliminate = kernels._bordered_minors_vanish, kernels._eliminate
+
+    def certificate(take, total, r):
+        calls.append(real_certificate(take, total, r))
+        return calls[-1]
+
+    def eliminate(entries, nrows, ncols):
+        eliminated.append((nrows, ncols))
+        return real_eliminate(entries, nrows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if min_cells is not None:
+            mp.setattr(kernels, "CERTIFY_MIN_CELLS", min_cells)
+        mp.setattr(kernels, "_bordered_minors_vanish", certificate)
+        mp.setattr(kernels, "_eliminate", eliminate)
+        yield calls, eliminated
+
+
+def _assert_signature_matches_elimination(psi):
+    signature = rank_signature(psi)
+    for plan in _canonical_plans(psi.n):
+        quads, _ = _cells(psi, plan)
+        assert signature.ranks[plan.key] == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
+
+
+def _assert_stack_answered(psi, certificates, eliminate_calls):
+    assert certificates and all(certificates)
+    assert eliminate_calls == []  # every shortfall was proved from the stack
+    assert vars(psi)["residue_stack"] is not None  # built, though P alone may pass the bound
+
+
+# --- differential suites -----------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_products())
+def test_product_signatures_from_the_stack_match_elimination(psi):
+    with _route_spies(min_cells=4) as (calls, eliminated):  # every shortfall takes the stack
+        _assert_signature_matches_elimination(psi)
+    _assert_stack_answered(psi, calls, eliminated)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dicke_states())
+def test_dicke_signatures_from_the_stack_match_elimination(psi):
+    with _route_spies(min_cells=4) as (calls, eliminated):  # every shortfall takes the stack
+        _assert_signature_matches_elimination(psi)
+    _assert_stack_answered(psi, calls, eliminated)
+
+
+@settings(max_examples=10, deadline=None)
+@given(shuffled_products(n_range=(8, 9), min_factor=4, kinds=("dense", "dicke")))
+def test_default_cutoff_certifies_large_shortfalls_from_the_stack(psi):
+    """At ``CERTIFY_MIN_CELLS`` = 64 only matrices under 64 compressed cells are eliminated."""
+    with _route_spies() as (calls, eliminated):
+        _assert_signature_matches_elimination(psi)
+    assert calls and all(calls)
+    assert all(r * c < kernels.CERTIFY_MIN_CELLS for r, c in eliminated)
+
+
+# --- the bound ----------------------------------------------------------------
+
+
+@st.composite
+def full_component_states(draw):
+    """States of 2-4 qubits whose amplitudes have all four components nonzero."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(SEEDS))
+    span = draw(st.sampled_from((1, 3, 2**20)))
+    comp = lambda: rng.choice((-1, 1)) * rng.randint(1, span)  # noqa: E731
+    return state(n, [ExactScalar(comp(), comp(), comp(), comp()) for _ in range(1 << n)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(full_component_states())
+def test_state_bound_covers_every_minor_of_every_split(psi):
+    total = psi.residue_stack.total
+    for plan in _canonical_plans(psi.n):
+        quads, _ = _cells(psi, plan)
+        for size in range(1, min(plan.rows, plan.cols) + 1):
+            bits = _norm_bits(total, size)
+            for ri in itertools.combinations(range(plan.rows), size):
+                for ci in itertools.combinations(range(plan.cols), size):
+                    minor = [quads[i * plan.cols + j] for i in ri for j in ci]
+                    det = _eliminate(minor, size, size)[1]
+                    assert abs(adjoint_and_norm(det)[1]) < 2**bits
+
+
+# --- the edges of the proof, on state splits ------------------------------------
+
+
+def _state_of(flat):
+    return state(len(flat).bit_length() - 1, [ExactScalar(*q) for q in flat])
+
+
+def test_split_minor_vanishing_mod_p_only_is_not_certified(eliminate_calls, certificates):
+    psi = _state_of(_ones_with_corner((P, 0, 0, 0)))  # the 3|3 split is the 8 x 8 matrix
+    assert split_rank(psi, (1, 2, 3)) == 2
+    assert certificates == [False] and eliminate_calls == [(8, 8)]
+    # the algebraic x = I_P - i, on a 2 x 32 split and its transpose
+    flat = _ones_with_corner((I_P, -1, 0, 0), 2, 32)
+    assert split_rank(_state_of(flat), (1,)) == 2
+    assert split_rank(_state_of(flat), (2, 3, 4, 5, 6), (1,)) == 2  # a fresh state: no memo
+    assert certificates == [False] * 3
+
+
+def test_split_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls, certificates):
+    found = []
+    for k in range(2, 6):
+        x = _vanishing_under([(P, I_P, S_P)] + list(PRIME_TABLE[: k - 1]))
+        needed, flat = _two_rows_with_minor(x)
+        if needed == k:
+            found.append(k)
+            psi = _state_of(flat)
+            assert split_rank(psi, (1,)) == 2
+            assert len(psi.residue_stack.residues) == k  # it read every needed prime
+    assert found
+    assert certificates == [False] * len(found)
+    assert eliminate_calls == [(2, 32)] * len(found)
+
+
+def test_split_pivot_vanishing_mod_a_table_prime_grows_the_stack(eliminate_calls, certificates):
+    y = _vanishing_under(PRIME_TABLE[:1])  # 0 mod the first table prime, not mod P
+    rng = random.Random(5)
+    left = [[y]] + [[_nonzero(rng)] for _ in range(7)]
+    flat = _outer_sum(left, [[ONES] * 8])
+    psi = _state_of(flat)
+    needed = math.ceil((_norm_bits(psi.residue_stack.total, 2) - PRIME_BITS) / PRIME_BITS)
+    assert needed >= 1
+    assert split_rank(psi, (1, 2, 3)) == 1
+    assert len(psi.residue_stack.residues) == needed + 1  # the dead prime was replaced
+    flat[-1] = _add(flat[-1], ONES)
+    assert split_rank(_state_of(flat), (1, 2, 3)) == 2
+    assert certificates == [True, True] and eliminate_calls == []  # rank 2 mod P, proved
+
+
+def test_split_components_beyond_int64_take_elimination(eliminate_calls, certificates):
+    flat = [(2**62 + 1, 0, 0, 0)] * 64
+    flat[0] = (2**63 + 1, 0, 0, 0)
+    flat[9] = (-(2**63) - 1, 0, 0, 0)
+    psi = _state_of(flat)
+    assert split_rank(psi, (1, 2, 3)) == 3
+    assert psi.residue_stack is None
+    assert certificates == [] and eliminate_calls == [(8, 8)]
+
+
+# --- no extra work ------------------------------------------------------------------
+
+
+def test_full_rank_state_never_builds_the_stack(monkeypatch):
+    built = []
+    monkeypatch.setattr(ResidueStack, "of", classmethod(lambda cls, *a: built.append(a)))
+    psi = random_exact_state(7, random.Random(3))
+    signature = rank_signature(psi)
+    assert all(r == 1 << min(len(k), psi.n - len(k)) for k, r in signature.items())
+    assert built == [] and "residue_stack" not in vars(psi)
+
+
+def _lowrank_product(seed=8):
+    rng = random.Random(seed)
+    order = list(range(1, 9))
+    rng.shuffle(order)
+    factors = [
+        (random_exact_state(size, rng), tuple(sorted(order[at:at + size])))
+        for size, at in ((2, 0), (3, 2), (3, 5))
+    ]
+    return product_state(factors, 8)
+
+
+def test_stack_is_built_once_and_only_grows(monkeypatch, certificates):
+    table = [p for p, _, _ in PRIME_TABLE]
+    reduced = []  # (index of the first prime, count) of every reduction of this state
+
+    def spy(q, primes):
+        reduced.append((table.index(int(primes[0, 0])), len(primes)))
+        return _residues_mod(q, primes)
+
+    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    psi = _lowrank_product()
+    stacks, lengths = [], []
+    for plan in _canonical_plans(psi.n):
+        split_rank(psi, plan.bipartition.row_bits, plan.bipartition.col_bits)
+        if "residue_stack" in vars(psi):
+            stacks.append(psi.residue_stack)
+            lengths.append(len(psi.residue_stack.residues))
+    assert certificates and all(certificates)
+    assert all(s is stacks[0] for s in stacks)  # built once
+    assert lengths == sorted(lengths) and len(set(lengths)) >= 2  # grown, never shrunk
+    assert len(reduced) >= 2  # growth happened
+    stack = psi.residue_stack
+    at = 0
+    for start, count in reduced:  # each reduction took only primes not reduced before
+        assert start == at
+        at += count
+    assert at == len(stack.residues)
+    primes = np.array(PRIME_TABLE[:at], dtype=np.int64)
+    assert (stack.residues == _residues_mod(stack.quads, primes)).all()
+
+
+def test_memoised_split_is_not_certified_again(monkeypatch, certificates):
+    psi = _lowrank_product()
+    first = rank_signature(psi)
+    assert certificates
+    pivots = []
+    monkeypatch.setattr(kernels, "_pivots_mod_p_int64", lambda m: pivots.append(m) or ((), ()))
+    count = len(certificates)
+    assert rank_signature(psi) == first
+    for plan in _canonical_plans(psi.n):
+        assert split_rank(psi, plan.bipartition.row_bits) == first.ranks[plan.key]
+    assert len(certificates) == count and pivots == []
+
+
+def test_stack_is_invisible_to_eq_hash_and_repr():
+    psi = _lowrank_product()
+    fresh = _lowrank_product()
+    rank_signature(psi)
+    assert psi.residue_stack is not None and "residue_stack" not in vars(fresh)
+    assert psi == fresh and hash(psi) == hash(fresh) and repr(psi) == repr(fresh)
