@@ -56,11 +56,39 @@ vanishes exactly when every x_ij does.  A prime on which a pivot
 vanishes is replaced by the next one.  A nonzero trailing block (the
 exact rank is above r), a component beyond int64 (no stack) or a bound
 beyond the table sends the matrix to ``_eliminate``, as does every
-rank-deficient matrix under the cutoff.  On sums of r random outer
+rank-deficient matrix under the cutoff that no upper bound below
+proves.  On sums of r random outer
 products, as lone matrices (one core of a 2-CPU x86-64 host, Python
 3.11, numpy 2.4), the certificate took 0.6 vs 5.9-6.2 ms for
 ``_eliminate`` at 16 x 16 rank 8 and 0.2 vs 0.4-0.5 ms at 8 x 8 rank 4;
 at 4 x 8 rank 2 it lost, 0.13 vs 0.09 ms.
+
+Before any certificate, a rank r mod P below full is compared with two
+upper bounds on the exact rank that need no field arithmetic
+(``_upper_bounds``), each read only on a shortfall, so a full-rank
+matrix evaluates neither.  A bound equal to r proves rank M = r; a bound
+below r contradicts the lower bound and raises ArithmeticError.
+1. The term rank of the compressed support, the largest number of
+   nonzero cells no two of which share a row or column (``_term_rank``).
+   A nonzero s-minor has a nonzero term in its Leibniz expansion, that is
+   s nonzero cells in distinct rows and columns, so rank M <= term rank.
+   The support is exact, not its image mod P: ``residues`` stores a
+   nonzero entry that vanishes mod P as P.  By Koenig's theorem the term
+   rank is the least number of rows and columns covering every nonzero
+   cell, and r of them cover at most r * max(rows, cols) cells, so a
+   matrix with more nonzero cells has term rank above r and is not
+   matched; otherwise the matching stops at r + 1 cells.
+2. A cap the caller passes (``bareiss``).  For the split of a state psi it is rank
+   subadditivity (Cadney, Huber, Linden and Winter, LAA 2014): for
+   disjoint qubit sets A and B, rank C_{A+B} <= rank C_A * rank C_B,
+   where C_X is the coefficient matrix with the qubits X on its rows.
+   Over any field: with U_X the column space of C_X, psi lies in
+   U_A (x) V_B (x) V_R and in V_A (x) U_B (x) V_R, R the other qubits,
+   whose intersection is U_A (x) U_B (x) V_R; so every column of
+   C_{A+B} lies in U_A (x) U_B.  A split and its complement have one
+   rank, so the cuts of either side bound it (``coeffmatrix._cut_cap``
+   reads the ranks the state has already).
+A certificate or ``_eliminate`` runs only when neither bound equals r.
 
 A stack of matrices of one shape (``stacked_rank``, which the rule-table
 scans use) is proved without pivots.  Each matrix is reduced modulo the
@@ -410,6 +438,59 @@ def _bordered_minors_vanish(take, total, r):
     return True
 
 
+def _term_rank(support, limit):
+    """The size of a maximum matching of the True cells of the 2-d bool
+    array ``support`` (no two in one row or column), or ``limit`` once a
+    matching that large is found.
+
+    Kuhn's augmenting paths from each line of the shorter side in turn,
+    searched with an explicit stack, so no recursion limit applies.
+    """
+    if support.shape[0] > support.shape[1]:
+        support = support.T
+    adj = [row.nonzero()[0].tolist() for row in support]
+    owner = [-1] * support.shape[1]  # the row each column is matched to
+    size = 0
+    for start in range(len(adj)):
+        seen = set()
+        path, cols, its = [start], [], [iter(adj[start])]
+        while its:
+            for j in its[-1]:
+                if j not in seen:
+                    seen.add(j)
+                    break
+            else:  # this row has no augmenting path left: back up one step
+                its.pop()
+                path.pop()
+                if cols:
+                    cols.pop()
+                continue
+            cols.append(j)
+            if owner[j] < 0:  # a free column: flip the path
+                for i, c in zip(path, cols):
+                    owner[c] = i
+                size += 1
+                break
+            path.append(owner[j])
+            its.append(iter(adj[owner[j]]))
+        if size == limit:
+            break
+    return size
+
+
+def _upper_bounds(support, r, cap):
+    """Proven upper bounds on the exact rank of a matrix whose nonzero
+    cells are ``support`` and whose rank mod P is ``r``, lazily: its term
+    rank, unless it has more than r * max(rows, cols) nonzero cells (then
+    the term rank exceeds r), then ``cap(r)`` when there is a ``cap``.
+    See the module docstring for both proofs.
+    """
+    if np.count_nonzero(support) <= r * max(support.shape):
+        yield _term_rank(support, r + 1)
+    if cap is not None:
+        yield cap(r)
+
+
 def _pivots_first(index, pivots):
     """``index[pivots]``, then the rest of ``index`` in order."""
     rest = np.ones(len(index), dtype=bool)
@@ -417,7 +498,7 @@ def _pivots_first(index, pivots):
     return np.concatenate((index[pivots], index[rest]))
 
 
-def _certified_rank(entries, nrows, ncols, res=None, stack=None):
+def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
     ``res`` is ``residues(entries)`` when the caller has it already; its
@@ -427,6 +508,10 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None):
     tensor whose ``ResidueStack`` (or None, beyond int64) is
     ``owner.residue_stack``; it is read only on a certified shortfall.
     Without it the matrix builds its own stack from ``entries``.
+    ``cap(r)``, read only on a shortfall, returns a proven upper bound on
+    the exact rank or None; it may stop looking once it reaches r.  A
+    rank mod P of r is returned at once when an upper bound equals r, and
+    a bound below r raises ``ArithmeticError``.
     """
     if res is None:
         res = residues(entries)
@@ -444,6 +529,11 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None):
     r = len(pivot_rows)
     if r == full:
         return full
+    for bound in _upper_bounds(mod != 0, r, cap):
+        if bound is not None and bound < r:
+            raise ArithmeticError(f"rank bound {bound} is below the rank {r} mod P")
+        if bound == r:
+            return r
     # bordered minors: the largest rank over several primes cost lowrank_signatures 18-25%
     if cells >= CERTIFY_MIN_CELLS:
         if stack is None:
@@ -521,7 +611,7 @@ def stacked_rank(q):
     return ranks
 
 
-def bareiss(entries, nrows, ncols, det=True, res=None, stack=None):
+def bareiss(entries, nrows, ncols, det=True, res=None, stack=None, cap=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
     ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
@@ -531,12 +621,13 @@ def bareiss(entries, nrows, ncols, det=True, res=None, stack=None):
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
     ``res``, the entries' ``residues`` in the same order, spares that
-    route computing them, and ``stack`` names the residue stack its
-    certificate reads (see ``_certified_rank``).
+    route computing them, ``stack`` names the residue stack its
+    certificate reads and ``cap`` is a lazy upper bound on the rank (see
+    ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)
-    return _certified_rank(entries, nrows, ncols, res, stack), ZERO4 if det else None
+    return _certified_rank(entries, nrows, ncols, res, stack, cap), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

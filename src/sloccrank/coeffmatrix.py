@@ -272,12 +272,48 @@ class RankSignature:
         return f"RankSignature({body})"
 
 
+def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
+    """The least r(A) * r(B) over the cuts A + B of either side of the
+    split whose two ranks ``memo`` (``PureState.split_ranks``) holds
+    already, or None.
+
+    By rank subadditivity (see ``_kernels``) each product bounds the
+    split's rank from above.  The cuts are enumerated on demand, smaller
+    part first, and the search stops at the first product at or below
+    ``floor``, the rank the split is known to reach.
+    """
+    bp = plan.bipartition
+    n = bp.n
+    best = None
+    for side, other in (bp.row_bits, bp.col_bits), (bp.col_bits, bp.row_bits):
+        side = tuple(sorted(side))
+        for size in range(1, len(side) // 2 + 1):
+            for part in combinations(side, size):
+                if 2 * size == len(side) and part[0] != side[0]:
+                    continue  # the cut was met as its other part
+                r_part = memo.get(part)  # under n/2 qubits: its own key
+                if r_part is None:
+                    continue
+                rest = tuple(b for b in side if b not in part)
+                if 2 * len(rest) > n or (2 * len(rest) == n and rest[0] != 1):
+                    rest = tuple(sorted(other + part))  # the key of the larger side
+                r_rest = memo.get(rest)
+                if r_rest is not None and (best is None or r_part * r_rest < best):
+                    best = r_part * r_rest
+                    if best <= floor:
+                        return best
+    return best
+
+
 def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int:
     """Rank of one split of a state; an exact state's is memoised on it.
 
     An exact rank is computed once per state and split
     (``PureState.split_ranks``), by one ``bareiss`` call on the split's
-    cells; a shortfall it certifies reads the state's residue stack
+    cells.  A shortfall is proved first by the upper bounds of
+    ``_kernels``: the term rank of the split's support, then
+    subadditivity over the ranks the memo already holds (``_cut_cap``); a
+    certificate it still needs reads the state's residue stack
     (``PureState.residue_stack``) along the plan's axes.  A floating rank
     depends on ``tolerance`` and is never kept.
     """
@@ -288,7 +324,8 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
     if value is None:
         quads, res = _cells(psi, plan)
         value = memo[plan.key] = bareiss(
-            quads, plan.rows, plan.cols, det=False, res=res, stack=(psi, plan.axes)
+            quads, plan.rows, plan.cols, det=False, res=res, stack=(psi, plan.axes),
+            cap=lambda floor: _cut_cap(memo, plan, floor),
         )[0]
     return value
 

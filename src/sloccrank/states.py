@@ -385,16 +385,23 @@ def parse_state(text: str) -> PureState:
     """Parse the state file format.
 
     ``{n: <int>, amps: ["...", ...], labels: [...]}`` with bare or quoted
-    keys; whitespace is insignificant.  Exact scalars unless any amplitude
-    literal carries a decimal point or exponent.
+    keys; whitespace is insignificant; a field given twice is an error.
+    Exact scalars unless any amplitude literal carries a decimal point or
+    exponent.
     """
     sc = _Scanner(text)
     sc.expect("{")
     n = None
     amp_items = None
     labels = None
+    seen = set()
     while True:
+        sc.skip_ws()
+        at = sc.pos
         key = sc.key()
+        if key in seen:
+            raise StateFormatError(f"duplicate field {key!r}", at)
+        seen.add(key)
         sc.expect(":")
         if key == "n":
             n = sc.integer()

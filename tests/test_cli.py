@@ -68,6 +68,20 @@ def test_unreadable_integer_is_a_parse_error(text, message, position, tmp_path, 
     assert captured.err == f"error: {message} (at position {position})\n"
 
 
+@pytest.mark.parametrize("text, field, position", [
+    ('{n: 2, n: 2, amps: ["1", "0", "0", "1"]}', "n", 7),
+    ('{n: 2, amps: ["1","0","0","1"], amps: ["1","0","0","0"]}', "amps", 32),
+    ('{n: 1, amps: ["1", "1"], labels: ["A"], "labels": ["B"]}', "labels", 40),
+], ids=["n", "amps", "quoted-labels"])
+def test_repeated_field_is_a_parse_error(text, field, position, tmp_path, capsys):
+    path = tmp_path / "repeated.state"
+    path.write_text(text)
+    assert main(["ranks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: duplicate field '{field}' (at position {position})\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["ranks", "/nonexistent/state"]) == 2
 

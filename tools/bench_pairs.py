@@ -2,7 +2,8 @@
 """Run ``perfbench/run.py`` in pairs on two checkouts and write ``BENCH_<n>.json``.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seed N --pairs K \\
-        --workloads dense_signatures lowrank_signatures --output BENCH_13.json
+        --workloads dense_signatures lowrank_signatures --output BENCH_13.json \\
+        --claim "wall_s on lowrank_signatures improves"
 
 Each pair runs one workload once in each checkout, one run at a time; the
 parent goes first on even pair indices and the change on odd ones.  Before
@@ -14,7 +15,8 @@ metric the file holds, per side, the median and quartiles (inclusive
 method) of the runs, the raw runs, the failed executions summed over the
 runs and whether every run was correct, and ``change_better_pairs``: the
 pairs where the change read better, in the direction ``BENCHMARK.json``
-gives for the metric.
+gives for the metric.  ``--claim``, the gain the change claims in words
+or "none", is required, so that no file is written without one.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--claim", default="none", help="the gain the change claims, in words")
+    parser.add_argument("--claim", required=True, help='the gain the change claims, in words, or "none"')
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
