@@ -34,6 +34,14 @@ def _swap_into_place_complement(n: int, row_bits) -> tuple[int, ...]:
     return tuple(arr[len(row_bits):])
 
 
+def _split_key(side, other) -> tuple[int, ...]:
+    """The unordered split ``side | other``, keyed by the smaller side
+    (ties: side with qubit 1), bits ascending."""
+    if len(side) > len(other) or (len(side) == len(other) and 1 not in side):
+        side = other
+    return tuple(sorted(side))
+
+
 @dataclass(frozen=True)
 class Bipartition:
     n: int
@@ -57,13 +65,7 @@ class Bipartition:
         return cls(n, row_bits, tuple(col_bits))
 
     def canonical_key(self) -> tuple[int, ...]:
-        """The unordered split, keyed by the smaller side (ties: side with
-        qubit 1), bits ascending."""
-        side = frozenset(self.row_bits)
-        other = frozenset(self.col_bits)
-        if len(side) > len(other) or (len(side) == len(other) and 1 not in side):
-            side = other
-        return tuple(sorted(side))
+        return _split_key(self.row_bits, self.col_bits)
 
     def label(self, labels) -> str:
         return "".join(labels[b - 1] for b in self.canonical_key())
@@ -283,7 +285,6 @@ def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
     ``floor``, the rank the split is known to reach.
     """
     bp = plan.bipartition
-    n = bp.n
     best = None
     for side, other in (bp.row_bits, bp.col_bits), (bp.col_bits, bp.row_bits):
         side = tuple(sorted(side))
@@ -291,13 +292,11 @@ def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
             for part in combinations(side, size):
                 if 2 * size == len(side) and part[0] != side[0]:
                     continue  # the cut was met as its other part
-                r_part = memo.get(part)  # under n/2 qubits: its own key
+                rest = tuple(b for b in side if b not in part)
+                r_part = memo.get(_split_key(part, rest + other))
                 if r_part is None:
                     continue
-                rest = tuple(b for b in side if b not in part)
-                if 2 * len(rest) > n or (2 * len(rest) == n and rest[0] != 1):
-                    rest = tuple(sorted(other + part))  # the key of the larger side
-                r_rest = memo.get(rest)
+                r_rest = memo.get(_split_key(rest, other + part))
                 if r_rest is not None and (best is None or r_part * r_rest < best):
                     best = r_part * r_rest
                     if best <= floor:

@@ -5,11 +5,11 @@ An exact state reduces its cleared quadruples modulo the table primes once
 every split's certificate reads that stack along the split's axes against
 one bound per state, (T/s)**(2s) on the norm of every s-minor.  The
 differential suites compare every split rank with ``_eliminate`` on the
-split's cells; the certificate cutoff is lowered there, so every shortfall
-that no upper bound proves (``test_rank_caps``) takes the stack, and a spy
-checks that it answered.  Dicke states keep shortfalls that no bound
-proves, so they carry the tests that need certificates at the default
-cutoff.  The fixed cases repeat the edges of ``test_rank_certificate`` on
+split's cells; the certificate cutoff is lowered there, and on products
+the upper bounds (tested in ``test_rank_caps``) are switched off, so every
+shortfall takes the stack, and a spy checks that it answered.  Dicke
+states keep shortfalls that no bound proves, so they carry the tests that
+need certificates at the default cutoff.  The fixed cases repeat the edges of ``test_rank_certificate`` on
 state splits, and the last ones pin the work the stack must not add.
 """
 
@@ -125,9 +125,10 @@ def dicke_states(draw, n_range=(4, 9)):
 
 
 @contextmanager
-def _route_spies(min_cells=None):
+def _route_spies(min_cells=None, bounds=True):
     """Spies on the certificate's results and ``_eliminate``'s shapes, for
-    hypothesis tests (which take no function-scoped fixture)."""
+    hypothesis tests (which take no function-scoped fixture); ``bounds``
+    False leaves every shortfall to the certificate or ``_eliminate``."""
     calls, eliminated = [], []
     real_certificate, real_eliminate = kernels._bordered_minors_vanish, kernels._eliminate
 
@@ -142,6 +143,8 @@ def _route_spies(min_cells=None):
     with pytest.MonkeyPatch.context() as mp:
         if min_cells is not None:
             mp.setattr(kernels, "CERTIFY_MIN_CELLS", min_cells)
+        if not bounds:
+            mp.setattr(kernels, "_upper_bounds", lambda support, r, cap: iter(()))
         mp.setattr(kernels, "_bordered_minors_vanish", certificate)
         mp.setattr(kernels, "_eliminate", eliminate)
         yield calls, eliminated
@@ -155,10 +158,9 @@ def _assert_signature_matches_elimination(psi):
 
 
 def _assert_stack_answered(psi, certificates, eliminate_calls):
-    assert all(certificates)
-    assert eliminate_calls == []  # every shortfall was proved by a bound or from the stack
-    # built for the first certificate, though P alone may pass the bound
-    assert (vars(psi).get("residue_stack") is not None) == bool(certificates)
+    assert certificates and all(certificates)
+    assert eliminate_calls == []  # every shortfall was proved from the stack
+    assert vars(psi)["residue_stack"] is not None  # built, though P alone may pass the bound
 
 
 # --- differential suites -----------------------------------------------------
@@ -167,7 +169,8 @@ def _assert_stack_answered(psi, certificates, eliminate_calls):
 @settings(max_examples=40, deadline=None)
 @given(shuffled_products())
 def test_product_signatures_from_the_stack_match_elimination(psi):
-    with _route_spies(min_cells=4) as (calls, eliminated):  # no shortfall is eliminated
+    # the bounds would prove most product shortfalls: every one takes the stack
+    with _route_spies(min_cells=4, bounds=False) as (calls, eliminated):
         _assert_signature_matches_elimination(psi)
     _assert_stack_answered(psi, calls, eliminated)
 
@@ -177,7 +180,6 @@ def test_product_signatures_from_the_stack_match_elimination(psi):
 def test_dicke_signatures_from_the_stack_match_elimination(psi):
     with _route_spies(min_cells=4) as (calls, eliminated):  # no shortfall is eliminated
         _assert_signature_matches_elimination(psi)
-    assert calls  # a Dicke state has shortfalls no bound proves
     _assert_stack_answered(psi, calls, eliminated)
 
 
