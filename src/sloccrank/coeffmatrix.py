@@ -11,7 +11,7 @@ Ranks are insensitive to the column order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -80,9 +80,6 @@ class CoefficientMatrix:
     cols: int
     entries: tuple  # tuple of row tuples (exact) or np.ndarray (float)
     bipartition: Bipartition
-    # (quads, den, res) row-major, as ``PureState.cleared``; set only on
-    # matrices gathered from a state, and not part of ``==``
-    cleared: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_exact(self) -> bool:
@@ -139,28 +136,20 @@ def _array(psi: PureState, plan: SplitPlan) -> np.ndarray:
     return amplitude_tensor(psi).transpose(plan.axes).reshape(plan.rows, plan.cols)
 
 
-def _matrix(psi: PureState, plan: SplitPlan) -> CoefficientMatrix:
-    m = _array(psi, plan)
-    if not psi.is_exact:
-        return CoefficientMatrix(plan.rows, plan.cols, m, plan.bipartition)
-    quads, res = _cells(psi, plan)
-    cleared = (quads, psi.cleared[1], res)
-    return CoefficientMatrix(plan.rows, plan.cols, _entries(m), plan.bipartition, cleared)
-
-
 def _cells(psi: PureState, plan: SplitPlan) -> tuple[list, np.ndarray]:
-    """The split's row-major quadruples and residues (``PureState.cleared_tensors``)."""
-    quads, res = psi.cleared_tensors
+    """The split's row-major quadruples and residues, transposed from ``PureState.cleared``."""
+    quads, _, res = psi.cleared
     return quads.transpose(plan.axes).ravel().tolist(), res.transpose(plan.axes).ravel()
 
 
 def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMatrix:
     """Matricise the amplitude vector with ``row_bits`` indexing rows.
 
-    An exact state's matrix also carries the split's share of the
-    state's cleared form (``PureState.cleared``) for ``rank``.
+    Exact entries are ExactScalars, which ``rank`` clears itself;
+    ``split_rank`` reads the state's cleared form and builds no matrix.
     """
-    return _matrix(psi, split_plan(psi.n, row_bits, col_bits))
+    plan = split_plan(psi.n, row_bits, col_bits)
+    return CoefficientMatrix(plan.rows, plan.cols, _entries(_array(psi, plan)), plan.bipartition)
 
 
 def _entries(m: np.ndarray):
@@ -214,8 +203,8 @@ def rank(C: CoefficientMatrix, *, tolerance: float | None = None) -> int:
     """
     _check_tolerance(tolerance)
     if C.is_exact:
-        quads, _, res = _cleared(C)
-        return bareiss(quads, C.rows, C.cols, det=False, res=res)[0]
+        quads, _ = common_denominator([e for row in C.entries for e in row])
+        return bareiss(quads, C.rows, C.cols, det=False)[0]
     svals = singular_values(C)
     if tolerance is None:
         tolerance = default_tolerance(C.rows, C.cols)
@@ -317,7 +306,8 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
     depends on ``tolerance`` and is never kept.
     """
     if not psi.is_exact:
-        return rank(_matrix(psi, plan), tolerance=tolerance)
+        bp = plan.bipartition
+        return rank(coefficient_matrix(psi, bp.row_bits, bp.col_bits), tolerance=tolerance)
     memo = psi.split_ranks
     value = memo.get(plan.key)
     if value is None:
@@ -349,14 +339,6 @@ def reduced_density(psi: PureState, kept_bits):
     return _entries(m @ m.conj().T)
 
 
-def _cleared(C: CoefficientMatrix) -> tuple:
-    """``(quads, den, res)`` of an exact matrix; ``res`` is None unless gathered."""
-    if C.cleared is not None:
-        return C.cleared
-    quads, den = common_denominator([e for row in C.entries for e in row])
-    return quads, den, None
-
-
 def _det(quads, den: int, size: int) -> ExactScalar:
     _, det4 = bareiss(quads, size, size)
     return ExactScalar(*det4, den**size)
@@ -373,11 +355,10 @@ def det_coeff(psi: PureState, half_bits):
         raise ValueError("det_coeff needs an even qubit count")
     if len(half_bits) != psi.n // 2:
         raise ValueError("half_bits must select exactly half the qubits")
-    C = coefficient_matrix(psi, half_bits)
-    if C.is_exact:
-        quads, den, _ = _cleared(C)
-        return _det(quads, den, C.rows)
-    return complex(np.linalg.det(C.to_complex_array()))
+    plan = split_plan(psi.n, half_bits)
+    if psi.is_exact:
+        return _det(_cells(psi, plan)[0], psi.cleared[1], plan.rows)
+    return complex(np.linalg.det(_array(psi, plan)))
 
 
 def det_density_exact(rho) -> ExactScalar:

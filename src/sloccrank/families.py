@@ -365,7 +365,8 @@ def _triple_from_string(text: str) -> RankTriple:
     return RankTriple(int(text[0]), int(text[1]), int(text[2]))
 
 
-_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
+_JSON_KINDS[bool, str] = "boolean or string"
 
 
 def _field(data, key: str, owner: str, kind, default=None):
@@ -404,6 +405,8 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
     split_rules = None
     if "split_rules" in data:
         splits = _field(data, "split_rules", owner, dict)
+        if not set(splits) <= set(SPLIT_BITS):
+            raise FamilyError(f"{owner} split_rules: splits must be among {list(SPLIT_BITS)}")
         split_rules = {
             split: [parse_predicate(p) for p in _strings(splits, split, f"{owner} split_rules")]
             for split in splits
@@ -412,7 +415,7 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
     for raw in _field(data, "rules", owner, list, []):
         rule_owner = f"{owner} rule"
         triple = _triple_from_string(_field(raw, "triple", rule_owner, str))
-        if raw.get("empty"):
+        if _field(raw, "empty", rule_owner, bool, False):
             predicate = None
         elif "intersect" in raw:
             if split_rules is None:
@@ -420,12 +423,12 @@ def _entry_from_dict(data: dict) -> FamilyEntry:
             predicate = Predicate(())
             for split, idx in _field(raw, "intersect", rule_owner, dict).items():
                 preds = split_rules.get(split, ())
-                if not (isinstance(idx, int) and 1 <= idx <= len(preds)):
+                if type(idx) is not int or not 1 <= idx <= len(preds):  # JSON true is no index
                     raise FamilyError(f"{name}: no split rule {split} #{idx!r} to intersect")
                 predicate = predicate.conjoin(preds[idx - 1])
         else:
             predicate = parse_predicate(_field(raw, "predicate", rule_owner, str, ""))
-        bisep = raw.get("bisep")
+        bisep = _field(raw, "bisep", rule_owner, (bool, str), False)
         if bisep is True:
             bisep = ""  # biseparable, no specific partition pinned
         elif bisep is False:

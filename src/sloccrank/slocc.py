@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import apply_single_qubit, mul4
-from .coeffmatrix import CoefficientMatrix, _cleared
+from .coeffmatrix import CoefficientMatrix
 from .scalars import (
     ExactScalar,
     common_denominator,
@@ -127,13 +127,12 @@ def _contract(amps: np.ndarray, ops) -> np.ndarray:
     return amps
 
 
-def _apply_exact(cleared: tuple, ops) -> tuple[ExactScalar, ...]:
-    """Apply exact ``ops[t]`` to qubit ``t`` of a cleared amplitude vector.
+def _apply_exact(quads: list, den: int, ops) -> tuple[ExactScalar, ...]:
+    """Apply exact ``ops[t]`` to qubit ``t`` of the amplitude vector ``quads / den``.
 
-    ``cleared`` starts ``(quads, den)`` as ``PureState.cleared``; qubit
-    ``t`` is the ``t``-th most significant index bit.
+    ``quads`` is a flat list of integer quadruples, as ``common_denominator``
+    returns; qubit ``t`` is the ``t``-th most significant index bit.
     """
-    quads, den = cleared[:2]
     for t, op in enumerate(ops):
         (a, b), (c, d) = op.entries
         op_quads, op_den = common_denominator([a, b, c, d])
@@ -147,7 +146,8 @@ def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
     if len(ops) != psi.n:
         raise ValueError("operator count does not match qubit count")
     if psi.is_exact and ops.is_exact:
-        return PureState(psi.n, _apply_exact(psi.cleared, ops.ops), psi.labels)
+        quads, den, _ = psi.cleared
+        return PureState(psi.n, _apply_exact(quads.ravel().tolist(), den, ops.ops), psi.labels)
     psi = psi.to_float()
     return _from_tensor(_contract(amplitude_tensor(psi), ops.ops), psi.labels)
 
@@ -165,7 +165,7 @@ def transform_coefficient_matrix(
         raise ValueError("operator count does not match qubit count")
     ordered = [ops[b - 1] for b in bp.row_bits + bp.col_bits]
     if C.is_exact and ops.is_exact:
-        flat = _apply_exact(_cleared(C), ordered)
+        flat = _apply_exact(*common_denominator([e for row in C.entries for e in row]), ordered)
         entries = tuple(flat[i:i + C.cols] for i in range(0, len(flat), C.cols))
     else:
         amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)

@@ -106,29 +106,20 @@ class PureState:
         return "exact" if self.is_exact else "float"
 
     @cached_property
-    def cleared(self) -> tuple[list, int, np.ndarray]:
+    def cleared(self) -> tuple[np.ndarray, int, np.ndarray]:
         """``(quads, den, res)`` of an exact state, computed once and cached.
 
-        ``quads[k] / den`` is ``amps[k]`` as an integer quadruple over one
-        shared denominator and ``res[k]`` its residue in F_P (an int64
-        array), the form the rank kernel takes.  The cache is not a
+        ``quads`` holds the amplitudes as integer quadruples over the one
+        shared denominator ``den`` and ``res`` their residues in F_P (int64),
+        the form the rank kernel takes.  Each is a 2 x ... x 2 array with
+        qubit p on axis p - 1, as ``amplitude_tensor``, so a split's
+        row-major cells are one transpose of each.  The cache is not a
         field, so it is invisible to ``==``, ``hash`` and ``repr``.
         """
         quads, den = common_denominator(self.amps)
-        return quads, den, residues(quads)
-
-    @cached_property
-    def cleared_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``cleared``'s quadruples (an object array) and residues, each as a
-        2 x ... x 2 array with qubit p on axis p - 1, as ``amplitude_tensor``.
-
-        A split's row-major cells are one transpose of each; cached like
-        ``cleared``.
-        """
-        quads, _, res = self.cleared
         shape = (2,) * self.n
-        quad_array = np.fromiter(quads, dtype=object, count=len(quads))
-        return quad_array.reshape(shape), res.reshape(shape)
+        quad_array = np.fromiter(quads, dtype=object, count=len(quads)).reshape(shape)
+        return quad_array, den, residues(quads).reshape(shape)
 
     @cached_property
     def residue_stack(self) -> ResidueStack | None:
@@ -142,7 +133,7 @@ class PureState:
         fit int64; such a state's shortfalls take exact elimination.  Like
         ``cleared`` it is not a field.
         """
-        return ResidueStack.of(self.cleared[0], (2,) * self.n)
+        return ResidueStack.of(self.cleared[0].flat, (2,) * self.n)
 
     @cached_property
     def split_ranks(self) -> dict[tuple[int, ...], int]:

@@ -284,6 +284,8 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
     family = data["family"]
     report = TableReport(4, data["title"])
     entry = registry.get(family)
+    if not entry.split_rules:
+        raise FamilyError(f"family {family!r} has no per-split rules")
     for split, preds in entry.split_rules.items():
         bits = SPLIT_BITS[split]
         for idx, pred in enumerate(preds, start=1):
@@ -298,8 +300,11 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
                 got = split_rank(instantiate(family, values, registry), bits)
                 if got != idx:
                     return f"params {values}: rank {got}"
-                if classify_g_split(split, values, registry) != idx:
-                    return f"params {values}: classified into another row"
+                try:
+                    if classify_g_split(split, values, registry) != idx:
+                        return f"params {values}: classified into another row"
+                except ClassificationError as exc:
+                    return f"params {values}: {exc}"
                 return None
 
             report.rows.append(

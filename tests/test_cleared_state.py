@@ -1,24 +1,30 @@
 """The cleared form cached on exact states is invisible and rank-preserving.
 
 ``PureState.cleared`` (integer quadruples over one denominator plus F_P
-residues) is computed once per state and gathered into each coefficient
-matrix.  Neither the cache nor the gathered payload may change equality,
-hashing, ``repr`` or any rank.
+residues, each a 2 x ... x 2 array) is computed once per state and is the
+state's only cleared form: ``split_rank`` and ``det_coeff`` read a split's
+cells from it, while ``rank`` and ``transform_coefficient_matrix`` clear a
+coefficient matrix's own entries.  The cache may not change equality,
+hashing or ``repr``, and both routes must give the same ranks,
+determinants and transforms.
 """
 
-import dataclasses
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloccrank._kernels import residues
 from sloccrank.coeffmatrix import (
-    CoefficientMatrix,
+    _det,
     coefficient_matrix,
+    det_coeff,
     enumerate_bipartitions,
     rank,
+    split_rank,
 )
-from sloccrank.scalars import ExactScalar
+from sloccrank.scalars import ExactScalar, common_denominator
+from sloccrank.slocc import apply_local, random_invertible_local, transform_coefficient_matrix
 from sloccrank.states import QubitPermutation, parse_state, permute_qubits, render_state, state
 
 SMALL = st.integers(-3, 3)
@@ -38,8 +44,10 @@ def exact_states(draw, max_n=6):
 @given(exact_states())
 def test_cleared_form_matches_the_amplitudes(psi):
     quads, den, res = psi.cleared
-    assert [ExactScalar(*q, den) for q in quads] == list(psi.amps)
-    assert res.tolist() == residues(quads).tolist()
+    assert quads.shape == res.shape == (2,) * psi.n  # qubit p on axis p - 1
+    flat = quads.ravel().tolist()
+    assert [ExactScalar(*q, den) for q in flat] == list(psi.amps)
+    assert res.ravel().tolist() == residues(flat).tolist()
     assert psi.cleared is psi.cleared  # computed once
 
 
@@ -57,22 +65,23 @@ def test_cache_is_invisible_to_equality_hash_and_repr(psi):
     assert {warm: 1}[cold] == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(exact_states(), st.data())
-def test_matrix_equality_ignores_the_gathered_payload(psi, data):
+def test_matrix_routes_agree_with_the_state_routes(psi, data):
     n = psi.n
+    for bp in enumerate_bipartitions(n):
+        assert rank(coefficient_matrix(psi, bp.row_bits)) == split_rank(psi, bp.row_bits)
+    if n % 2 == 0:
+        for half in combinations(range(1, n + 1), n // 2):
+            C = coefficient_matrix(psi, half)
+            quads, den = common_denominator([e for row in C.entries for e in row])
+            assert det_coeff(psi, half) == _det(quads, den, C.rows)
     row_bits = tuple(data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(0, n))])
-    C = coefficient_matrix(psi, row_bits)
-    assert C.cleared is not None
-    bare = dataclasses.replace(C, cleared=None)
-    assert C == bare and hash(C) == hash(bare) and repr(C) == repr(bare)
-    assert isinstance(bare, CoefficientMatrix)
-    # the gathered residues and the matrix's own clearing give the same rank
-    assert rank(C) == rank(bare)
-    quads, den, res = C.cleared
-    flat = [e for row in C.entries for e in row]
-    assert [ExactScalar(*q, den) for q in quads] == flat
-    assert res.tolist() == residues(quads).tolist()
+    ops = random_invertible_local(n, data.draw(st.integers(0, 1 << 16)))
+    T = coefficient_matrix(psi, row_bits).transpose()
+    bp = T.bipartition
+    rebuilt = coefficient_matrix(apply_local(psi, ops), bp.row_bits, bp.col_bits)
+    assert transform_coefficient_matrix(T, ops) == rebuilt
 
 
 @settings(max_examples=40, deadline=None)

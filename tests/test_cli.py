@@ -356,6 +356,18 @@ REGISTRY_DEFECTS = {
         "params": ["a", "a"],
         "amps": ["1*a"] + ["0"] * 14 + ["1"],
     }]),
+    "empty-not-boolean": json.dumps([{"name": "x", "rules": [{"triple": "444", "empty": "no"}]}]),
+    "bisep-not-boolean-or-string": json.dumps([{
+        "name": "x",
+        "rules": [{"triple": "444", "predicate": "", "bisep": 5}],
+    }]),
+    "intersect-index-boolean": json.dumps([{
+        "name": "x",
+        "params": ["a"],
+        "split_rules": {"AB": ["a=0", "a!=0"]},
+        "rules": [{"triple": "111", "intersect": {"AB": True}}],
+    }]),
+    "unknown-split": json.dumps([{"name": "x", "params": ["a"], "split_rules": {"XY": ["a=0"]}}]),
 }
 
 

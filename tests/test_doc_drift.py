@@ -2,8 +2,9 @@
 
 Every bare identifier in double backticks in the ``_kernels`` module
 docstring, and every ``_kernels.<name>`` in README.md, must be an
-attribute of ``sloccrank._kernels``, and every ``coeffmatrix.<name>`` in
-README.md one of ``sloccrank.coeffmatrix``: a constant or routine deleted
+attribute of ``sloccrank._kernels``, every ``coeffmatrix.<name>`` in
+README.md one of ``sloccrank.coeffmatrix``, and every ``PureState.<name>``
+in README.md one of ``PureState``: a constant, routine or cache deleted
 from the code must not live on in the prose.
 """
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import sloccrank._kernels as kernels
 import sloccrank.coeffmatrix as coeffmatrix
+from sloccrank.states import PureState
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +38,9 @@ def test_readme_names_existing_coeffmatrix_symbols():
     names = re.findall(r"\bcoeffmatrix\.([A-Za-z_]\w*)", README.read_text())
     assert {"split_plan", "rank_signature"} <= set(names)
     assert _missing(names, coeffmatrix) == []
+
+
+def test_readme_names_existing_pure_state_attributes():
+    names = re.findall(r"\bPureState\.([A-Za-z_]\w*)", README.read_text())
+    assert {"cleared", "split_ranks", "residue_stack"} <= set(names)
+    assert _missing(names, PureState) == []

@@ -384,6 +384,11 @@ def test_register_family_rejects_rule_on_undeclared_parameter():
      "undeclared"),
     ({"name": "x", "params": ["a"], "split_rules": {"AB": ["z=0"]}}, "undeclared"),
     ({"name": "x", "params": ["a", "a"]}, "repeat"),
+    ({"name": "x", "rules": [{"triple": "444", "empty": "no"}]}, "'empty' must be a JSON boolean"),
+    ({"name": "x", "rules": [{"triple": "444", "bisep": 5}]}, "'bisep' must be a JSON boolean or"),
+    ({"name": "x", "split_rules": {"AB": ["a=0"]}, "params": ["a"],
+      "rules": [{"triple": "111", "intersect": {"AB": True}}]}, "no split rule AB #True"),
+    ({"name": "x", "params": ["a"], "split_rules": {"XY": ["a=0"]}}, "splits must be among"),
 ])
 def test_malformed_registry_entry_raises_family_error(data, message):
     with pytest.raises(FamilyError, match=message):

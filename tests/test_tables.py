@@ -17,6 +17,7 @@ from sloccrank.families import (
     default_registry,
     grid_rational,
     instantiate,
+    _builtin_data,
     rank_triple,
 )
 from sloccrank.scalars import ExactScalar
@@ -91,6 +92,33 @@ def test_table_4_per_split_rows(quick_scans):
     report = run_table(4, samples=6, seed=12)
     assert report.passed, [(r.name, r.computed) for r in report.rows if not r.passed]
     assert len(report.rows) == 12
+
+
+def _g_abcd_registry(split_rules):
+    """A registry holding only the bundled G_abcd, without its rule rows,
+    with ``split_rules`` in place of its own (None: without any)."""
+    data = next(e for e in _builtin_data() if e["name"] == "G_abcd")
+    data = {k: v for k, v in data.items() if k not in ("rules", "split_rules")}
+    if split_rules is not None:
+        data["split_rules"] = split_rules
+    registry = FamilyRegistry(include_builtin=False)
+    registry.register_entry(data)
+    return registry
+
+
+def test_table_4_reports_overlapping_split_rows_as_mismatches(quick_scans):
+    rows = next(e for e in _builtin_data() if e["name"] == "G_abcd")["split_rules"]
+    overlapping = dict(rows, AB=rows["AB"][:3] + ["c!=±d"])  # row 4 now meets row 3
+    report = run_table(4, samples=3, seed=1, registry=_g_abcd_registry(overlapping))
+    assert not report.passed
+    row = next(r for r in report.rows if r.name == "F3^AB")
+    assert row.verdict == "mismatch"
+    assert "per-split rows [3, 4] of G_abcd/AB match simultaneously" in row.computed
+
+
+def test_table_4_without_split_rules_is_a_family_error():
+    with pytest.raises(FamilyError, match="'G_abcd' has no per-split rules"):
+        run_table(4, samples=3, seed=1, registry=_g_abcd_registry(None))
 
 
 def test_tables_5_6_8_rows_and_scans(quick_scans):
