@@ -25,43 +25,44 @@ after every update: residues below P < 2**31 keep each product below
 2**62.
 
 A rank r mod P below full is proved exact rather than recomputed, from
-``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination names its
-pivot rows I and columns J; the minor A = M[I, J] is nonzero mod P, so
-it is nonzero, and rank M >= r.  Each bordered minor
-x_ij = det M[I + i, J + j] equals det(A) times an entry of the Schur
-complement of A (Guttman's rank additivity), so rank M = r exactly when
-every x_ij is 0.  All of them vanish mod P.  If x_ij also vanishes mod
-the distinct primes p_2, ..., p_k of ``PRIME_TABLE`` (each = 1 mod 8,
-mapped the same way), then P * p_2 * ... * p_k divides the integer
-N(x_ij), the product of its four complex embeddings.  Every embedding of
-an entry has modulus at most h (see ``_h2``); with T the sum of h**2 over
-all entries, Hadamard and AM-GM bound every s-minor's norm by
-(T/s)**(2s) (``_norm_bits``), so a product of primes above that forces
-x_ij = 0.  One T serves every split of a state, so the inputs are
-prepared once per state, not per split: ``ResidueStack`` holds the
-state's cleared quadruples as one int64 2 x ... x 2 x 4 array, T, and
-their residues modulo the first k table primes, reduced once and grown
-when a later certificate needs more primes.  ``PureState.residue_stack``
-builds it on the first certificate a split of the state needs (never for
-a state whose splits are all full rank mod P) and keeps (k + 4) * 2**n *
-8 bytes as long as the state lives.  A split's certificate takes its
-(k, m, n) residues by one transpose along the split's axes and the
-support compression above, pivots first; a lone matrix builds a stack of
-its own entries.  This T bound is never tighter than the per-matrix
-Hadamard bound of ``_hadamard_bits`` and can cost a prime more.  The
-check (``_bordered_minors_vanish``) runs r steps of division-free
-elimination on the fixed pivots for a whole batch of primes in one
-(k, m, n) int64 array: with nonzero pivots mod p the trailing block
-vanishes exactly when every x_ij does.  A prime on which a pivot
-vanishes is replaced by the next one.  A nonzero trailing block (the
-exact rank is above r), a component beyond int64 (no stack) or a bound
-beyond the table sends the matrix to ``_eliminate``, as does every
-rank-deficient matrix under the cutoff that no upper bound below
-proves.  On sums of r random outer
-products, as lone matrices (one core of a 2-CPU x86-64 host, Python
-3.11, numpy 2.4), the certificate took 0.6 vs 5.9-6.2 ms for
-``_eliminate`` at 16 x 16 rank 8 and 0.2 vs 0.4-0.5 ms at 8 x 8 rank 4;
-at 4 x 8 rank 2 it lost, 0.13 vs 0.09 ms.
+``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination's r pivot
+rows and columns give a minor that is nonzero mod P, so it is nonzero,
+and rank M >= r.  Every (r+1)-minor x vanishes mod P.  If x also vanishes
+mod the distinct primes p_2, ..., p_k of ``PRIME_TABLE`` (each = 1 mod 8,
+mapped the same way), then P * p_2 * ... * p_k divides the integer N(x),
+the product of its four complex embeddings.  Every embedding of an entry
+has modulus at most h (see ``_h2``); with T the sum of h**2 over all
+entries, Hadamard and AM-GM bound the norm of every minor of at most s
+rows by (T/s)**(2s) once T >= e * s (``_norm_bits``), so a product of
+primes above that forces x = 0, and rank M <= r.  This one proof, with
+this one bound, also ranks the stacks below, and one F_p row reduction
+serves both: ``_reduce_mod`` reduces a (K, rows, cols) int64 stack of
+residue matrices, each modulo its own prime, pivoting each row on its
+largest residue.
+
+One T serves every split of a state, so the inputs are prepared once per
+state, not per split: ``ResidueStack`` holds the state's cleared
+quadruples as one int64 2 x ... x 2 x 4 array, T, and their residues
+modulo the first k table primes, reduced once and grown when a later
+certificate needs more primes.  ``PureState.residue_stack`` builds it on
+the first certificate a split of the state needs (never for a state
+whose splits are all full rank mod P) and keeps (k + 4) * 2**n * 8 bytes
+as long as the state lives.  A split's certificate takes its (k, m, n)
+residues by one transpose along the split's axes and the support
+compression above, the F_P pivot rows first; a lone matrix builds a
+stack of its own entries.  The check (``_bordered_minors_vanish``) runs
+r steps of ``_reduce_mod`` for a whole batch of primes at once.  When
+all r pivot rows are live mod p, the rows below them are then zero
+exactly when the rank mod p is r, that is when every (r+1)-minor
+vanishes mod p; a prime on which a pivot row dies is not counted, and
+the next one replaces it.  A nonzero row below (the exact rank is above
+r), a component beyond int64 (no stack) or a bound beyond the table
+sends the matrix to ``_eliminate``, as does every rank-deficient matrix
+under the cutoff that no upper bound below proves.  On sums of r random
+outer products, as lone matrices (one core of a 2-CPU x86-64 host,
+Python 3.11, numpy 2.4), the certificate took 0.75-0.84 vs 4.3-7.6 ms
+for ``_eliminate`` at 16 x 16 rank 8 and 0.2-0.36 vs 0.37-0.67 ms at
+8 x 8 rank 4; at 4 x 8 rank 2 it lost, 0.12-0.13 vs 0.06-0.07 ms.
 
 Before any certificate, a rank r mod P below full is compared with two
 upper bounds on the exact rank that need no field arithmetic
@@ -91,17 +92,17 @@ below r contradicts the lower bound and raises ArithmeticError.
 A certificate or ``_eliminate`` runs only when neither bound equals r.
 
 A stack of matrices of one shape (``stacked_rank``, which the rule-table
-scans use) is proved without pivots.  Each matrix is reduced modulo the
-first k primes of ``STACK_PRIMES`` = (P,) + ``PRIME_TABLE``, enough for
-their product to pass the Hadamard bound 2**B on the norms of its
-min(r, c)-minors (a zero line counts as norm 1, so the bound covers every
-smaller minor), and one F_p elimination runs over all k * B residue
-matrices.  The largest rank R over the k primes is the exact rank: no
-prime sees more than the exact rank, and every (R+1)-minor x vanishes
-modulo all k primes, so their product divides N(x), which is below 2**B,
-so x = 0.  The stack pays a fixed cost in numpy calls that one matrix
-does not amortise, so lone matrices keep the route above.  Both reduce
-int64 quadruples modulo a batch of primes through ``_residues_mod``.
+scans use) takes the same proof without pivots.  Each matrix is reduced
+modulo the first k primes of ``STACK_PRIMES`` = (P,) + ``PRIME_TABLE``,
+enough for their product to pass the ``_norm_bits`` bound of its own T
+on minors of up to min(r, c) rows, and one ``_reduce_mod`` over every
+row of all k * B residue matrices gives their ranks mod their primes.
+The largest rank R over the k primes is the exact rank: no prime sees
+more than the exact rank, and every (R+1)-minor vanishes modulo all k
+primes, so it is 0.  The stack pays a fixed cost in numpy calls that one
+matrix does not amortise, so a lone matrix finds its rank mod P with
+``_pivots_mod_p_int64``.  The stacks of both proofs reduce int64
+quadruples modulo a batch of primes through ``_residues_mod``.
 """
 
 import math
@@ -322,36 +323,20 @@ def _h2(q):
     return (f[..., 0] + np.sqrt(2) * f[..., 2]) ** 2 + (f[..., 1] + np.sqrt(2) * f[..., 3]) ** 2
 
 
-def _hadamard_bits(q, size):
-    """A bound B with |N(x)| < 2**B for every ``size``-minor x of ``q``.
-
-    ``q`` is an (..., m, n, 4) array of quadruples, and the bound has the
-    shape of its leading axes.  By Hadamard each embedding of a minor is
-    at most the product of its ``size`` largest column (or row) norms of
-    h (see ``_h2``), and the norm N(x), the product of the four
-    embeddings, at most that to the fourth.  A zero line counts as norm 1
-    (a nonzero one is at least 1), so the bound covers every smaller minor
-    too.  The float sums get a margin far above their rounding error.
-    """
-    h2 = _h2(q)
-    log_norms = np.minimum(*(
-        np.sort(np.log2(np.maximum(h2.sum(axis=a), 1)), axis=-1)[..., -size:].sum(axis=-1)
-        for a in (-2, -1)
-    ))
-    return 2 * log_norms * (1 + 1e-9) + 1
-
-
 def _norm_bits(total, size):
-    """A bound B with |N(x)| < 2**B for every ``size``-minor x of every
-    matrix laid out from entries whose h**2 (see ``_h2``) sum to ``total``.
+    """A bound B with |N(x)| < 2**B for every minor x of at most ``size``
+    rows of every matrix laid out from entries whose h**2 (see ``_h2``) sum
+    to ``total``, a float or an array of them (B then has its shape).
 
-    The rows of such a minor have h**2 sums rho_k with sum(rho_k) <= T =
+    The u rows of such a minor have h**2 sums rho_k with sum(rho_k) <= T =
     ``total``, so by Hadamard and the AM-GM inequality each embedding
-    satisfies |sigma(x)|**2 <= prod(rho_k) <= (T / size)**size, and the
-    norm, the product of four embeddings, |N(x)| <= (T / size)**(2 size).
-    The margin is that of ``_hadamard_bits``.
+    satisfies |sigma(x)|**2 <= prod(rho_k) <= (T / u)**u, and the norm, the
+    product of four embeddings, |N(x)| <= (T / u)**(2u).  For T >= e * size
+    that grows with u up to ``size``, so T is raised to at least e * size
+    (which also keeps a zero matrix off log2(0)).  The float sums get a
+    margin far above their rounding error.
     """
-    return 2 * size * math.log2(total / size) * (1 + 1e-9) + 1
+    return 2 * size * np.log2(np.maximum(total, math.e * size) / size) * (1 + 1e-9) + 1
 
 
 def _residues_mod(q, primes):
@@ -405,16 +390,41 @@ class ResidueStack:
         return self.residues[:k]
 
 
+def _reduce_mod(m, p, steps):
+    """Row-reduce the first ``steps`` rows of a stack of residue matrices in place.
+
+    ``m`` is a (K, rows, cols) int64 array of residues in [0, p) and ``p``
+    the primes, broadcastable to it (one per matrix).  Each row t in turn
+    pivots on its largest residue x, in column j, or on x = 1 when it is
+    zero (the update then leaves the rows below unchanged), and every later
+    row becomes ``(x * row' - row'[j] * row) % p``: both products are below
+    p**2 < 2**62.  Returns the count of live (nonzero) pivot rows of each
+    matrix; after ``rows`` steps that is its rank mod p.  A pivot row is
+    final once it is reached, so the count is read off the rows at the end.
+    """
+    at = np.arange(len(m))
+    for t in range(min(steps, m.shape[1] - 1)):  # the last row has no rows below
+        row = m[:, t]
+        j = row.argmax(axis=1)
+        rest = m[:, t + 1:]
+        col = rest[at, :, j, None]
+        rest *= np.maximum(row[at, j], 1)[:, None, None]
+        rest -= col * row[:, None, :]
+        rest %= p
+    return np.count_nonzero(m[:, :steps].any(axis=2), axis=1)
+
+
 def _bordered_minors_vanish(take, total, r):
-    """Whether every bordered minor of a matrix's r x r pivot minor is 0.
+    """Whether every (r+1)-minor of a matrix of rank r mod P is 0.
 
     ``take(start, stop)`` returns the matrix's residues modulo
-    ``PRIME_TABLE[start:stop]`` as a fresh (k, m, n) int64 stack, ordered
-    with the pivot rows and columns of its F_P elimination first (see
-    ``_pivots_mod_p_int64``), so all (r+1)-minors vanish mod P; ``total``
-    is the T of ``_norm_bits``.  The proof from there is in the module
-    docstring.  False means some minor is nonzero mod a prime (so the rank
-    exceeds r) or the table ran out before the bound.
+    ``PRIME_TABLE[start:stop]`` as a fresh (k, m, n) int64 stack, the
+    pivot rows of its F_P elimination (see ``_pivots_mod_p_int64``)
+    first; ``total`` is the T of ``_norm_bits``.  A prime counts when all
+    r pivot rows are live under ``_reduce_mod``; the proof is in the
+    module docstring.  False means a row below the pivots is nonzero mod
+    a counted prime (so the rank exceeds r) or the table ran out before
+    the bound.
     """
     need = _norm_bits(total, r + 1) - PRIME_BITS  # P is the first prime
     start = 0
@@ -423,16 +433,9 @@ def _bordered_minors_vanish(take, total, r):
         if start + count > len(PRIME_TABLE):
             return False
         res = take(start, start + count)
-        p = _TABLE_PRIMES[start:start + count, None, None]
+        alive = _reduce_mod(res, _TABLE_PRIMES[start:start + count, None, None], r) == r
         start += count
-        for t in range(r):  # row t is final from here on
-            below = res[:, t + 1:, t + 1:]
-            prod = res[:, t + 1:, t, None] * res[:, t, None, t + 1:]
-            below *= res[:, t, t, None, None]
-            below -= prod
-            below %= p
-        alive = np.diagonal(res, axis1=1, axis2=2)[:, :r].all(axis=1)
-        if res[alive, r:, r:].any():
+        if res[alive, r:].any():
             return False
         need -= PRIME_BITS * int(alive.sum())
     return True
@@ -491,13 +494,6 @@ def _upper_bounds(support, r, cap):
         yield cap(r)
 
 
-def _pivots_first(index, pivots):
-    """``index[pivots]``, then the rest of ``index`` in order."""
-    rest = np.ones(len(index), dtype=bool)
-    rest[pivots] = False
-    return np.concatenate((index[pivots], index[rest]))
-
-
 def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
@@ -524,8 +520,8 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
     cells = len(rows) * len(cols)
     if cells < mod.size:
         mod = mod[rows][:, cols]
-    # not stacked_rank's loop: a stack of one costs 2.3x per step (16 x 16: 158 vs 65 us)
-    pivot_rows, pivot_cols = _pivots_mod_p_int64(mod)
+    # not _reduce_mod: a stack of one costs 1.6-2.6x up to 32 x 32 (16 x 16: 130-149 vs 64-68 us)
+    pivot_rows = _pivots_mod_p_int64(mod)[0]
     r = len(pivot_rows)
     if r == full:
         return full
@@ -534,7 +530,7 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
             raise ArithmeticError(f"rank bound {bound} is below the rank {r} mod P")
         if bound == r:
             return r
-    # bordered minors: the largest rank over several primes cost lowrank_signatures 18-25%
+    # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
     if cells >= CERTIFY_MIN_CELLS:
         if stack is None:
             source, axes = ResidueStack.of(entries, (nrows, ncols)), (0, 1)
@@ -543,12 +539,11 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
             source = owner.residue_stack
         if source is not None:
             moved = (0, *(a + 1 for a in axes))
-            order_rows = _pivots_first(rows, pivot_rows)[:, None]
-            order_cols = _pivots_first(cols, pivot_cols)
+            order_rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))[:, None]
 
             def take(start, stop):
                 t = source.upto(stop)[start:].transpose(moved).reshape(-1, nrows, ncols)
-                return t[:, order_rows, order_cols]
+                return t[:, order_rows, cols]
 
             if _bordered_minors_vanish(take, source.total, r):
                 return r
@@ -562,21 +557,20 @@ def stacked_rank(q):
 
     ``q`` is a (B, r, c, 4) int64 array.  Each matrix is reduced modulo
     the first k primes of ``(P,) + PRIME_TABLE``, with k the least count
-    whose bits pass its ``_hadamard_bits`` bound on min(r, c)-minors; the
-    batch takes the largest k.  One F_p elimination runs over all
-    (k * B) residue matrices: each row in turn pivots on its largest
-    residue x, or on x = 1 when it is zero (the update then leaves the
-    block unchanged), and every later row becomes
-    ``(x * row' - row'[j] * row) % p``.  The rank of a matrix is its
-    largest rank over the k primes, which is exact (see the module
-    docstring).  A matrix whose bound needs more primes than the table
-    holds goes to ``_eliminate``.
+    whose bits pass the ``_norm_bits`` bound of its own entries on minors
+    of up to min(r, c) rows; the batch takes the largest k.  One
+    ``_reduce_mod`` over every row of all (k * B) residue matrices gives
+    each its rank mod its prime, and the rank of a matrix is its largest
+    rank over the k primes, which is exact (see the module docstring).  A
+    matrix whose bound needs more primes than the table holds goes to
+    ``_eliminate``.
     """
     if q.dtype != np.int64:
         raise TypeError(f"stacked_rank takes an int64 stack, got {q.dtype}")
     count, nrows, ncols = q.shape[:3]
     ranks = np.zeros(count, dtype=np.int64)
-    need = np.ceil(_hadamard_bits(q, min(nrows, ncols)) / PRIME_BITS).astype(np.int64)
+    bits = _norm_bits(_h2(q).sum(axis=(1, 2)), min(nrows, ncols))
+    need = np.ceil(bits / PRIME_BITS).astype(np.int64)
     fast = need <= len(STACK_PRIMES)
     for b in np.flatnonzero(~fast).tolist():
         entries = list(map(tuple, q[b].reshape(-1, 4).tolist()))
@@ -591,23 +585,7 @@ def stacked_rank(q):
     primes = np.array(STACK_PRIMES[:k], dtype=np.int64)
     m = _residues_mod(q, primes).reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
     p_rows = np.repeat(primes[:, 0], len(q))[:, None, None]
-    mod_ranks = np.zeros(len(m), dtype=np.int64)
-    at = np.arange(len(m))
-    last = m.shape[1] - 1
-    for t in range(last + 1):
-        row = m[:, t]
-        j = row.argmax(axis=1)
-        x = row[at, j]
-        live = x != 0
-        mod_ranks += live
-        if t == last:
-            break
-        rest = m[:, t + 1:]
-        col = np.take_along_axis(rest, j[:, None, None], axis=2)
-        rest *= np.where(live, x, 1)[:, None, None]
-        rest -= col * row[:, None, :]
-        rest %= p_rows
-    ranks[fast] = mod_ranks.reshape(k, -1).max(axis=0)
+    ranks[fast] = _reduce_mod(m, p_rows, m.shape[1]).reshape(k, -1).max(axis=0)
     return ranks
 
 

@@ -373,13 +373,16 @@ def _field(data, key: str, owner: str, kind, default=None):
     """``data[key]`` checked to be a JSON ``kind``, else a FamilyError.
 
     ``data`` must be a JSON object; a missing key yields ``default``
-    when one is given.
+    when one is given.  A key that is present holds a ``kind``, so a
+    JSON ``null`` is refused as the wrong kind, not taken as missing.
     """
     if not isinstance(data, dict):
         raise FamilyError(f"{owner} must be a JSON object, got {data!r}")
-    value = data.get(key, default)
-    if value is None:
-        raise FamilyError(f"{owner} has no {key!r}")
+    if key not in data:
+        if default is None:
+            raise FamilyError(f"{owner} has no {key!r}")
+        return default
+    value = data[key]
     if not isinstance(value, kind):
         raise FamilyError(f"{owner}: {key!r} must be a JSON {_JSON_KINDS[kind]}")
     return value
@@ -782,7 +785,8 @@ def sample_predicate(
     """Deterministic small-rational parameter tuples satisfying the rule.
 
     Equality constraints are solved by substitution; inequalities by
-    rejection over a small grid.
+    rejection over a small grid, with at most ``max_attempts`` draws for
+    each tuple.
     """
     if rule.predicate is None:
         raise SamplingError(f"row {rule.triple} of {rule.family} is unreachable")
@@ -819,6 +823,7 @@ def sample_predicate(
         bindings = {s: ExactScalar._coerce(v) for s, v in values.items()}
         if all(atom.holds(bindings) for atom in conj):
             out.append(tuple(values[s] for s in symbols))
+            attempts = 0
     return out
 
 

@@ -381,6 +381,15 @@ def test_malformed_registry_is_a_usage_error(text, ghz4_file, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_registry_null_is_refused_as_the_wrong_kind(ghz4_file, tmp_path, capsys):
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps([{"name": "x", "rules": [{"triple": "444", "bisep": None}]}]))
+    assert main(["classify", ghz4_file, "--registry", str(reg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: family 'x' rule: 'bisep' must be a JSON boolean or string\n"
+    )
+
+
 @pytest.mark.parametrize("bits", ["AX", "AA", "ABCD", ""])
 def test_bits_must_name_a_proper_split(bits, ghz4_file, capsys):
     assert main(["ranks", ghz4_file, "--bits", bits]) == 1

@@ -294,6 +294,14 @@ def test_sample_unsatisfiable_predicate_raises():
         sample_predicate(rule, 1, seed=0, max_attempts=200)
 
 
+def test_sample_predicate_budget_is_per_tuple():
+    rule = SubfamilyRule("x", RankTriple(1, 1, 1), parse_predicate(""), ("a", "b"))
+    drawn = sample_predicate(rule, 3, seed=0, max_attempts=1)  # one draw per tuple suffices
+    assert drawn == sample_predicate(rule, 3, seed=0)
+    rule = SubfamilyRule("x", RankTriple(1, 1, 1), parse_predicate("a!=0"), ("a",))
+    assert len(sample_predicate(rule, 40, seed=1, max_attempts=20)) == 40
+
+
 # --- registry ------------------------------------------------------------------------
 
 
@@ -389,6 +397,9 @@ def test_register_family_rejects_rule_on_undeclared_parameter():
     ({"name": "x", "split_rules": {"AB": ["a=0"]}, "params": ["a"],
       "rules": [{"triple": "111", "intersect": {"AB": True}}]}, "no split rule AB #True"),
     ({"name": "x", "params": ["a"], "split_rules": {"XY": ["a=0"]}}, "splits must be among"),
+    ({"name": "x", "rules": [{"triple": "444", "empty": None}]}, "'empty' must be a JSON boolean"),
+    ({"name": "x", "rules": [{"triple": None}]}, "'triple' must be a JSON string"),
+    ({"name": "x", "amps": None}, "'amps' must be a JSON array"),
 ])
 def test_malformed_registry_entry_raises_family_error(data, message):
     with pytest.raises(FamilyError, match=message):

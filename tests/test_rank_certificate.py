@@ -2,8 +2,8 @@
 
 From ``CERTIFY_MIN_CELLS`` compressed cells on, a matrix whose rank mod P
 falls short is not eliminated exactly: the F_P pivot minor proves
-rank >= r and the bordered minors, checked mod enough table primes to
-pass the Hadamard bound on their norms, prove rank <= r.  Every case
+rank >= r and the (r+1)-minors, checked mod enough table primes to pass
+the ``_norm_bits`` bound on their norms, prove rank <= r.  Every case
 compares ``bareiss(det=False)`` with ``_eliminate``; the fixed cases also
 pin which route answered, and the hand-built ones sit on the edges of the
 proof: a minor vanishing mod P only, a minor vanishing mod every prime but
@@ -32,7 +32,7 @@ from sloccrank._kernels import (
     ZERO4,
     ResidueStack,
     _eliminate,
-    _hadamard_bits,
+    _h2,
     _norm_bits,
     adjoint_and_norm,
     bareiss,
@@ -125,18 +125,25 @@ def test_miller_rabin_helper():
 
 @settings(max_examples=40, deadline=None)
 @given(SEEDS, st.integers(1, 4), st.sampled_from((1, 3, 2**20)))
-def test_hadamard_bits_bound_every_minor_norm(seed, size, span):
+def test_norm_bits_bound_every_minor_norm(seed, size, span):
     rng = random.Random(seed)
     rows, cols = size + rng.randint(0, 3), size + rng.randint(0, 3)
-    # no zero line, as in a compressed matrix
-    q = np.array([_nonzero(rng, span) for _ in range(rows * cols)]).reshape(rows, cols, 4)
-    bits = _hadamard_bits(q, size)
+    q = np.array([_small(rng, span) for _ in range(rows * cols)]).reshape(rows, cols, 4)
+    bits = _norm_bits(float(_h2(q).sum()), size)
     for _ in range(5):
-        ri = sorted(rng.sample(range(rows), size))
-        ci = sorted(rng.sample(range(cols), size))
+        u = rng.randint(1, size)  # the bound covers every minor of at most size rows
+        ri = sorted(rng.sample(range(rows), u))
+        ci = sorted(rng.sample(range(cols), u))
         minor = [tuple(int(v) for v in q[i, j]) for i in ri for j in ci]
-        det = _eliminate(minor, size, size)[1]
+        det = _eliminate(minor, u, u)[1]
         assert abs(adjoint_and_norm(det)[1]) < 2**bits
+
+
+def test_norm_bits_covers_smaller_minors_of_a_small_total():
+    # a lone 2 in a 4 x 4: T = 4 = size, and its 1-minor has norm 16 > (T / size)**8 = 1
+    assert adjoint_and_norm((2, 0, 0, 0))[1] == 16 < 2 ** _norm_bits(4.0, 4)
+    totals = np.array([0.0, 4.0, 1e6])  # one bound per matrix, a zero matrix among them
+    assert _norm_bits(totals, 4).tolist() == [_norm_bits(t, 4) for t in totals.tolist()]
 
 
 # --- differential suites ----------------------------------------------------
@@ -212,7 +219,7 @@ def test_small_matrices_stay_on_elimination(eliminate_calls):
 
 
 def _ones_with_corner(x, rows=8, cols=8):
-    """All ones but the last cell, 1 + x: rank 2, and its one nonzero bordered minor is x."""
+    """All ones but the last cell, 1 + x: rank 2, and its one nonzero 2-minor is x."""
     flat = [ONES] * (rows * cols)
     flat[-1] = _add(ONES, x)
     return flat
@@ -292,7 +299,7 @@ def _table_primes_needed(flat, r):
 def _two_rows_with_minor(x, cols=32):
     """Rows (t, 1, ..., 1) and (c, d, ..., d), with d = x / t rounded and c = t d - x.
 
-    Every bordered minor is t d - c = x, and t is chosen so that the
+    Every nonzero 2-minor is t d - c = x, and t is chosen so that the
     entries' h**2 sum T, and with it the bound (T/2)**4 on N(x), is least:
     balanced rows keep the bound within a prime of the norm of a short x.
     """
@@ -322,6 +329,19 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
             assert bareiss(flat, 2, 32, det=False) == (2, None)
     assert found  # the bound is tight enough for at least one k to land exactly
     assert eliminate_calls == [(2, 32)] * len(found)
+
+
+def test_row_nonzero_only_left_of_the_pivot_column_is_seen(eliminate_calls):
+    """Rows (1, 2, ..., 2) and (1 + P, 2, ..., 2): rank 2, and rank 1 mod P.
+
+    Mod a table prime the first row pivots on its largest residue, 2 in
+    column 1, which leaves the second row nonzero in column 0 only: a check
+    of the columns from r on alone would call this rank 1.
+    """
+    two = (2, 0, 0, 0)
+    flat = [ONES] + [two] * 31 + [(1 + P, 0, 0, 0)] + [two] * 31
+    assert bareiss(flat, 2, 32, det=False) == (2, None)
+    assert eliminate_calls == [(2, 32)]
 
 
 def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):

@@ -1,8 +1,9 @@
 """The stacked exact rank agrees with exact Bareiss elimination, matrix by matrix.
 
 ``stacked_rank`` takes the largest rank of each matrix modulo the first
-k primes of ``STACK_PRIMES``, with k set by the Hadamard bound on the
-matrix's minors.  Every case compares it with ``_eliminate`` on each
+k primes of ``STACK_PRIMES``, with k set by the ``_norm_bits`` bound on
+the minors of a matrix with the matrix's T, the sum of h**2 over its
+entries.  Every case compares it with ``_eliminate`` on each
 matrix of a stack that mixes ranks; the fixed cases sit on the edges of
 the proof: a minor vanishing mod every prime but the last one the bound
 needs, components up to the ends of int64, and a bound beyond the table.
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_rank_certificate import _add, _outer_sum, _small, _vanishing_under
+from test_rank_certificate import _outer_sum, _small, _two_rows_with_minor, _vanishing_under
 
 from sloccrank._kernels import (
     PRIME_BITS,
@@ -25,7 +26,8 @@ from sloccrank._kernels import (
     ZERO4,
     P,
     _eliminate,
-    _hadamard_bits,
+    _h2,
+    _norm_bits,
     _residues_mod,
     bareiss,
     residues,
@@ -51,8 +53,8 @@ def _array(stack, rows, cols, dtype=np.int64):
 
 
 def _primes_needed(stack, rows, cols):
-    bits = _hadamard_bits(_array(stack, rows, cols).astype(np.float64), min(rows, cols))
-    return np.ceil(bits / PRIME_BITS).astype(int)
+    totals = _h2(_array(stack, rows, cols)).sum(axis=(1, 2))
+    return np.ceil(_norm_bits(totals, min(rows, cols)) / PRIME_BITS).astype(int)
 
 
 @st.composite
@@ -92,7 +94,7 @@ def test_one_stack_holds_every_rank_and_needs_several_primes(eliminate_calls):
 
 
 def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
-    """[[1, 1], [1, 1 + x]] padded to 4x4: rank 2, and rank 1 mod each prime dividing x.
+    """Rows (t, 1, ..., 1) and (c, d, ..., d) whose nonzero 2-minors are all x.
 
     x vanishes mod the first k - 1 primes, P among them, where the bound
     needs k; a stack that stopped one prime short would call it rank 1.
@@ -100,14 +102,14 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
     found = []
     for k in range(2, 7):
         x = _vanishing_under(STACK_PRIMES[: k - 1])
-        flat = [ZERO4] * 16
-        flat[0] = flat[1] = flat[4] = ONES
-        flat[5] = _add(ONES, x)
-        if _primes_needed([flat], 4, 4)[0] == k:
+        table_primes, flat = _two_rows_with_minor(x)  # the bound's primes after P
+        if table_primes + 1 == k:
             found.append(k)
             rng = random.Random(k)
-            stack = [_matrix(rng, 4, 4, 3, 3), flat, _matrix(rng, 4, 4, 1, 3)]
-            assert stacked_rank(_array(stack, 4, 4)).tolist() == [3, 2, 1]
+            stack = [_matrix(rng, 2, 32, 1, 1), flat, [ZERO4] * 64]
+            assert _primes_needed(stack, 2, 32).tolist()[1:] == [k, 1]
+            assert _primes_needed(stack, 2, 32)[0] <= k
+            assert stacked_rank(_array(stack, 2, 32)).tolist() == [1, 2, 0]
     assert found  # the bound is tight enough for at least one k to land exactly
     assert eliminate_calls == []
 
