@@ -1,12 +1,12 @@
 """The stacked exact rank agrees with exact Bareiss elimination, matrix by matrix.
 
 ``stacked_rank`` takes the largest rank of each matrix modulo the first
-k primes of ``STACK_PRIMES``, with k set by the ``_norm_bits`` bound on
-the minors of a matrix with the matrix's T, the sum of h**2 over its
-entries.  Every case compares it with ``_eliminate`` on each
-matrix of a stack that mixes ranks; the fixed cases sit on the edges of
-the proof: a minor vanishing mod every prime but the last one the bound
-needs, components up to the ends of int64, and a bound beyond the table.
+k primes of ``STACK_PRIMES``, with k set by the ``_norm_bits`` bound of
+the matrix's T, the sum of h**2 over its entries.  Every case compares
+it with ``_eliminate`` on each matrix of a stack that mixes ranks; the
+fixed cases sit on the edges of the proof: a minor vanishing mod every
+prime but the last one the bound needs, components up to the ends of
+int64, and a bound beyond the table.
 """
 
 import itertools
@@ -107,8 +107,8 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
             found.append(k)
             rng = random.Random(k)
             stack = [_matrix(rng, 2, 32, 1, 1), flat, [ZERO4] * 64]
-            assert _primes_needed(stack, 2, 32).tolist()[1:] == [k, 1]
-            assert _primes_needed(stack, 2, 32)[0] <= k
+            need = _primes_needed(stack, 2, 32).tolist()
+            assert need[0] <= k and need[1:] == [k, 1]
             assert stacked_rank(_array(stack, 2, 32)).tolist() == [1, 2, 0]
     assert found  # the bound is tight enough for at least one k to land exactly
     assert eliminate_calls == []
