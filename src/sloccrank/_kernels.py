@@ -16,10 +16,10 @@ homomorphism Z[i, sqrt2] -> F_P.  An exactly vanishing minor vanishes
 mod P, so the rank mod P is a lower bound on the exact rank; when it
 reaches min(nonzero rows, nonzero columns) it is the exact rank.
 
-A lone matrix (``_certified_rank``) takes one route.  It drops its
-exactly zero rows and columns, found on the residues (see ``residues``:
-an entry that is nonzero but vanishes mod P is stored as P, not 0), so
-no quadruple is scanned.  What is left is eliminated in int64
+A lone matrix (``_certified_rank``), a state's split or not, takes one
+route.  It drops its exactly zero rows and columns, found on the
+residues (see ``residues``: an entry that is nonzero but vanishes mod P
+is stored as P, not 0), so no quadruple is scanned.  What is left is eliminated in int64
 (``_pivots_mod_p_int64``), a whole row block at a time and reduced again
 after every update: residues below P < 2**31 keep each product below
 2**62.
@@ -40,23 +40,20 @@ serves both: ``_reduce_mod`` reduces a (K, rows, cols) int64 stack of
 residue matrices, each modulo its own prime, pivoting each row on its
 largest residue.
 
-One T serves every split of a state, so the inputs are prepared once per
-state, not per split: ``ResidueStack`` holds the state's cleared
-quadruples as one int64 2 x ... x 2 x 4 array, T, and their residues
-modulo the first k table primes, reduced once and grown when a later
-certificate needs more primes.  ``PureState.residue_stack`` builds it on
-the first certificate a split of the state needs (never for a state
-whose splits are all full rank mod P) and keeps (k + 4) * 2**n * 8 bytes
-as long as the state lives.  A split's certificate takes its (k, m, n)
-residues by one transpose along the split's axes and the support
-compression above, the F_P pivot rows first; a lone matrix builds a
-stack of its own entries.  The check (``_bordered_minors_vanish``) runs
-r steps of ``_reduce_mod`` for a whole batch of primes at once.  When
+A certificate reads only its own matrix.  The compressed cells, the F_P
+pivot rows first, form one list that feeds both the certificate and, if
+it fails, ``_eliminate``.  The certificate (``_bordered_minors_vanish``)
+takes them as an int64 (rows, cols, 4) array, sums T over them and
+reduces them modulo each batch of table primes the bound still needs
+(``_residues_mod``).  A split of a state holds each amplitude once, and
+compression drops only zero lines, so every split of a state has the
+state's T and asks for the same primes.  The check runs r steps of
+``_reduce_mod`` for a whole batch of primes at once.  When
 all r pivot rows are live mod p, the rows below them are then zero
 exactly when the rank mod p is r, that is when every (r+1)-minor
 vanishes mod p; a prime on which a pivot row dies is not counted, and
 the next one replaces it.  A nonzero row below (the exact rank is above
-r), a component beyond int64 (no stack) or a bound beyond the table
+r), a component beyond int64 or a bound beyond the table
 sends the matrix to ``_eliminate``, as does every rank-deficient matrix
 under the cutoff that no upper bound below proves.  On sums of r random
 outer products, as lone matrices (one core of a 2-CPU x86-64 host,
@@ -158,7 +155,7 @@ PRIME_TABLE = (
     (2147478049, 1177723471, 347015307), (2147478017, 1404461508, 244346993),
 )
 STACK_PRIMES = ((P, I_P, S_P),) + PRIME_TABLE  # the primes of ``stacked_rank``, P first
-_TABLE_PRIMES = np.array([p for p, _, _ in PRIME_TABLE], dtype=np.int64)
+_TABLE_PRIMES = np.array(PRIME_TABLE, dtype=np.int64)  # rows (p, I_p, S_p)
 
 
 def mul4(x, y):
@@ -355,41 +352,6 @@ def _residues_mod(q, primes):
     return m
 
 
-class ResidueStack:
-    """An int64 quadruple array, its bound T and its residues modulo the
-    first k primes of ``PRIME_TABLE``, for a k that only grows.
-
-    ``quads`` has shape (..., 4) and ``total`` is T, the sum of h**2 over
-    its entries (see ``_h2`` and ``_norm_bits``).  ``upto(k)`` returns the
-    residues as a (k,) + ``quads.shape[:-1]`` array: primes reduced once
-    are kept, and only the missing ones are reduced.
-    """
-
-    __slots__ = ("quads", "total", "residues")
-
-    def __init__(self, quads):
-        self.quads = quads
-        self.total = float(_h2(quads).sum())
-        self.residues = np.empty((0,) + quads.shape[:-1], dtype=np.int64)
-
-    @classmethod
-    def of(cls, entries, shape):
-        """The stack of a flat sequence of int quadruples laid out in ``shape``,
-        or None when a component does not fit int64."""
-        try:
-            q = np.fromiter(chain.from_iterable(entries), np.int64, 4 * math.prod(shape))
-        except OverflowError:
-            return None
-        return cls(q.reshape(*shape, 4))
-
-    def upto(self, k):
-        have = len(self.residues)
-        if k > have:
-            primes = np.array(PRIME_TABLE[have:k], dtype=np.int64)
-            self.residues = np.concatenate((self.residues, _residues_mod(self.quads, primes)))
-        return self.residues[:k]
-
-
 def _reduce_mod(m, p, steps):
     """Row-reduce the first ``steps`` rows of a stack of residue matrices in place.
 
@@ -414,26 +376,27 @@ def _reduce_mod(m, p, steps):
     return np.count_nonzero(m[:, :steps].any(axis=2), axis=1)
 
 
-def _bordered_minors_vanish(take, total, r):
+def _bordered_minors_vanish(q, r):
     """Whether every (r+1)-minor of a matrix of rank r mod P is 0.
 
-    ``take(start, stop)`` returns the matrix's residues modulo
-    ``PRIME_TABLE[start:stop]`` as a fresh (k, m, n) int64 stack, the
+    ``q`` is the matrix as an int64 (m, n, 4) array of quadruples, the
     pivot rows of its F_P elimination (see ``_pivots_mod_p_int64``)
-    first; ``total`` is the T of ``_norm_bits``.  A prime counts when all
-    r pivot rows are live under ``_reduce_mod``; the proof is in the
-    module docstring.  False means a row below the pivots is nonzero mod
-    a counted prime (so the rank exceeds r) or the table ran out before
-    the bound.
+    first.  Its entries give the T of ``_norm_bits``, and each batch of
+    table primes the bound still needs reduces them with ``_residues_mod``.
+    A prime counts when all r pivot rows are live under ``_reduce_mod``;
+    the proof is in the module docstring.  False means a row below the
+    pivots is nonzero mod a counted prime (so the rank exceeds r) or the
+    table ran out before the bound.
     """
-    need = _norm_bits(total, r + 1) - PRIME_BITS  # P is the first prime
+    need = _norm_bits(float(_h2(q).sum()), r + 1) - PRIME_BITS  # P is the first prime
     start = 0
     while need > 0:
         count = math.ceil(need / PRIME_BITS)
         if start + count > len(PRIME_TABLE):
             return False
-        res = take(start, start + count)
-        alive = _reduce_mod(res, _TABLE_PRIMES[start:start + count, None, None], r) == r
+        primes = _TABLE_PRIMES[start:start + count]
+        res = _residues_mod(q, primes)
+        alive = _reduce_mod(res, primes[:, :1, None], r) == r
         start += count
         if res[alive, r:].any():
             return False
@@ -494,16 +457,11 @@ def _upper_bounds(support, r, cap):
         yield cap(r)
 
 
-def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
+def _certified_rank(entries, nrows, ncols, res=None, cap=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
     ``res`` is ``residues(entries)`` when the caller has it already; its
     nonzero cells are the nonzero entries, so it gives the support.
-    ``stack`` is a pair ``(owner, axes)`` when the matrix is
-    ``tensor.transpose(axes).reshape(nrows, ncols)`` of a 2 x ... x 2
-    tensor whose ``ResidueStack`` (or None, beyond int64) is
-    ``owner.residue_stack``; it is read only on a certified shortfall.
-    Without it the matrix builds its own stack from ``entries``.
     ``cap(r)``, read only on a shortfall, returns a proven upper bound on
     the exact rank or None; it may stop looking once it reaches r.  A
     rank mod P of r is returned at once when an upper bound equals r, and
@@ -530,25 +488,20 @@ def _certified_rank(entries, nrows, ncols, res=None, stack=None, cap=None):
             raise ArithmeticError(f"rank bound {bound} is below the rank {r} mod P")
         if bound == r:
             return r
-    # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
-    if cells >= CERTIFY_MIN_CELLS:
-        if stack is None:
-            source, axes = ResidueStack.of(entries, (nrows, ncols)), (0, 1)
-        else:
-            owner, axes = stack
-            source = owner.residue_stack
-        if source is not None:
-            moved = (0, *(a + 1 for a in axes))
-            order_rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))[:, None]
-
-            def take(start, stop):
-                t = source.upto(stop)[start:].transpose(moved).reshape(-1, nrows, ncols)
-                return t[:, order_rows, cols]
-
-            if _bordered_minors_vanish(take, source.total, r):
-                return r
+    certify = cells >= CERTIFY_MIN_CELLS
+    if certify:  # the certificate takes the F_P pivot rows first, _eliminate any order
+        rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))
     rows, cols = rows.tolist(), cols.tolist()
     sub = [entries[i * ncols + j] for i in rows for j in cols]
+    if certify:
+        try:
+            q = np.fromiter(chain.from_iterable(sub), np.int64, 4 * cells)
+        except OverflowError:  # a component beyond int64: elimination decides
+            pass
+        else:
+            # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
+            if _bordered_minors_vanish(q.reshape(len(rows), len(cols), 4), r):
+                return r
     return _eliminate(sub, len(rows), len(cols))[0]
 
 
@@ -589,7 +542,7 @@ def stacked_rank(q):
     return ranks
 
 
-def bareiss(entries, nrows, ncols, det=True, res=None, stack=None, cap=None):
+def bareiss(entries, nrows, ncols, det=True, res=None, cap=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
     ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
@@ -599,13 +552,12 @@ def bareiss(entries, nrows, ncols, det=True, res=None, stack=None, cap=None):
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
     ``res``, the entries' ``residues`` in the same order, spares that
-    route computing them, ``stack`` names the residue stack its
-    certificate reads and ``cap`` is a lazy upper bound on the rank (see
-    ``_certified_rank``).
+    route computing them, and ``cap`` is a lazy upper bound on the rank
+    (see ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)
-    return _certified_rank(entries, nrows, ncols, res, stack, cap), ZERO4 if det else None
+    return _certified_rank(entries, nrows, ncols, res, cap), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

@@ -301,9 +301,8 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
     cells.  A shortfall is proved first by the upper bounds of
     ``_kernels``: the term rank of the split's support, then
     subadditivity over the ranks the memo already holds (``_cut_cap``); a
-    certificate it still needs reads the state's residue stack
-    (``PureState.residue_stack``) along the plan's axes.  A floating rank
-    depends on ``tolerance`` and is never kept.
+    certificate it still needs reads the split's own cells.  A floating
+    rank depends on ``tolerance`` and is never kept.
     """
     if not psi.is_exact:
         bp = plan.bipartition
@@ -313,7 +312,7 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
     if value is None:
         quads, res = _cells(psi, plan)
         value = memo[plan.key] = bareiss(
-            quads, plan.rows, plan.cols, det=False, res=res, stack=(psi, plan.axes),
+            quads, plan.rows, plan.cols, det=False, res=res,
             cap=lambda floor: _cut_cap(memo, plan, floor),
         )[0]
     return value

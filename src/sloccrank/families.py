@@ -548,13 +548,14 @@ def _bind(entry: FamilyEntry, params) -> dict[str, ExactScalar]:
         raise FamilyError(
             f"{entry.name} parameters are {entry.params}, got {tuple(raw)}"
         )
-    out = {}
-    for sym, value in raw.items():
-        coerced = ExactScalar._coerce(value)
-        if coerced is None:
-            raise FamilyError(f"parameter {sym!r} must be an exact scalar")
-        out[sym] = coerced
-    return out
+    return {sym: _exact_param(sym, value) for sym, value in raw.items()}
+
+
+def _exact_param(sym: str, value) -> ExactScalar:
+    coerced = ExactScalar._coerce(value)
+    if coerced is None:
+        raise FamilyError(f"parameter {sym!r} must be an exact scalar")
+    return coerced
 
 
 def instantiate(family: str, params, registry: FamilyRegistry | None = None) -> PureState:
@@ -957,7 +958,7 @@ def match_template(
     for sym, value in (fixed or {}).items():
         if sym not in entry.params:
             raise FamilyError(f"unknown parameter {sym!r}")
-        fixed_bindings[sym] = ExactScalar._coerce(value)
+        fixed_bindings[sym] = _exact_param(sym, value)
     exprs = [expr.substitute(fixed_bindings) for expr in entry.template.amps]
     free_syms = [s for s in entry.params if s not in fixed_bindings]
     scale_value = None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffmatrix import RankSignature, coefficient_matrix, rank_signature, split_rank
+from .coeffmatrix import RankSignature, coefficient_matrix, rank_signature, split_plan, split_rank
 from .states import PureState, state
 
 EN_DASH = "–"
@@ -57,15 +57,16 @@ def recursive_rank(factors, row_bits) -> int:
 
     ``factors`` is a list of (state, placement) pairs whose placements
     partition the combined register; ``row_bits`` refer to combined
-    positions.  A factor wholly on one side of the split has rank 1 there
-    (it is nonzero), so no matrix is built for it.
+    positions and are checked as ``split_rank`` checks them.  A factor
+    wholly on one side of the split has rank 1 there (it is nonzero), so
+    no matrix is built for it.
     """
     placements = [tuple(pos) for _, pos in factors]
     cover = sorted(p for pos in placements for p in pos)
     n = len(cover)
     if cover != list(range(1, n + 1)):
         raise ValueError("placements must partition 1..n")
-    row_set = set(row_bits)
+    row_set = set(split_plan(n, row_bits).bipartition.row_bits)
     out = 1
     for psi, pos in factors:
         if len(pos) != psi.n:

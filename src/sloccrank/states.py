@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._kernels import ResidueStack, residues
+from ._kernels import residues
 from .scalars import (
     ExactScalar,
     ScalarFormatError,
@@ -120,20 +120,6 @@ class PureState:
         shape = (2,) * self.n
         quad_array = np.fromiter(quads, dtype=object, count=len(quads)).reshape(shape)
         return quad_array, den, residues(quads).reshape(shape)
-
-    @cached_property
-    def residue_stack(self) -> ResidueStack | None:
-        """``cleared``'s quadruples as one int64 2 x ... x 2 x 4 array, with
-        their residues modulo the table primes a rank certificate has asked
-        for so far, and the bound T of all its minors (``ResidueStack``).
-
-        Built on the first certificate a split of this state needs and
-        grown in place, never rebuilt: it keeps (k + 4) * 2**n * 8 bytes
-        for k primes while the state lives.  None when a component does not
-        fit int64; such a state's shortfalls take exact elimination.  Like
-        ``cleared`` it is not a field.
-        """
-        return ResidueStack.of(self.cleared[0].flat, (2,) * self.n)
 
     @cached_property
     def split_ranks(self) -> dict[tuple[int, ...], int]:

@@ -24,7 +24,10 @@ def _missing(names, module=kernels):
 
 def test_kernel_docstring_names_existing_symbols():
     names = re.findall(r"``([A-Za-z_]\w*)``", kernels.__doc__)
-    required = {"_certified_rank", "CERTIFY_MIN_CELLS", "stacked_rank", "_reduce_mod", "_norm_bits"}
+    required = {
+        "_certified_rank", "CERTIFY_MIN_CELLS", "stacked_rank", "_reduce_mod", "_norm_bits",
+        "_bordered_minors_vanish",
+    }
     assert required <= set(names)
     assert _missing(names) == []
 
@@ -43,5 +46,5 @@ def test_readme_names_existing_coeffmatrix_symbols():
 
 def test_readme_names_existing_pure_state_attributes():
     names = re.findall(r"\bPureState\.([A-Za-z_]\w*)", README.read_text())
-    assert {"cleared", "split_ranks", "residue_stack"} <= set(names)
+    assert {"cleared", "split_ranks"} <= set(names)
     assert _missing(names, PureState) == []

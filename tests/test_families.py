@@ -521,6 +521,12 @@ def test_match_template_rejects_non_members():
     assert match_template(instantiate("L_ab3", (1, 1)), "L_ab3'") is None
 
 
+@pytest.mark.parametrize("value", [1.5, "x", None])
+def test_match_template_refuses_an_inexact_fixed_value(value):
+    with pytest.raises(FamilyError, match="parameter 'a' must be an exact scalar"):
+        match_template(instantiate("L_ab3", (1, 1)), "L_ab3", fixed={"a": value})
+
+
 def test_match_template_homogeneous_family_absorbs_scale():
     from sloccrank.states import scale as scale_state
 

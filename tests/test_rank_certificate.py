@@ -9,8 +9,8 @@ pin which route answered, and the hand-built ones sit on the edges of the
 proof: a minor vanishing mod P only, a minor vanishing mod every prime but
 the last one the bound needs, a pivot vanishing mod a table prime, and
 components too large for int64.  These matrices are lone (not a state's
-split), so each builds its own residue stack; ``test_stack_certificate``
-repeats the edges on state splits, which read the state's stack.
+split); ``test_stack_certificate`` repeats the edges on state splits,
+which take the same route.
 """
 
 import math
@@ -30,7 +30,6 @@ from sloccrank._kernels import (
     PRIME_TABLE,
     S_P,
     ZERO4,
-    ResidueStack,
     _eliminate,
     _h2,
     _norm_bits,
@@ -290,10 +289,14 @@ def _vanishing_under(primes):
     return x
 
 
+def _total(quads):
+    """T, the sum of h**2 over the int quadruples ``quads`` (see ``_norm_bits``)."""
+    return float(_h2(np.array(quads, dtype=np.int64)).sum())
+
+
 def _table_primes_needed(flat, r):
     """Table primes (after P) the certificate's bound asks for at rank r."""
-    total = ResidueStack.of(flat, (len(flat),)).total
-    return math.ceil((_norm_bits(total, r + 1) - PRIME_BITS) / PRIME_BITS)
+    return math.ceil((_norm_bits(_total(flat), r + 1) - PRIME_BITS) / PRIME_BITS)
 
 
 def _two_rows_with_minor(x, cols=32):

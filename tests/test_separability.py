@@ -41,6 +41,16 @@ def test_recursive_rank_rejects_overlap():
         recursive_rank([(epr(), (1, 2)), (epr(), (2, 3))], (1,))
 
 
+@pytest.mark.parametrize(
+    "row_bits, message",
+    [((1, 5), "out of range"), ((0, 2), "out of range"), ((1, 1, 3), "duplicate")],
+)
+def test_recursive_rank_rejects_bad_row_bits(row_bits, message):
+    factors = [(ghz(2), (1, 2)), (ghz(2), (3, 4))]
+    with pytest.raises(ValueError, match=message):
+        recursive_rank(factors, row_bits)
+
+
 def test_biseparability_examples():
     flag, _ = is_biseparable_across(ghz(4), (1, 2))
     assert not flag

@@ -1,16 +1,18 @@
-"""Rank shortfalls of state splits are certified from the state's residue stack.
+"""Rank shortfalls of state splits are certified from each split's own cells.
 
-An exact state reduces its cleared quadruples modulo the table primes once
-(``PureState.residue_stack``), on the first certificate a split needs, and
-every split's certificate reads that stack along the split's axes against
-one bound per state, (T/s)**(2s) on the norm of every s-minor.  The
-differential suites compare every split rank with ``_eliminate`` on the
-split's cells; the certificate cutoff is lowered there, and on products
-the upper bounds (tested in ``test_rank_caps``) are switched off, so every
-shortfall takes the stack, and a spy checks that it answered.  Dicke
-states keep shortfalls that no bound proves, so they carry the tests that
-need certificates at the default cutoff.  The fixed cases repeat the edges of ``test_rank_certificate`` on
-state splits, and the last ones pin the work the stack must not add.
+A certificate takes the split's compressed cells, the F_P pivot rows
+first, as an int64 (rows, cols, 4) array and reduces them modulo the
+table primes its bound asks for; every split holds each amplitude of the
+state once, so one bound per state, (T/s)**(2s) on the norm of every
+s-minor, covers them all.  The differential suites compare every split
+rank with ``_eliminate`` on the split's cells; the certificate cutoff is
+lowered there, and on products the upper bounds (tested in
+``test_rank_caps``) are switched off, so every shortfall takes a
+certificate, and a spy checks that it answered.  Dicke states keep
+shortfalls that no bound proves, so they carry the tests that need
+certificates at the default cutoff.  The fixed cases repeat the edges of
+``test_rank_certificate`` on state splits, and the last ones pin what a
+certificate reads and the work it must not add.
 """
 
 import itertools
@@ -27,14 +29,14 @@ import sloccrank._kernels as kernels
 from sloccrank._kernels import (
     I_P,
     P,
-    PRIME_BITS,
     PRIME_TABLE,
     S_P,
-    ResidueStack,
     _eliminate,
     _norm_bits,
+    _pivots_mod_p_int64,
     _residues_mod,
     adjoint_and_norm,
+    residues,
 )
 from sloccrank.coeffmatrix import _canonical_plans, _cells, rank_signature, split_rank
 from sloccrank.scalars import ExactScalar
@@ -45,6 +47,8 @@ from test_rank_certificate import (
     _nonzero,
     _ones_with_corner,
     _outer_sum,
+    _table_primes_needed,
+    _total,
     _two_rows_with_minor,
     _vanishing_under,
 )
@@ -57,6 +61,20 @@ def certificates():
     """The results of ``_bordered_minors_vanish``, in call order."""
     with _route_spies() as (calls, _):
         yield calls
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """(index in ``PRIME_TABLE`` of the first prime, count) of every ``_residues_mod`` call."""
+    table = [p for p, _, _ in PRIME_TABLE]
+    calls = []
+
+    def spy(q, primes):
+        calls.append((table.index(int(primes[0, 0])), len(primes)))
+        return _residues_mod(q, primes)
+
+    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    return calls
 
 
 def _scalar(rng, span=2):
@@ -132,8 +150,8 @@ def _route_spies(min_cells=None, bounds=True):
     calls, eliminated = [], []
     real_certificate, real_eliminate = kernels._bordered_minors_vanish, kernels._eliminate
 
-    def certificate(take, total, r):
-        calls.append(real_certificate(take, total, r))
+    def certificate(q, r):
+        calls.append(real_certificate(q, r))
         return calls[-1]
 
     def eliminate(entries, nrows, ncols):
@@ -157,10 +175,9 @@ def _assert_signature_matches_elimination(psi):
         assert signature.ranks[plan.key] == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
 
 
-def _assert_stack_answered(psi, certificates, eliminate_calls):
+def _assert_certificates_answered(certificates, eliminate_calls):
     assert certificates and all(certificates)
-    assert eliminate_calls == []  # every shortfall was proved from the stack
-    assert vars(psi)["residue_stack"] is not None  # built, though P alone may pass the bound
+    assert eliminate_calls == []  # every shortfall was proved by a certificate
 
 
 # --- differential suites -----------------------------------------------------
@@ -169,10 +186,10 @@ def _assert_stack_answered(psi, certificates, eliminate_calls):
 @settings(max_examples=40, deadline=None)
 @given(shuffled_products())
 def test_product_signatures_from_the_stack_match_elimination(psi):
-    # the bounds would prove most product shortfalls: every one takes the stack
+    # the bounds would prove most product shortfalls: every one takes a certificate
     with _route_spies(min_cells=4, bounds=False) as (calls, eliminated):
         _assert_signature_matches_elimination(psi)
-    _assert_stack_answered(psi, calls, eliminated)
+    _assert_certificates_answered(calls, eliminated)
 
 
 @settings(max_examples=15, deadline=None)
@@ -180,7 +197,7 @@ def test_product_signatures_from_the_stack_match_elimination(psi):
 def test_dicke_signatures_from_the_stack_match_elimination(psi):
     with _route_spies(min_cells=4) as (calls, eliminated):  # no shortfall is eliminated
         _assert_signature_matches_elimination(psi)
-    _assert_stack_answered(psi, calls, eliminated)
+    _assert_certificates_answered(calls, eliminated)
 
 
 @settings(max_examples=10, deadline=None)
@@ -200,6 +217,14 @@ def test_default_cutoff_certifies_large_shortfalls_from_the_stack(psi):
 # --- the bound ----------------------------------------------------------------
 
 
+def _compressed(psi, plan):
+    """The split's cells without its zero rows and columns, as a (rows, cols, 4) int64 array."""
+    quads, res = _cells(psi, plan)
+    q = np.array(quads, dtype=np.int64).reshape(plan.rows, plan.cols, 4)
+    mod = res.reshape(plan.rows, plan.cols)
+    return q[mod.any(axis=1)][:, mod.any(axis=0)]
+
+
 @st.composite
 def full_component_states(draw):
     """States of 2-4 qubits whose amplitudes have all four components nonzero."""
@@ -213,9 +238,11 @@ def full_component_states(draw):
 @settings(max_examples=25, deadline=None)
 @given(full_component_states())
 def test_state_bound_covers_every_minor_of_every_split(psi):
-    total = psi.residue_stack.total
+    total = _total(psi.cleared[0].ravel().tolist())
     for plan in _canonical_plans(psi.n):
         quads, _ = _cells(psi, plan)
+        # the split's own T, the one its certificate computes, is the state's
+        assert math.isclose(_total(_compressed(psi, plan)), total, rel_tol=1e-12)
         for size in range(1, min(plan.rows, plan.cols) + 1):
             bits = _norm_bits(total, size)
             for ri in itertools.combinations(range(plan.rows), size):
@@ -243,56 +270,88 @@ def test_split_minor_vanishing_mod_p_only_is_not_certified(eliminate_calls, cert
     assert certificates == [False] * 3
 
 
-def test_split_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls, certificates):
+def test_split_minor_vanishing_mod_all_but_the_last_needed_prime(
+    eliminate_calls, certificates, reduced
+):
     found = []
     for k in range(2, 6):
         x = _vanishing_under([(P, I_P, S_P)] + list(PRIME_TABLE[: k - 1]))
         needed, flat = _two_rows_with_minor(x)
         if needed == k:
             found.append(k)
-            psi = _state_of(flat)
-            assert split_rank(psi, (1,)) == 2
-            assert len(psi.residue_stack.residues) == k  # it read every needed prime
+            reduced.clear()
+            assert split_rank(_state_of(flat), (1,)) == 2
+            assert reduced == [(0, k)]  # it read every needed prime
     assert found
     assert certificates == [False] * len(found)
     assert eliminate_calls == [(2, 32)] * len(found)
 
 
-def test_split_pivot_vanishing_mod_a_table_prime_grows_the_stack(eliminate_calls, certificates):
+def test_split_pivot_vanishing_mod_a_table_prime_grows_the_stack(
+    eliminate_calls, certificates, reduced
+):
     y = _vanishing_under(PRIME_TABLE[:1])  # 0 mod the first table prime, not mod P
     rng = random.Random(5)
     left = [[y]] + [[_nonzero(rng)] for _ in range(7)]
     flat = _outer_sum(left, [[ONES] * 8])
-    psi = _state_of(flat)
-    needed = math.ceil((_norm_bits(psi.residue_stack.total, 2) - PRIME_BITS) / PRIME_BITS)
+    needed = _table_primes_needed(flat, 1)
     assert needed >= 1
-    assert split_rank(psi, (1, 2, 3)) == 1
-    assert len(psi.residue_stack.residues) == needed + 1  # the dead prime was replaced
+    assert split_rank(_state_of(flat), (1, 2, 3)) == 1
+    assert reduced == [(0, needed), (needed, 1)]  # the dead prime was replaced by the next
     flat[-1] = _add(flat[-1], ONES)
     assert split_rank(_state_of(flat), (1, 2, 3)) == 2
     assert certificates == [True, True] and eliminate_calls == []  # rank 2 mod P, proved
 
 
-def test_split_components_beyond_int64_take_elimination(eliminate_calls, certificates):
+def test_split_components_beyond_int64_take_elimination(
+    eliminate_calls, certificates, reduced
+):
     flat = [(2**62 + 1, 0, 0, 0)] * 64
     flat[0] = (2**63 + 1, 0, 0, 0)
     flat[9] = (-(2**63) - 1, 0, 0, 0)
-    psi = _state_of(flat)
-    assert split_rank(psi, (1, 2, 3)) == 3
-    assert psi.residue_stack is None
-    assert certificates == [] and eliminate_calls == [(8, 8)]
+    assert split_rank(_state_of(flat), (1, 2, 3)) == 3
+    assert certificates == [] and reduced == [] and eliminate_calls == [(8, 8)]
 
 
-# --- no extra work ------------------------------------------------------------------
+# --- what a certificate reads, and no extra work ----------------------------------
 
 
-def test_full_rank_state_never_builds_the_stack(monkeypatch):
-    built = []
-    monkeypatch.setattr(ResidueStack, "of", classmethod(lambda cls, *a: built.append(a)))
+def test_certificate_reads_only_its_own_split(monkeypatch):
+    """Each certificate of D(8, 2) sees its split's compressed cells, F_P pivot rows first."""
+    seen = []
+    real = kernels._bordered_minors_vanish
+
+    def spy(q, r):
+        seen.append((q.copy(), r))
+        return real(q, r)
+
+    monkeypatch.setattr(kernels, "_bordered_minors_vanish", spy)
+    psi = _dicke(8, 2, ExactScalar(3, 1, 2, 1))
+    total = _total(psi.cleared[0].ravel().tolist())
+    checked = 0
+    for plan in _canonical_plans(psi.n):
+        seen.clear()
+        rank = split_rank(psi, plan.bipartition.row_bits, plan.bipartition.col_bits)
+        quads, _ = _cells(psi, plan)
+        assert rank == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
+        own = _compressed(psi, plan)
+        for q, r in seen:
+            assert q.dtype == np.int64 and q.shape == own.shape and r == rank
+            # the same rows, reordered
+            assert sorted(map(str, q.tolist())) == sorted(map(str, own.tolist()))
+            pivots = residues(map(tuple, q[:r].reshape(-1, 4).tolist())).reshape(r, -1)
+            assert len(_pivots_mod_p_int64(pivots)[0]) == r
+            assert math.isclose(_total(q.reshape(-1, 4)), total, rel_tol=1e-12)
+            checked += 1
+    assert checked
+
+
+def test_full_rank_state_never_builds_the_stack(certificates, reduced):
+    """A full-rank state runs no certificate and reduces nothing mod the table primes."""
     psi = random_exact_state(7, random.Random(3))
     signature = rank_signature(psi)
     assert all(r == 1 << min(len(k), psi.n - len(k)) for k, r in signature.items())
-    assert built == [] and "residue_stack" not in vars(psi)
+    assert certificates == [] and reduced == []
 
 
 def _lowrank_product(seed=8):
@@ -306,37 +365,6 @@ def _lowrank_product(seed=8):
     return product_state(factors, 8)
 
 
-def test_stack_is_built_once_and_only_grows(monkeypatch, certificates):
-    table = [p for p, _, _ in PRIME_TABLE]
-    reduced = []  # (index of the first prime, count) of every reduction of this state
-
-    def spy(q, primes):
-        reduced.append((table.index(int(primes[0, 0])), len(primes)))
-        return _residues_mod(q, primes)
-
-    monkeypatch.setattr(kernels, "_residues_mod", spy)
-    # larger splits of D(9, 3) need more primes, and no bound proves them
-    psi = _dicke(9, 3, ExactScalar(3, 1, 2, 1))
-    stacks, lengths = [], []
-    for plan in _canonical_plans(psi.n):
-        split_rank(psi, plan.bipartition.row_bits, plan.bipartition.col_bits)
-        if "residue_stack" in vars(psi):
-            stacks.append(psi.residue_stack)
-            lengths.append(len(psi.residue_stack.residues))
-    assert certificates and all(certificates)
-    assert all(s is stacks[0] for s in stacks)  # built once
-    assert lengths == sorted(lengths) and len(set(lengths)) >= 2  # grown, never shrunk
-    assert len(reduced) >= 2  # growth happened
-    stack = psi.residue_stack
-    at = 0
-    for start, count in reduced:  # each reduction took only primes not reduced before
-        assert start == at
-        at += count
-    assert at == len(stack.residues)
-    primes = np.array(PRIME_TABLE[:at], dtype=np.int64)
-    assert (stack.residues == _residues_mod(stack.quads, primes)).all()
-
-
 def test_memoised_split_is_not_certified_again(monkeypatch, certificates):
     psi = _lowrank_product()
     first = rank_signature(psi)
@@ -348,11 +376,3 @@ def test_memoised_split_is_not_certified_again(monkeypatch, certificates):
     for plan in _canonical_plans(psi.n):
         assert split_rank(psi, plan.bipartition.row_bits) == first.ranks[plan.key]
     assert len(certificates) == count and pivots == []
-
-
-def test_stack_is_invisible_to_eq_hash_and_repr():
-    psi = _lowrank_product()
-    fresh = _lowrank_product()
-    rank_signature(psi)
-    assert psi.residue_stack is not None and "residue_stack" not in vars(fresh)
-    assert psi == fresh and hash(psi) == hash(fresh) and repr(psi) == repr(fresh)
