@@ -24,6 +24,43 @@ is stored as P, not 0), so no quadruple is scanned.  What is left is eliminated 
 after every update: residues below P < 2**31 keep each product below
 2**62.
 
+The splits of a dense state come first, as one stack per split shape,
+modulo a second prime Q = 1 (mod 8) below 2**20 (``ranks_mod_q``).
+With i -> I_Q and sqrt2 -> S_Q the same argument makes each rank mod Q a
+proven lower bound on the exact rank: the ``floor=`` that ``bareiss``
+and ``_certified_rank`` take.  A floor equal to min(nonzero rows, nonzero
+columns) is the rank, and no F_P elimination runs.  A floor below that
+is compared first with the upper bounds below: one equal to it proves
+it, one below it raises ArithmeticError.  Only then does the matrix take
+the F_P route of a lone matrix.  A floor below the rank mod P (a
+spurious shortfall, about r/Q likely per matrix) so costs an F_P
+elimination, never a wrong rank.  The reduction is delayed, as in
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): each row t is
+reduced mod Q and scaled by the inverse of its pivot x, the pivot column
+of the rows below is reduced, and those rows lose that column times row
+t.  Nothing else is reduced.  An entry starts in [0, Q) and one update
+subtracts less than Q**2 < 2**40, so after k updates it lies in
+(-k * Q**2, Q): int64 holds it for k up to about 2**23, and an entry
+of a wide split matrix takes one update per row, at most 2**10 under
+``states.QUBIT_CAP`` = 20.  A step is one multiply and one subtract
+over the rows below, against four passes with a reduction in
+``_reduce_mod``: the 462 64 x 64 matrices of a random n = 12 state took
+0.23 s in chunks against 0.80-0.82 s one by one on
+``_pivots_mod_p_int64`` (CPU, three runs each).  The stack pays off
+only on a wide support (``coeffmatrix._stacks``: n >= 6 and at least
+2**(n/2) nonzero amplitudes).  CPU ms per exact signature, stacked / lone, min over 1-7
+states with s nonzero amplitudes at random places (one core of a 2-CPU
+x86-64 host, Python 3.11, numpy 2.4); the last column is GHZ and W
+states under random invertible local operators, full support and low
+rank, where a floor proves little:
+
+    n   GHZ, s=2   s=n        s=2**(n/2)  s=2**n      GHZ/W, SLOCC
+    5   0.38/0.25  0.42/0.53  0.48/0.60   0.45/0.50   1.04-1.13/0.93
+    6   1.0/0.4    1.07/1.16  1.09/1.18   0.99/1.36   4.0-4.2/3.7-3.8
+    8   4.7/3.3    5.5/7.8    6.0/9.0     5.6/11.9    59-64/58-59
+   10   44/23      47/43      56/76       37/86
+   12   700/227    726/338    806/923     684/1883
+
 A rank r mod P below full is proved exact rather than recomputed, from
 ``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination's r pivot
 rows and columns give a minor that is nonzero mod P, so it is nonzero,
@@ -114,6 +151,9 @@ P = 2147483497  # prime, P = 1 (mod 8), below 2**31
 I_P = 1731803418  # I_P**2 = -1 (mod P)
 S_P = 974023842  # S_P**2 = 2 (mod P)
 IS_P = 391447392  # I_P * S_P % P
+Q = 1048433  # prime, Q = 1 (mod 8), below 2**20: the prime of ``ranks_mod_q``
+I_Q = 661878  # I_Q**2 = -1 (mod Q)
+S_Q = 597083  # S_Q**2 = 2 (mod Q)
 # rank-deficient matrices from this many cells on are certified; certifying
 # every one slowed verify_all by about 7% (4.90-4.94 s against 4.44-4.62 s)
 CERTIFY_MIN_CELLS = 64
@@ -275,6 +315,44 @@ def residues(quads):
         ],
         dtype=np.int64,
     )
+
+
+def residues_q(quads):
+    """The images ``a + b*I_Q + c*S_Q + d*I_Q*S_Q`` in F_Q, as an int64 array in [0, Q)."""
+    is_q = I_Q * S_Q % Q
+    return np.array(
+        [(a + b * I_Q + c * S_Q + d * is_q) % Q for a, b, c, d in quads], dtype=np.int64
+    )
+
+
+def ranks_mod_q(m):
+    """The rank mod Q of each matrix of a (B, rows, cols) int64 stack.
+
+    ``m`` holds residues in [0, Q) and is overwritten; the wide
+    orientation (rows <= cols) takes the fewest steps, one per row.  Each
+    row t in turn is reduced mod Q, pivots on its largest residue x, in
+    column j, and is scaled by x**-1 so that its entry j is 1; the later
+    rows then lose their column j, reduced mod Q, times that row.  Nothing
+    else is reduced: each update subtracts less than Q**2 < 2**40, and an
+    entry takes fewer than 2**23 of them before it could leave int64 (see
+    the module docstring).  A zero row scales by 0 and changes nothing.
+    """
+    at = np.arange(len(m))
+    ranks = np.zeros(len(m), dtype=np.int64)
+    last = m.shape[1] - 1
+    for t in range(last + 1):
+        row = m[:, t] % Q
+        j = row.argmax(axis=1)
+        x = row[at, j]
+        ranks += x != 0
+        if t == last:
+            break
+        row *= np.array([pow(v, -1, Q) if v else 0 for v in x.tolist()], dtype=np.int64)[:, None]
+        row %= Q
+        rest = m[:, t + 1:]
+        col = rest[at, :, j] % Q
+        rest -= col[:, :, None] * row[:, None, :]
+    return ranks
 
 
 def _pivots_mod_p_int64(m):
@@ -457,15 +535,30 @@ def _upper_bounds(support, r, cap):
         yield cap(r)
 
 
-def _certified_rank(entries, nrows, ncols, res=None, cap=None):
+def _bounded(support, r, cap, lower):
+    """Whether an upper bound of ``_upper_bounds`` equals ``r``, a proven
+    lower bound on the rank that ``lower`` names; a bound below ``r``
+    raises ``ArithmeticError``."""
+    for bound in _upper_bounds(support, r, cap):
+        if bound is not None and bound < r:
+            raise ArithmeticError(f"rank bound {bound} is below {lower}")
+        if bound == r:
+            return True
+    return False
+
+
+def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
     ``res`` is ``residues(entries)`` when the caller has it already; its
     nonzero cells are the nonzero entries, so it gives the support.
     ``cap(r)``, read only on a shortfall, returns a proven upper bound on
-    the exact rank or None; it may stop looking once it reaches r.  A
-    rank mod P of r is returned at once when an upper bound equals r, and
-    a bound below r raises ``ArithmeticError``.
+    the exact rank or None; it may stop looking once it reaches r.
+    ``floor`` is a proven lower bound on the rank, such as a rank mod Q
+    from ``ranks_mod_q``: at min(nonzero rows, nonzero columns) it is the
+    rank, and below that the upper bounds are tried against it before any
+    F_P elimination.  A rank mod P of r is returned at once when an upper
+    bound equals r, and a bound below a proven rank raises ``ArithmeticError``.
     """
     if res is None:
         res = residues(entries)
@@ -473,21 +566,18 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None):
     rows = mod.any(axis=1).nonzero()[0]
     cols = mod.any(axis=0).nonzero()[0]
     full = min(len(rows), len(cols))
-    if full <= 1:
+    if full <= 1 or floor == full:
         return full
     cells = len(rows) * len(cols)
     if cells < mod.size:
         mod = mod[rows][:, cols]
+    if floor is not None and _bounded(mod != 0, floor, cap, f"the floor {floor}"):
+        return floor
     # not _reduce_mod: a stack of one costs 1.6-2.6x up to 32 x 32 (16 x 16: 130-149 vs 64-68 us)
     pivot_rows = _pivots_mod_p_int64(mod)[0]
     r = len(pivot_rows)
-    if r == full:
-        return full
-    for bound in _upper_bounds(mod != 0, r, cap):
-        if bound is not None and bound < r:
-            raise ArithmeticError(f"rank bound {bound} is below the rank {r} mod P")
-        if bound == r:
-            return r
+    if r == full or (r != floor and _bounded(mod != 0, r, cap, f"the rank {r} mod P")):
+        return r
     certify = cells >= CERTIFY_MIN_CELLS
     if certify:  # the certificate takes the F_P pivot rows first, _eliminate any order
         rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))
@@ -542,7 +632,7 @@ def stacked_rank(q):
     return ranks
 
 
-def bareiss(entries, nrows, ncols, det=True, res=None, cap=None):
+def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
     ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
@@ -552,12 +642,12 @@ def bareiss(entries, nrows, ncols, det=True, res=None, cap=None):
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
     ``res``, the entries' ``residues`` in the same order, spares that
-    route computing them, and ``cap`` is a lazy upper bound on the rank
-    (see ``_certified_rank``).
+    route computing them, ``cap`` is a lazy upper bound on the rank and
+    ``floor`` a proven lower bound (see ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)
-    return _certified_rank(entries, nrows, ncols, res, cap), ZERO4 if det else None
+    return _certified_rank(entries, nrows, ncols, res, cap, floor), ZERO4 if det else None
 
 
 def apply_single_qubit(amps, n, target, op):

@@ -13,17 +13,19 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import bareiss
+from ._kernels import bareiss, ranks_mod_q, residues_q
 from .scalars import ExactScalar, common_denominator, render_exact, render_float
 from .states import QUBIT_CAP, PureState, amplitude_tensor
 
 DEFAULT_TOL_SCALE = 1e-10
 TOL_FLOOR = 1e-12
+STACK_MIN_QUBITS = 6  # below this a signature ranks each split alone (crossover in ``_kernels``)
+STACK_CELLS = 1 << 17  # cells per chunk of a mod-Q stack: 1 MB of int64
 
 
 def _swap_into_place_complement(n: int, row_bits) -> tuple[int, ...]:
@@ -248,12 +250,12 @@ class RankSignature:
         return tuple(self.ranks[k] for k in keys)
 
     def label_map(self) -> dict[str, int]:
-        """Rank per split label; the labels are interned, so maps kept
-        together (one per state of a batch) share their key strings."""
-        keys = sorted(self.ranks, key=lambda k: (len(k), k))
-        return {
-            sys.intern("".join(self.labels[b - 1] for b in k)): self.ranks[k] for k in keys
-        }
+        """Rank per split label, as a read-only ``dict`` (mutating it raises
+        ``TypeError``; ``dict(m)`` is a mutable copy).  Signatures with equal
+        labels and ranks share one map, from a cache of the 32 most recent,
+        and every map shares its interned key strings."""
+        keys = tuple(sorted(self.ranks, key=lambda k: (len(k), k)))
+        return _label_map(self.labels, keys, tuple(self.ranks[k] for k in keys))
 
     def rank_one_splits(self) -> list[tuple[int, ...]]:
         return [k for k, r in self.ranks.items() if r == 1]
@@ -261,6 +263,26 @@ class RankSignature:
     def __repr__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.label_map().items())
         return f"RankSignature({body})"
+
+
+class _LabelMap(dict):
+    """A ``dict`` that refuses every mutation, so that one can be shared."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a label map is read-only; copy it with dict() to change it")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+@lru_cache(maxsize=32)
+def _label_map(labels: tuple, keys: tuple, ranks: tuple) -> _LabelMap:
+    return _LabelMap(
+        (sys.intern("".join(labels[b - 1] for b in k)), r) for k, r in zip(keys, ranks)
+    )
 
 
 def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
@@ -293,16 +315,20 @@ def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
     return best
 
 
-def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int:
+def _split_rank(
+    psi: PureState, plan: SplitPlan, tolerance: float | None, floor: int | None = None
+) -> int:
     """Rank of one split of a state; an exact state's is memoised on it.
 
     An exact rank is computed once per state and split
     (``PureState.split_ranks``), by one ``bareiss`` call on the split's
-    cells.  A shortfall is proved first by the upper bounds of
-    ``_kernels``: the term rank of the split's support, then
-    subadditivity over the ranks the memo already holds (``_cut_cap``); a
-    certificate it still needs reads the split's own cells.  A floating
-    rank depends on ``tolerance`` and is never kept.
+    cells.  ``floor``, a proven lower bound such as the split's rank mod
+    Q (``_stacked_floors``), decides a full rank without F_P elimination.
+    A shortfall is proved first by the upper bounds of ``_kernels``: the
+    term rank of the split's support, then subadditivity over the ranks
+    the memo already holds (``_cut_cap``); a certificate it still needs
+    reads the split's own cells.  A floating rank depends on
+    ``tolerance`` and is never kept.
     """
     if not psi.is_exact:
         bp = plan.bipartition
@@ -313,9 +339,39 @@ def _split_rank(psi: PureState, plan: SplitPlan, tolerance: float | None) -> int
         quads, res = _cells(psi, plan)
         value = memo[plan.key] = bareiss(
             quads, plan.rows, plan.cols, det=False, res=res,
-            cap=lambda floor: _cut_cap(memo, plan, floor),
+            cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
         )[0]
     return value
+
+
+def _stacks(n: int, support: int) -> bool:
+    """Whether the splits of an exact state with ``support`` nonzero
+    amplitudes of ``n`` qubits are ranked mod Q in stacks first: from
+    ``STACK_MIN_QUBITS`` on, and only for a support of at least
+    2**(n / 2) (see the crossover table in ``_kernels``)."""
+    return n >= STACK_MIN_QUBITS and support * support >= 1 << n
+
+
+def _stacked_floors(psi: PureState, plans) -> dict[tuple[int, ...], int]:
+    """The rank mod Q of each split of ``plans``, by ``ranks_mod_q`` over one
+    stack per shape, at most ``STACK_CELLS`` cells per chunk.
+
+    Each matrix is one transpose of the state's residues mod Q, which are
+    computed once here from ``PureState.cleared``; a canonical split has
+    at most as many rows as columns, the wide orientation the kernel takes.
+    """
+    res = residues_q(psi.cleared[0].ravel().tolist()).reshape((2,) * psi.n)
+    floors = {}
+    for (rows, cols), group in groupby(plans, key=lambda plan: (plan.rows, plan.cols)):
+        group = list(group)
+        per = max(1, STACK_CELLS // (rows * cols))
+        for start in range(0, len(group), per):
+            chunk = group[start:start + per]
+            m = np.empty((len(chunk), rows, cols), dtype=np.int64)
+            for b, plan in enumerate(chunk):
+                m[b] = res.transpose(plan.axes).reshape(rows, cols)
+            floors.update(zip((plan.key for plan in chunk), ranks_mod_q(m).tolist()))
+    return floors
 
 
 def split_rank(psi: PureState, row_bits, col_bits=None, *, tolerance: float | None = None) -> int:
@@ -328,7 +384,13 @@ def split_rank(psi: PureState, row_bits, col_bits=None, *, tolerance: float | No
 def rank_signature(psi: PureState, *, tolerance: float | None = None) -> RankSignature:
     """Ranks across all canonical bipartitions of the register."""
     _check_tolerance(tolerance)
-    ranks = {plan.key: _split_rank(psi, plan, tolerance) for plan in _canonical_plans(psi.n)}
+    plans = _canonical_plans(psi.n)
+    floors = {}
+    if psi.is_exact:
+        todo = [plan for plan in plans if plan.key not in psi.split_ranks]
+        if todo and _stacks(psi.n, int(np.count_nonzero(psi.cleared[2]))):
+            floors = _stacked_floors(psi, todo)
+    ranks = {plan.key: _split_rank(psi, plan, tolerance, floors.get(plan.key)) for plan in plans}
     return RankSignature(psi.n, psi.labels, ranks)
 
 

@@ -144,9 +144,9 @@ def test_classify_computes_one_signature(mode, tmp_path, monkeypatch, capsys):
     splits = []
     real_split_rank = coeffmatrix._split_rank
 
-    def spy(psi, plan, tolerance):
+    def spy(psi, plan, *rest):
         splits.append(plan.key)
-        return real_split_rank(psi, plan, tolerance)
+        return real_split_rank(psi, plan, *rest)
 
     # every split rank of a state, exact or floating, memoised or not, asks here
     monkeypatch.setattr(coeffmatrix, "_split_rank", spy)

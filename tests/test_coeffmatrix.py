@@ -1,6 +1,8 @@
 """Coefficient-matrix layout, ranks, reduced densities, determinant identity."""
 
 import itertools
+import json
+import pickle
 import random
 
 import numpy as np
@@ -103,6 +105,32 @@ def test_label_maps_share_their_key_strings():
     second = rank_signature(random_exact_state(4, random.Random(2))).label_map()
     assert list(first) == list(second)
     assert all(a is b for a, b in zip(first, second))
+
+
+def test_label_maps_are_shared_and_read_only():
+    psi = random_exact_state(5, random.Random(3))
+    first = rank_signature(psi).label_map()
+    again = rank_signature(state(5, psi.amps)).label_map()
+    assert again is first
+    plain = dict(first)
+    assert first == plain and plain == first and type(plain) is dict
+    assert json.dumps(first) == json.dumps(plain)
+    for mutate in (
+        lambda m: m.__setitem__("A", 9),
+        lambda m: m.__delitem__("A"),
+        lambda m: m.update(A=9),
+        lambda m: m.setdefault("Z", 1),
+        lambda m: m.pop("A"),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+        lambda m: m.__ior__({"A": 9}),
+    ):
+        with pytest.raises(TypeError):
+            mutate(first)
+    assert first == plain
+    assert pickle.loads(pickle.dumps(first)) == plain
+    other = rank_signature(ghz(5)).label_map()
+    assert other is not first and other != first
 
 
 def test_row_bit_reorder_permutes_rows():
