@@ -22,14 +22,21 @@ residues (see ``residues``: an entry that is nonzero but vanishes mod P
 is stored as P, not 0), so no quadruple is scanned.  What is left is eliminated in int64
 (``_pivots_mod_p_int64``), a whole row block at a time and reduced again
 after every update: residues below P < 2**31 keep each product below
-2**62.
+2**62.  The quadruples themselves are read only on demand: ``bareiss``
+takes any sequence of them, and only a determinant, the certificate and
+``_eliminate`` read it, listing it once.  A state's split passes
+``coeffmatrix.SplitCells``, which transposes and lists the split's
+quadruples on first read, so a split that its floor, its rank mod P or
+an upper bound decides lists none.
 
 The splits of a dense state come first, as one stack per split shape,
 modulo a second prime Q = 1 (mod 8) below 2**20 (``ranks_mod_q``).
 With i -> I_Q and sqrt2 -> S_Q the same argument makes each rank mod Q a
 proven lower bound on the exact rank: the ``floor=`` that ``bareiss``
-and ``_certified_rank`` take.  A floor equal to min(nonzero rows, nonzero
-columns) is the rank, and no F_P elimination runs.  A floor below that
+and ``_certified_rank`` take.  A floor equal to min(rows, cols) is
+returned first, since floor <= rank <= min(rows, cols): neither the
+residues nor the support are read.  One equal to min(nonzero rows,
+nonzero columns) is the rank too, and no F_P elimination runs.  A floor below that
 is compared first with the upper bounds below: one equal to it proves
 it, one below it raises ArithmeticError.  Only then does the matrix take
 the F_P route of a lone matrix.  A floor below the rank mod P (a
@@ -48,18 +55,25 @@ over the rows below, against four passes with a reduction in
 0.23 s in chunks against 0.80-0.82 s one by one on
 ``_pivots_mod_p_int64`` (CPU, three runs each).  The stack pays off
 only on a wide support (``coeffmatrix._stacks``: n >= 6 and at least
-2**(n/2) nonzero amplitudes).  CPU ms per exact signature, stacked / lone, min over 1-7
-states with s nonzero amplitudes at random places (one core of a 2-CPU
-x86-64 host, Python 3.11, numpy 2.4); the last column is GHZ and W
-states under random invertible local operators, full support and low
-rank, where a floor proves little:
+2**(n/2) nonzero amplitudes).  CPU ms per exact signature, stacked / lone,
+min over 1-7 states (and 1-5 runs of each) with s nonzero amplitudes at
+random places (one core of a 2-CPU x86-64 host, Python 3.11, numpy 2.4,
+all in one session); the last column is GHZ and W states under random
+invertible local operators, full support and low rank, where a floor
+proves little.  Neither column lists the quadruples of a split its floor,
+its rank mod P or a bound decides:
 
     n   GHZ, s=2   s=n        s=2**(n/2)  s=2**n      GHZ/W, SLOCC
-    5   0.38/0.25  0.42/0.53  0.48/0.60   0.45/0.50   1.04-1.13/0.93
-    6   1.0/0.4    1.07/1.16  1.09/1.18   0.99/1.36   4.0-4.2/3.7-3.8
-    8   4.7/3.3    5.5/7.8    6.0/9.0     5.6/11.9    59-64/58-59
-   10   44/23      47/43      56/76       37/86
-   12   700/227    726/338    806/923     684/1883
+    5   0.21/0.24  0.19/0.28  0.23/0.23   0.18/0.28   1.13-1.18/1.01-1.03
+    6   0.48/0.52  0.50/0.68  0.52/0.77   0.44/0.80   4.4-4.5/4.1-4.2
+    8   2.4/2.2    3.0/4.0    5.0/8.6     3.8/10.6    60-65/58-60
+   10   36/19      44/43      51/79       39/131
+   12   578/108    627/246    703/831     607/1990
+
+Stacking at n = 5 would speed a dense state up but slow the
+SLOCC-rotated states of the last column, which the verify-all checks
+rank; at s = n it would win at n = 8, tie at n = 10 and lose at n = 12;
+so the rule stays n >= 6 and s >= 2**(n/2).
 
 A rank r mod P below full is proved exact rather than recomputed, from
 ``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination's r pivot
@@ -550,8 +564,11 @@ def _bounded(support, r, cap, lower):
 def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
 
-    ``res`` is ``residues(entries)`` when the caller has it already; its
-    nonzero cells are the nonzero entries, so it gives the support.
+    A ``floor`` equal to min(nrows, ncols) is returned before anything
+    else is read.  ``res`` is ``residues(entries)`` when the caller has it
+    already, as any array whose row-major order is that of ``entries``;
+    its nonzero cells are the nonzero entries, so it gives the support.
+    ``entries`` is listed once, and only for a certificate or ``_eliminate``.
     ``cap(r)``, read only on a shortfall, returns a proven upper bound on
     the exact rank or None; it may stop looking once it reaches r.
     ``floor`` is a proven lower bound on the rank, such as a rank mod Q
@@ -560,6 +577,8 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     F_P elimination.  A rank mod P of r is returned at once when an upper
     bound equals r, and a bound below a proven rank raises ``ArithmeticError``.
     """
+    if floor == min(nrows, ncols):  # floor <= rank <= min(nrows, ncols)
+        return floor
     if res is None:
         res = residues(entries)
     mod = res.reshape(nrows, ncols)
@@ -582,6 +601,8 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     if certify:  # the certificate takes the F_P pivot rows first, _eliminate any order
         rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))
     rows, cols = rows.tolist(), cols.tolist()
+    if not isinstance(entries, list):
+        entries = list(entries)
     sub = [entries[i * ncols + j] for i in rows for j in cols]
     if certify:
         try:
@@ -635,15 +656,17 @@ def stacked_rank(q):
 def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
-    ``entries`` is a row-major sequence of ``nrows * ncols`` quadruples.
+    ``entries`` is any row-major sequence of ``nrows * ncols`` quadruples
+    (``coeffmatrix.SplitCells`` lists a split's only when it is read);
+    only a determinant, the certificate and ``_eliminate`` read it.
     With ``det=True`` returns ``(rank, det)`` as ``_eliminate`` does:
     ``det`` is the exact determinant for square input and ``(0, 0, 0, 0)``
     for rank-deficient or non-square input.  With ``det=False`` returns
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
-    ``res``, the entries' ``residues`` in the same order, spares that
-    route computing them, ``cap`` is a lazy upper bound on the rank and
-    ``floor`` a proven lower bound (see ``_certified_rank``).
+    ``res``, the entries' ``residues`` in the same row-major order, spares
+    that route computing them, ``cap`` is a lazy upper bound on the rank
+    and ``floor`` a proven lower bound (see ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)

@@ -11,6 +11,7 @@ Ranks are insensitive to the column order.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby
@@ -138,10 +139,38 @@ def _array(psi: PureState, plan: SplitPlan) -> np.ndarray:
     return amplitude_tensor(psi).transpose(plan.axes).reshape(plan.rows, plan.cols)
 
 
-def _cells(psi: PureState, plan: SplitPlan) -> tuple[list, np.ndarray]:
-    """The split's row-major quadruples and residues, transposed from ``PureState.cleared``."""
-    quads, _, res = psi.cleared
-    return quads.transpose(plan.axes).ravel().tolist(), res.transpose(plan.axes).ravel()
+class SplitCells(Sequence):
+    """The row-major quadruples of one split, listed only when first read.
+
+    A read-only sequence over ``quads``, the 2 x ... x 2 quadruple array of
+    ``PureState.cleared``, and a split's ``SplitPlan.axes``: ``len`` is
+    rows * cols, and the first ``__iter__`` or ``__getitem__`` lists
+    ``quads.transpose(axes).ravel()`` and keeps the list.  ``bareiss`` reads
+    its entries only for a certificate, ``_eliminate`` or a determinant, so
+    a split that its floor, its rank mod P or an upper bound decides is
+    never listed.
+    """
+
+    __slots__ = ("_quads", "_axes", "_cells")
+
+    def __init__(self, quads: np.ndarray, axes: tuple[int, ...]):
+        self._quads = quads
+        self._axes = axes
+        self._cells = None
+
+    def __len__(self) -> int:
+        return self._quads.size
+
+    def _listed(self) -> list:
+        if self._cells is None:
+            self._cells = self._quads.transpose(self._axes).ravel().tolist()
+        return self._cells
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def __getitem__(self, index):
+        return self._listed()[index]
 
 
 def coefficient_matrix(psi: PureState, row_bits, col_bits=None) -> CoefficientMatrix:
@@ -322,13 +351,14 @@ def _split_rank(
 
     An exact rank is computed once per state and split
     (``PureState.split_ranks``), by one ``bareiss`` call on the split's
-    cells.  ``floor``, a proven lower bound such as the split's rank mod
-    Q (``_stacked_floors``), decides a full rank without F_P elimination.
+    ``SplitCells`` and a transposed view of the state's residues.
+    ``floor``, a proven lower bound such as the split's rank mod Q
+    (``_stacked_floors``), decides a full rank without reading either.
     A shortfall is proved first by the upper bounds of ``_kernels``: the
     term rank of the split's support, then subadditivity over the ranks
-    the memo already holds (``_cut_cap``); a certificate it still needs
-    reads the split's own cells.  A floating rank depends on
-    ``tolerance`` and is never kept.
+    the memo already holds (``_cut_cap``); only a certificate or an
+    elimination it still needs lists the split's cells.  A floating rank
+    depends on ``tolerance`` and is never kept.
     """
     if not psi.is_exact:
         bp = plan.bipartition
@@ -336,10 +366,10 @@ def _split_rank(
     memo = psi.split_ranks
     value = memo.get(plan.key)
     if value is None:
-        quads, res = _cells(psi, plan)
+        quads, _, res = psi.cleared
         value = memo[plan.key] = bareiss(
-            quads, plan.rows, plan.cols, det=False, res=res,
-            cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
+            SplitCells(quads, plan.axes), plan.rows, plan.cols, det=False,
+            res=res.transpose(plan.axes), cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
         )[0]
     return value
 
@@ -418,7 +448,8 @@ def det_coeff(psi: PureState, half_bits):
         raise ValueError("half_bits must select exactly half the qubits")
     plan = split_plan(psi.n, half_bits)
     if psi.is_exact:
-        return _det(_cells(psi, plan)[0], psi.cleared[1], plan.rows)
+        quads, den, _ = psi.cleared
+        return _det(SplitCells(quads, plan.axes), den, plan.rows)
     return complex(np.linalg.det(_array(psi, plan)))
 
 

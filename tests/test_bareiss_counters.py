@@ -1,0 +1,68 @@
+"""perfbench's ``kernels.bareiss`` counters read the same on lazily listed splits.
+
+``perfbench/bench_trace.py`` is imported by path, unedited, and its
+``Tracer`` wraps ``rank_signature`` on n=8 states.  The tracer reads a
+call's entries only after the call, so its counters must equal the ones
+computed from the eager transpose listing of every split.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sloccrank.coeffmatrix import _canonical_plans, _stacks, rank_signature
+from sloccrank.slocc import apply_local, random_invertible_local
+from sloccrank.states import random_exact_state, state
+from test_split_cells import _ghz, _product, _w
+
+TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+
+
+def _bench_trace():
+    spec = importlib.util.spec_from_file_location("bench_trace", TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STATES = {
+    "dense": lambda rng: random_exact_state(8, rng),
+    "ghz": lambda rng: _ghz(8, rng),
+    "w": lambda rng: _w(8, rng),
+    "product": lambda rng: _product(8, rng),
+    "ghz_local": lambda rng: apply_local(_ghz(8, rng), random_invertible_local(8, rng.randrange(1 << 32))),
+}
+
+
+def _eager_counts(psi, ranks):
+    """The tracer's counters, computed from the eager listing of every split."""
+    counts = {"calls": 0, "cells": 0, "zero_cells": 0, "full_rank": 0, "max_input_bits": 0}
+    for plan in _canonical_plans(psi.n):
+        cells = psi.cleared[0].transpose(plan.axes).ravel().tolist()
+        counts["calls"] += 1
+        counts["cells"] += len(cells)
+        counts["zero_cells"] += sum(q == (0, 0, 0, 0) for q in cells)
+        counts["full_rank"] += ranks[plan.key] == min(plan.rows, plan.cols)
+        bits = max(abs(x).bit_length() for q in cells for x in q)
+        counts["max_input_bits"] = max(counts["max_input_bits"], bits)
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_traced_bareiss_counters_match_eager_lists(kind):
+    psi = STATES[kind](random.Random(41))
+    if kind == "dense":  # the stacked-floor path
+        assert _stacks(psi.n, int(np.count_nonzero(psi.cleared[2])))
+    bench_trace = _bench_trace()
+    tracer = bench_trace.Tracer()
+    with tracer:
+        signature = rank_signature(psi)
+    assert "kernels.bareiss" not in tracer.missing
+    traced = dict(tracer.counters["kernels.bareiss"])
+    traced["calls"] = bench_trace.layer_totals(tracer.snapshot())["kernels.bareiss"]["calls"]
+    fresh = state(psi.n, psi.amps)
+    assert traced == _eager_counts(fresh, signature.ranks)
+    assert signature == rank_signature(fresh)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import sloccrank._kernels as kernels
 from sloccrank._kernels import ONE4, P, ZERO4, _eliminate, _term_rank, bareiss
-from sloccrank.coeffmatrix import _canonical_plans, _cells, _cut_cap, rank_signature, split_rank
+from sloccrank.coeffmatrix import _canonical_plans, _cut_cap, rank_signature, split_rank
 from sloccrank.scalars import ExactScalar
 from sloccrank.slocc import apply_local, random_invertible_local
 from sloccrank.states import product_state, state
@@ -53,8 +53,7 @@ def _shortfalls(psi):
     """The splits of ``psi`` whose rank is below their compressed size."""
     out = []
     for plan in _canonical_plans(psi.n):
-        _, res = _cells(psi, plan)
-        mod = res.reshape(plan.rows, plan.cols) != 0
+        mod = psi.cleared[2].transpose(plan.axes).reshape(plan.rows, plan.cols) != 0
         full = min(mod.any(axis=1).sum(), mod.any(axis=0).sum())
         if split_rank(psi, plan.bipartition.row_bits) < full:
             out.append(plan.key)

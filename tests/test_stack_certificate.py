@@ -38,7 +38,7 @@ from sloccrank._kernels import (
     adjoint_and_norm,
     residues,
 )
-from sloccrank.coeffmatrix import _canonical_plans, _cells, rank_signature, split_rank
+from sloccrank.coeffmatrix import SplitCells, _canonical_plans, rank_signature, split_rank
 from sloccrank.scalars import ExactScalar
 from sloccrank.states import product_state, random_exact_state, state
 from test_rank_certificate import (
@@ -171,7 +171,7 @@ def _route_spies(min_cells=None, bounds=True):
 def _assert_signature_matches_elimination(psi):
     signature = rank_signature(psi)
     for plan in _canonical_plans(psi.n):
-        quads, _ = _cells(psi, plan)
+        quads = SplitCells(psi.cleared[0], plan.axes)
         assert signature.ranks[plan.key] == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
 
 
@@ -219,9 +219,9 @@ def test_default_cutoff_certifies_large_shortfalls_from_the_stack(psi):
 
 def _compressed(psi, plan):
     """The split's cells without its zero rows and columns, as a (rows, cols, 4) int64 array."""
-    quads, res = _cells(psi, plan)
+    quads = list(SplitCells(psi.cleared[0], plan.axes))
     q = np.array(quads, dtype=np.int64).reshape(plan.rows, plan.cols, 4)
-    mod = res.reshape(plan.rows, plan.cols)
+    mod = psi.cleared[2].transpose(plan.axes).reshape(plan.rows, plan.cols)
     return q[mod.any(axis=1)][:, mod.any(axis=0)]
 
 
@@ -240,7 +240,7 @@ def full_component_states(draw):
 def test_state_bound_covers_every_minor_of_every_split(psi):
     total = _total(psi.cleared[0].ravel().tolist())
     for plan in _canonical_plans(psi.n):
-        quads, _ = _cells(psi, plan)
+        quads = SplitCells(psi.cleared[0], plan.axes)
         # the split's own T, the one its certificate computes, is the state's
         assert math.isclose(_total(_compressed(psi, plan)), total, rel_tol=1e-12)
         for size in range(1, min(plan.rows, plan.cols) + 1):
@@ -332,7 +332,7 @@ def test_certificate_reads_only_its_own_split(monkeypatch):
     for plan in _canonical_plans(psi.n):
         seen.clear()
         rank = split_rank(psi, plan.bipartition.row_bits, plan.bipartition.col_bits)
-        quads, _ = _cells(psi, plan)
+        quads = SplitCells(psi.cleared[0], plan.axes)
         assert rank == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
         own = _compressed(psi, plan)
         for q, r in seen:

@@ -16,7 +16,10 @@ method) of the runs, the raw runs, the failed executions summed over the
 runs and whether every run was correct, and ``change_better_pairs``: the
 pairs where the change read better, in the direction ``BENCHMARK.json``
 gives for the metric.  ``--claim``, the gain the change claims in words
-or "none", is required, so that no file is written without one.
+or "none", is required, so that no file is written without one.  Both
+sides must run the same benchmark: when a file under ``perfbench/`` (its
+``__pycache__`` aside) or ``BENCHMARK.json`` differs between the two
+checkouts, the tool exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -34,6 +37,19 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SECONDS = 20  # perfbench run length of every measured run
 WARMUP = 2  # seconds of each checkout's unrecorded first run per workload
+BENCH_CODE = ("perfbench", "BENCHMARK.json")  # what both sides must share byte for byte
+
+
+def bench_code(checkout: Path) -> dict[str, bytes]:
+    """The benchmark's files in a checkout by relative path, bytecode caches aside."""
+    files = {}
+    for name in BENCH_CODE:
+        path = checkout / name
+        found = [path] if path.is_file() else sorted(path.rglob("*"))
+        for f in found:
+            if f.is_file() and "__pycache__" not in f.parts:
+                files[f.relative_to(checkout).as_posix()] = f.read_bytes()
+    return files
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,6 +108,11 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    code = {side: bench_code(checkouts[side]) for side in SIDES}
+    differ = sorted(f for f in code["parent"].keys() | code["change"].keys()
+                    if code["parent"].get(f) != code["change"].get(f))
+    if differ:
+        parser.error(f"the benchmark differs between --parent and --change: {', '.join(differ)}")
     for side in SIDES:
         for workload in args.workloads:
             run_once(checkouts[side], workload, args.seed, WARMUP)

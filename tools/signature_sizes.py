@@ -3,14 +3,17 @@
 
     PYTHONPATH=src python3 tools/signature_sizes.py [--sizes 8 10 12] [--repeats 3]
 
-For each n, four states: a random Gaussian-integer state
-(``random_exact_state``), GHZ, W, and a product of three factors (4 + 4 + 4
-at n = 12, sizes as even as possible otherwise) on shuffled qubits.  Each
-repeat builds the state afresh, so its cleared form and split memo start
-empty, and times one ``rank_signature`` in CPU seconds; the report is the
-minimum over the repeats.  Every signature is checked, outside the timing,
-against the SVD signature of the amplitudes (random and product states) or
-the known ranks (every split of GHZ and W has rank 2).  Exit status 1 when
+For each n, six states: a random Gaussian-integer state
+(``random_exact_state``), GHZ, W, a product of three factors (4 + 4 + 4
+at n = 12, sizes as even as possible otherwise) on shuffled qubits, and
+GHZ and W under random invertible local operators
+(``random_invertible_local``): full support and every rank 2, so a dense
+signature whose floors mod Q all fall short.  Each repeat builds the state
+afresh, so its cleared form and split memo start empty, and times one
+``rank_signature`` in CPU seconds; the report is the minimum over the
+repeats.  Every signature is checked, outside the timing, against the SVD
+signature of the amplitudes (random and product states) or the known ranks
+(every split of the four GHZ and W kinds has rank 2).  Exit status 1 when
 a signature is wrong.
 """
 
@@ -22,6 +25,7 @@ import time
 
 from sloccrank import rank_signature, state
 from sloccrank.coeffmatrix import enumerate_bipartitions
+from sloccrank.slocc import apply_local, random_invertible_local
 from sloccrank.states import product_state, random_exact_state
 
 def _ghz(n: int, rng: random.Random):
@@ -46,17 +50,30 @@ def _product(n: int, rng: random.Random):
     return product_state(factors, n)
 
 
+def _local(kind):
+    """``kind`` under random invertible local operators drawn from ``rng``."""
+    return lambda n, rng: apply_local(kind(n, rng), random_invertible_local(n, rng.randrange(1 << 32)))
+
+
 KINDS = {
     "random": lambda n, rng: random_exact_state(n, rng),
     "ghz": _ghz,
     "w": _w,
     "product": _product,
+    "ghz_local": _local(_ghz),
+    "w_local": _local(_w),
 }
+RANK_TWO = ("ghz", "w", "ghz_local", "w_local")  # every split of these has rank 2
 
 
 def svd_signature(psi) -> dict:
     """Rank of every canonical split by the SVD route, on the float amplitudes."""
     return rank_signature(psi.to_float()).ranks
+
+
+def rank_two_signature(n: int) -> dict:
+    """Rank 2 on every canonical split, the signature of the ``RANK_TWO`` kinds."""
+    return {bp.canonical_key(): 2 for bp in enumerate_bipartitions(n)}
 
 
 def measure(kind: str, n: int, repeats: int, seed: int) -> tuple[float, bool]:
@@ -68,8 +85,8 @@ def measure(kind: str, n: int, repeats: int, seed: int) -> tuple[float, bool]:
         start = time.process_time()
         sig = rank_signature(fresh)
         best = min(best, time.process_time() - start)
-    if kind in ("ghz", "w"):
-        want = {bp.canonical_key(): 2 for bp in enumerate_bipartitions(n)}
+    if kind in RANK_TWO:
+        want = rank_two_signature(n)
     else:
         want = svd_signature(psi)
     return best, sig.ranks == want
@@ -83,12 +100,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     wrong = 0
-    print(f"{'n':>3} {'state':<8} {'cpu_min_s':>10}  check")
+    print(f"{'n':>3} {'state':<9} {'cpu_min_s':>10}  check")
     for n in args.sizes:
         for kind in args.kinds:
             seconds, ok = measure(kind, n, args.repeats, args.seed)
             wrong += not ok
-            print(f"{n:>3} {kind:<8} {seconds:>10.4f}  {'ok' if ok else 'WRONG'}", flush=True)
+            print(f"{n:>3} {kind:<9} {seconds:>10.4f}  {'ok' if ok else 'WRONG'}", flush=True)
     return 1 if wrong else 0
 
 
