@@ -14,6 +14,7 @@ from .coeffmatrix import (
     enumerate_bipartitions,
     rank,
     rank_signature,
+    rank_signatures,
     reduced_density,
     singular_values,
     split_rank,

@@ -16,9 +16,8 @@ from .coeffmatrix import (
     det_coeff,
     det_density_exact,
     enumerate_bipartitions,
-    rank_signature,
+    rank_signatures,
     reduced_density,
-    split_rank,
 )
 from .families import default_registry, instantiate
 from .invariants import dxy, dxy_covariance_factor, f1, f2
@@ -79,16 +78,24 @@ def _corpus(n: int):
 
 
 def check_rank_invariance(trials: int = 200, seed: int = 0) -> CheckResult:
-    """Rank signatures are unchanged by invertible local operators."""
+    """Rank signatures are unchanged by invertible local operators.
+
+    Every trial is drawn first; the corpus states and the transformed ones
+    are then ranked in one ``rank_signatures`` batch.
+    """
     failures = []
     sizes = (2, 3, 4, 5)
-    corpus = {n: [(psi, rank_signature(psi)) for psi in _corpus(n)] for n in sizes}
+    corpus = {n: _corpus(n) for n in sizes}
     rng = random.Random(seed)
+    drawn = []
     for t in range(trials):
         n = sizes[t % len(sizes)]
-        psi, sig = corpus[n][rng.randrange(len(corpus[n]))]
-        ops = random_invertible_local(n, seed + 1000 * t + 1)
-        if rank_signature(apply_local(psi, ops)) != sig:
+        psi = corpus[n][rng.randrange(len(corpus[n]))]
+        drawn.append((psi, apply_local(psi, random_invertible_local(n, seed + 1000 * t + 1))))
+    sigs = rank_signatures([psi for psi, _ in drawn] + [phi for _, phi in drawn])
+    for t, (sig, moved) in enumerate(zip(sigs[:trials], sigs[trials:])):
+        if moved != sig:
+            n = sizes[t % len(sizes)]
             failures.append(f"trial {t}: signature changed (n={n}, op seed {seed + 1000 * t + 1})")
     return CheckResult("rank-invariance", trials, seed, not failures, failures)
 
@@ -113,10 +120,16 @@ def check_matrix_transform(trials: int = 100, seed: int = 0) -> CheckResult:
 
 
 def check_kron_rank(trials: int = 100, seed: int = 0) -> CheckResult:
-    """Blockwise rank products equal direct ranks of the assembled state."""
+    """Blockwise rank products equal direct ranks of the assembled state.
+
+    Every trial is drawn first; the products and their factors are then
+    ranked in one ``rank_signatures`` batch, so ``recursive_rank`` reads
+    the factors' memos.
+    """
     failures = []
     rng = random.Random(seed)
-    for t in range(trials):
+    drawn = []
+    for _ in range(trials):
         n = rng.choice((3, 4, 5, 6))
         # random partition of 1..n into up to three parts
         order = list(range(1, n + 1))
@@ -128,10 +141,14 @@ def check_kron_rank(trials: int = 100, seed: int = 0) -> CheckResult:
             parts.append(tuple(sorted(order[prev:cut])))
             prev = cut
         factors = [(random_exact_state(len(p), rng), p) for p in parts]
-        psi = product_state(factors, n)
-        for bp in enumerate_bipartitions(n):
+        drawn.append((factors, product_state(factors, n)))
+    sigs = rank_signatures(
+        [psi for _, psi in drawn] + [f for factors, _ in drawn for f, _ in factors]
+    )
+    for t, ((factors, psi), sig) in enumerate(zip(drawn, sigs)):
+        for bp in enumerate_bipartitions(psi.n):
             via_product = recursive_rank(factors, bp.row_bits)
-            direct = split_rank(psi, bp.row_bits, bp.col_bits)
+            direct = sig.ranks[bp.canonical_key()]
             if via_product != direct:
                 failures.append(
                     f"trial {t}: split {bp.canonical_key()} product {via_product} != {direct}"

@@ -49,3 +49,19 @@ def test_a_wrong_reference_fails(monkeypatch, capsys):
     monkeypatch.setattr(tool, "svd_signature", lambda psi: {k: r + 1 for k, r in real(psi).items()})
     assert tool.main(["--sizes", "6", "--kinds", "random", "--repeats", "1"]) == 1
     assert "WRONG" in capsys.readouterr().out
+
+
+def test_a_wrong_batched_signature_fails(monkeypatch, capsys):
+    tool = _tool()
+    real = tool.rank_signatures
+
+    def wrong(states):
+        sigs = real(states)
+        key = next(iter(sigs[-1].ranks))
+        sigs[-1].ranks[key] += 1
+        return sigs
+
+    monkeypatch.setattr(tool, "rank_signatures", wrong)
+    assert tool.main(["--sizes", "6", "--repeats", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("WRONG") == 1 and "w_local" in out.splitlines()[-1]

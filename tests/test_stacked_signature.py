@@ -110,7 +110,9 @@ def test_only_the_splits_the_memo_lacks_are_stacked(monkeypatch):
     seen = []
     real = coeffmatrix._stacked_floors
     monkeypatch.setattr(
-        coeffmatrix, "_stacked_floors", lambda psi, todo: seen.append(todo) or real(psi, todo)
+        coeffmatrix,
+        "_stacked_floors",
+        lambda pairs: seen.append([plan for _, plan in pairs]) or real(pairs),
     )
     rank_signature(psi)
     assert seen == [list(plans[1::2])]
@@ -123,7 +125,9 @@ def test_floors_that_vanish_mod_q_still_give_exact_ranks():
     mod Q and a larger exact rank, so every floor falls short and F_P decides."""
     noise = random_exact_state(7, random.Random(12))
     psi = state(7, [ExactScalar(1) + ExactScalar(Q) * b for b in noise.amps])
-    floors = coeffmatrix._stacked_floors(psi, _canonical_plans(7))
+    plans = _canonical_plans(7)
+    floors = coeffmatrix._stacked_floors([(psi, plan) for plan in plans])
+    floors = dict(zip((plan.key for plan in plans), floors))
     assert set(floors.values()) == {1}
     stacked, lone = _both_routes(psi)
     assert stacked == lone
@@ -146,7 +150,7 @@ def test_the_stack_criterion(monkeypatch, psi, stacks):
     calls = []
     real = coeffmatrix._stacked_floors
     monkeypatch.setattr(
-        coeffmatrix, "_stacked_floors", lambda psi, todo: calls.append(len(todo)) or real(psi, todo)
+        coeffmatrix, "_stacked_floors", lambda pairs: calls.append(len(pairs)) or real(pairs)
     )
     rank_signature(psi)
     assert bool(calls) == stacks

@@ -13,8 +13,10 @@ afresh, so its cleared form and split memo start empty, and times one
 ``rank_signature`` in CPU seconds; the report is the minimum over the
 repeats.  Every signature is checked, outside the timing, against the SVD
 signature of the amplitudes (random and product states) or the known ranks
-(every split of the four GHZ and W kinds has rank 2).  Exit status 1 when
-a signature is wrong.
+(every split of the four GHZ and W kinds has rank 2).  Before the timing,
+one ``rank_signatures`` call ranks fresh copies of the six states of each
+n together, and each of its signatures is checked against the same
+reference.  Exit status 1 when a signature is wrong.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import argparse
 import random
 import time
 
-from sloccrank import rank_signature, state
+from sloccrank import rank_signature, rank_signatures, state
 from sloccrank.coeffmatrix import enumerate_bipartitions
 from sloccrank.slocc import apply_local, random_invertible_local
 from sloccrank.states import product_state, random_exact_state
@@ -76,20 +78,20 @@ def rank_two_signature(n: int) -> dict:
     return {bp.canonical_key(): 2 for bp in enumerate_bipartitions(n)}
 
 
-def measure(kind: str, n: int, repeats: int, seed: int) -> tuple[float, bool]:
-    """(min CPU seconds of ``rank_signature`` over fresh copies, whether it was right)."""
-    psi = KINDS[kind](n, random.Random(seed))
+def measure(kind: str, psi, repeats: int, batched) -> tuple[float, bool]:
+    """(min CPU seconds of ``rank_signature`` over fresh copies of ``psi``,
+    whether it and ``batched``, its signature from ``rank_signatures``, were right)."""
     best = float("inf")
     for _ in range(repeats):
-        fresh = state(n, psi.amps)
+        fresh = state(psi.n, psi.amps)
         start = time.process_time()
         sig = rank_signature(fresh)
         best = min(best, time.process_time() - start)
     if kind in RANK_TWO:
-        want = rank_two_signature(n)
+        want = rank_two_signature(psi.n)
     else:
         want = svd_signature(psi)
-    return best, sig.ranks == want
+    return best, sig.ranks == want == batched.ranks
 
 
 def main(argv=None) -> int:
@@ -102,8 +104,10 @@ def main(argv=None) -> int:
     wrong = 0
     print(f"{'n':>3} {'state':<9} {'cpu_min_s':>10}  check")
     for n in args.sizes:
-        for kind in args.kinds:
-            seconds, ok = measure(kind, n, args.repeats, args.seed)
+        states = {kind: KINDS[kind](n, random.Random(args.seed)) for kind in args.kinds}
+        batched = rank_signatures([state(n, psi.amps) for psi in states.values()])
+        for (kind, psi), sig in zip(states.items(), batched):
+            seconds, ok = measure(kind, psi, args.repeats, sig)
             wrong += not ok
             print(f"{n:>3} {kind:<9} {seconds:>10.4f}  {'ok' if ok else 'WRONG'}", flush=True)
     return 1 if wrong else 0
