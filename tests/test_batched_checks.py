@@ -129,7 +129,8 @@ def _names(result):
 def test_a_wrong_stacked_rank_fails_rank_invariance_at_its_trial(monkeypatch, seed):
     # the first trial with a shortfall, whose split ranks come from stacked_rank
     t, n, psi, op_seed = next(d for d in _invariance_draws(200, seed) if _deficient(d[2]))
-    _one_more_on(monkeypatch, _split_matrices(apply_local(psi, random_invertible_local(n, op_seed))))
+    moved = apply_local(psi, random_invertible_local(n, op_seed))
+    _one_more_on(monkeypatch, _split_matrices(moved))
     result = run_check("rank-invariance", seed=seed)
     assert not result.passed
     assert _names(result) == [f"trial {t}"]
