@@ -7,31 +7,43 @@ register.  That ordering reproduces the standard printed layouts: rows
 (1,2) give columns (3,4), rows (1,3) give (2,4), rows (1,4) give (3,2).
 Ranks are insensitive to the column order.
 
-Many states are ranked at once by ``rank_signatures``.  Every split that
-a state's memo lacks is ranked mod Q in one stack per split shape across
-all the states (``_stacked_floors``, which also gives ``rank_signature``
-its floors on one dense state), and a floor equal to min(rows, cols) is
-the rank.  Every shortfall is then ranked by ``stacked_rank``, the
-multi-prime proof of the rule-table stacks, one stack per shape in
-chunks of ``SHORTFALL_CELLS`` input cells: unchunked, one process running
-the 36 verify-all items of the benchmark's seed 5 peaked at 35.9 MB
-against 33.1 MB (32.8 MB with every state ranked alone).  A split too
-large for two to share a chunk (n >= 11) takes the lone route of
-``_split_rank`` instead, since a stack of one saves nothing:
-``stacked_rank`` eliminates every row over as many primes as minors of
-min(rows, cols) rows need, and at n = 12 a shuffled 4+4+4 product took
-about 40 s through stacks of one against 0.6 s alone.
+An exact state's signature ranks one split per qubit-symmetry orbit
+(``rank_signature``).  The swaps of qubits that fix the amplitude tensor
+join the qubits into classes (``_qubit_classes``); a split's rank then
+depends only on how many qubits of each class it takes, and on that
+count or its complement's (``_orbits``), so one representative per orbit
+is ranked and its rank copied to the rest of the memo.  The paper's
+representatives are built from GHZ, W and EPR blocks, whose qubits are
+interchangeable: GHZ-16 ranks 8 of its 32,767 splits.  A random state
+pays the detection only: about 50 us at n = 12, on one core of a 2-CPU
+x86-64 host.
 
-``rank_signature`` keeps its lone route for one state: there support
-compression, the term rank and the cut bounds settle most shortfalls of
-a sparse or low-rank split before any elimination.  The 15 low-rank
-n = 8 states of the benchmark's seed 5 took 0.08-0.10 s one by one on
-the lone route against 0.26-0.29 s through ``rank_signatures`` one state
-at a time, while the 1,200 transformed states of six rank-invariance
-checks, with their corpus, took 0.39-0.52 s lone and 0.13-0.18 s batched
-(CPU time, one core of a 2-CPU x86-64 host, Python 3.11, numpy 2.4).  So
-a caller with one state calls ``rank_signature``, and one with many
-small ones ``rank_signatures``.
+Many small states are ranked at once by ``rank_signatures``.  Every
+split that a state's memo lacks is ranked mod Q in one stack per split
+shape across all the states (``_stacked_floors``, which also gives
+``rank_signature`` its floors on one dense state), and a floor equal to
+min(rows, cols) is the rank.  Every shortfall is then ranked by
+``stacked_rank``, the multi-prime proof of the rule-table stacks, one
+stack per shape in chunks of ``SHORTFALL_CELLS`` input cells: unchunked,
+one process running the 36 verify-all items of the benchmark's seed 5
+peaked at 35.9 MB against 33.1 MB (32.8 MB with every state ranked
+alone).  A state whose splits are too large for two to share a chunk
+(n >= 11) takes ``rank_signature`` instead, since a stack of one saves
+nothing: ``stacked_rank`` eliminates every row over as many primes as
+minors of min(rows, cols) rows need, and at n = 12 a shuffled 4+4+4
+product took about 40 s through stacks of one against 0.6 s alone.
+
+``rank_signature`` keeps its lone route for one state, as does a sparse
+state of ``rank_signatures`` from ``STACK_MIN_QUBITS`` qubits on: there
+support compression, the term rank and the cut bounds settle most
+shortfalls of a sparse or low-rank split before any elimination.  The
+15 low-rank n = 8 states of the benchmark's seed 5 took 0.08-0.10 s one
+by one on the lone route against 0.26-0.29 s through
+``rank_signatures`` one state at a time, while the 1,200 transformed
+states of six rank-invariance checks, with their corpus, took
+0.39-0.52 s lone and 0.13-0.18 s batched (CPU time, one core of a 2-CPU
+x86-64 host, Python 3.11, numpy 2.4).  So a caller with one state calls
+``rank_signature``, and one with many small ones ``rank_signatures``.
 """
 
 from __future__ import annotations
@@ -349,8 +361,14 @@ def _cut_cap(memo: dict, plan: SplitPlan, floor: int) -> int | None:
     By rank subadditivity (see ``_kernels``) each product bounds the
     split's rank from above.  The cuts are enumerated on demand, smaller
     part first, and the search stops at the first product at or below
-    ``floor``, the rank the split is known to reach.
+    ``floor``, the rank the split is known to reach.  A positive floor
+    below the square of every rank in the memo returns None before any
+    cut is read: no product can reach it, so no cut would prove it (GHZ
+    and W states under local operators, whose every rank is 2, ask for
+    floor 2 on every split).
     """
+    if floor > 0 and (not memo or min(memo.values()) ** 2 > floor):
+        return None
     bp = plan.bipartition
     best = None
     for side, other in (bp.row_bits, bp.col_bits), (bp.col_bits, bp.row_bits):
@@ -399,6 +417,11 @@ def _split_rank(
             res=res.transpose(plan.axes), cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
         )[0]
     return value
+
+
+def _support(psi: PureState) -> int:
+    """The number of nonzero amplitudes of an exact state."""
+    return int(np.count_nonzero(psi.cleared[2]))
 
 
 def _stacks(n: int, support: int) -> bool:
@@ -468,17 +491,13 @@ def _stacked_shortfalls(short) -> None:
     The splits of states whose quadruples fit int64 (read once per state)
     are ranked by ``stacked_rank``, one stack per split shape, at most
     ``SHORTFALL_CELLS`` input cells per call.  The splits of any other
-    state, and those too large for two to share a stack, take the lone
-    route of ``_split_rank`` after the stacks, so that its cut bounds read
-    the stacked ranks.
+    state take the lone route of ``_split_rank`` after the stacks, so that
+    its cut bounds read the stacked ranks.
     """
     quads = {}
     stackable, lone = [], []
     for item in short:
-        psi, plan, _ = item
-        if 2 * plan.rows * plan.cols > SHORTFALL_CELLS:
-            lone.append(item)
-            continue
+        psi = item[0]
         if id(psi) not in quads:
             quads[id(psi)] = _int64_quads(psi)
         (lone if quads[id(psi)] is None else stackable).append(item)
@@ -504,39 +523,150 @@ def split_rank(psi: PureState, row_bits, col_bits=None, *, tolerance: float | No
     return _split_rank(psi, split_plan(psi.n, row_bits, col_bits), tolerance)
 
 
+def _qubit_classes(psi: PureState) -> tuple[int, ...]:
+    """The class of each qubit of an exact state under the swaps that fix
+    its amplitude tensor, numbered 0, 1, ... in order of first qubit.
+
+    If (i j) and (j k) fix the tensor, so does (i k) = (i j)(j k)(i j),
+    so the fixing swaps are an equivalence on the qubits, and union-find
+    over them is exact: two qubits share a class only when their swap
+    fixes the tensor.  Each pair of qubits in distinct classes is tested
+    in three steps, cheapest first: per qubit, the sum of the residues mod
+    P at the indices that set its bit (equal for i and j when (i j) fixes
+    the tensor, so a random state stops here), the residue tensor against
+    its swapped axes (a hint only), and the exact quadruples on the
+    support, which alone prove the swap.
+    """
+    quads, _, res = psi.cleared
+    n = psi.n
+    ones = [int(res.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(n)]
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    support = None
+    for j in range(1, n):
+        for i in range(j):
+            if ones[i] != ones[j] or find(i) == find(j):
+                continue
+            if not np.array_equal(res, res.swapaxes(i, j)):
+                continue
+            if support is None:  # equal residues have equal supports: a residue is 0 only at 0
+                support = np.flatnonzero(res)
+            if quads.ravel()[support].tolist() == quads.swapaxes(i, j).ravel()[support].tolist():
+                parent[find(j)] = find(i)
+    ids = {}
+    return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
+
+
+@lru_cache(maxsize=32)
+def _orbits(n: int, classes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the canonical splits of ``n`` qubits under the qubit
+    permutations that keep each class of ``classes`` (``_qubit_classes``),
+    as positions in ``_canonical_plans(n)``: each orbit ascending, so its
+    representative first, and the orbits in order of representative.
+
+    Such a permutation maps a split S to any split with as many qubits of
+    each class as S, and one of S or its complement to any split whose
+    count vector is that of S or of the complement; a split and its
+    complement have one rank.  So a split's orbit is keyed by the
+    unordered pair {counts(S), counts(complement)}, here the smaller of
+    their two codes in the mixed radix of the class sizes.  The map is
+    kept per (n, classes) for the 32 most recent pairs.
+    """
+    keys = [plan.key for plan in _canonical_plans(n)]
+    sizes = np.bincount(classes)
+    radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
+    weight = radix[list(classes)]  # a qubit adds its class's digit
+    lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+    bits = np.fromiter(chain.from_iterable(keys), np.int64, int(lengths.sum())) - 1
+    code = np.add.reduceat(weight[bits], np.cumsum(lengths) - lengths)
+    orbit_key = np.minimum(code, int(weight.sum()) - code)
+    _, inverse = np.unique(orbit_key, return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return tuple(sorted(tuple(m.tolist()) for m in members))
+
+
+def _rank_orbits(psi: PureState, plans: tuple[SplitPlan, ...]) -> None:
+    """Fill an exact state's memo with the rank of every split in
+    ``plans`` (``_canonical_plans(psi.n)``), ranking one split per
+    qubit-symmetry orbit (``_orbits``) and copying its rank to the rest.
+
+    The representatives a memo lacks are ranked mod Q in stacks first
+    when the state is dense (``_stacks``), then each in enumeration
+    order by ``_split_rank``, so that the cut bounds of a larger split
+    read the ranks of every orbit before it.
+    """
+    memo = psi.split_ranks
+    orbits = _orbits(psi.n, _qubit_classes(psi))
+    todo = [plans[orbit[0]] for orbit in orbits if plans[orbit[0]].key not in memo]
+    floors = {}
+    if todo and _stacks(psi.n, _support(psi)):
+        floors = _stacked_floors([(psi, plan) for plan in todo])
+        floors = dict(zip((plan.key for plan in todo), floors))
+    for orbit in orbits:
+        rep = plans[orbit[0]]
+        value = _split_rank(psi, rep, None, floors.get(rep.key))
+        for i in orbit[1:]:
+            memo[plans[i].key] = value
+
+
 def rank_signature(psi: PureState, *, tolerance: float | None = None) -> RankSignature:
-    """Ranks across all canonical bipartitions of the register."""
+    """Ranks across all canonical bipartitions of the register.
+
+    An exact state ranks one split per qubit-symmetry orbit
+    (``_rank_orbits``): a GHZ state of n qubits ranks n // 2 splits.
+    """
     _check_tolerance(tolerance)
     plans = _canonical_plans(psi.n)
-    floors = {}
-    if psi.is_exact:
-        todo = [plan for plan in plans if plan.key not in psi.split_ranks]
-        if todo and _stacks(psi.n, int(np.count_nonzero(psi.cleared[2]))):
-            floors = _stacked_floors([(psi, plan) for plan in todo])
-            floors = dict(zip((plan.key for plan in todo), floors))
-    ranks = {plan.key: _split_rank(psi, plan, tolerance, floors.get(plan.key)) for plan in plans}
-    return RankSignature(psi.n, psi.labels, ranks)
+    if not psi.is_exact:
+        ranks = {plan.key: _split_rank(psi, plan, tolerance) for plan in plans}
+        return RankSignature(psi.n, psi.labels, ranks)
+    memo = psi.split_ranks
+    if len(memo) < len(plans):  # the memo holds canonical keys of psi.n only
+        _rank_orbits(psi, plans)
+    return RankSignature(psi.n, psi.labels, {plan.key: memo[plan.key] for plan in plans})
+
+
+def _batched(psi: PureState) -> bool:
+    """Whether ``rank_signatures`` ranks an exact state in its stacks: when
+    two of its splits fit one shortfall stack (n <= 10), and it has fewer
+    than ``STACK_MIN_QUBITS`` qubits or a dense support (``_stacks``)."""
+    if 2 << psi.n > SHORTFALL_CELLS:
+        return False
+    return psi.n < STACK_MIN_QUBITS or _stacks(psi.n, _support(psi))
 
 
 def rank_signatures(states, *, tolerance: float | None = None) -> list[RankSignature]:
     """``[rank_signature(psi, tolerance=tolerance) for psi in states]``, with
-    the splits of all the exact states ranked together.
+    the splits of the small exact states ranked together.
 
-    Every split of an exact state that its memo (``PureState.split_ranks``)
-    lacks is ranked mod Q in one stack per split shape across all the
-    states (``_stacked_floors``); a floor equal to min(rows, cols) is the
-    rank, and the shortfalls are ranked by ``stacked_rank``, or on the lone
-    route when a state is beyond int64 or a split too large to share a
-    stack (``_stacked_shortfalls``).  Each rank is kept in its state's
-    memo; a state given twice is ranked once.  A floating state takes
-    ``rank_signature`` with ``tolerance``.
+    Every split of a ``_batched`` state that its memo
+    (``PureState.split_ranks``) lacks is ranked mod Q in one stack per
+    split shape across all the states (``_stacked_floors``); a floor equal
+    to min(rows, cols) is the rank, and the shortfalls are ranked by
+    ``stacked_rank``, or on the lone route when a state is beyond int64
+    (``_stacked_shortfalls``).  Each rank is kept in its state's memo; a
+    state given twice is ranked once.  The batch finds no qubit symmetry:
+    its many small states are mostly images under random local operators,
+    which have none.  Every other state takes ``rank_signature``, a
+    floating one with ``tolerance``.  A sparse state from
+    ``STACK_MIN_QUBITS`` qubits on gains nothing from the stacks
+    (``rank_signatures([ghz(14)])`` took 9.7 s through them against 0.95 s
+    alone, before orbits), nor does one of more than 10 qubits, whose
+    every shortfall took the lone route anyway: D(12, 4) took 4.4 s in the
+    batch against 0.026 s on ``rank_signature``, which ranks 6 of its
+    2,047 splits.
     """
     _check_tolerance(tolerance)
     states = list(states)
-    exact = {id(psi): psi for psi in states if psi.is_exact}
+    batch = {id(psi): psi for psi in states if psi.is_exact and _batched(psi)}
     pairs = [
         (psi, plan)
-        for psi in exact.values()
+        for psi in batch.values()
         for plan in _canonical_plans(psi.n)
         if plan.key not in psi.split_ranks
     ]
@@ -549,7 +679,7 @@ def rank_signatures(states, *, tolerance: float | None = None) -> list[RankSigna
     _stacked_shortfalls(short)
     out = []
     for psi in states:
-        if psi.is_exact:
+        if id(psi) in batch:
             memo = psi.split_ranks
             ranks = {plan.key: memo[plan.key] for plan in _canonical_plans(psi.n)}
             out.append(RankSignature(psi.n, psi.labels, ranks))

@@ -409,15 +409,17 @@ def parse_state(text: str) -> PureState:
         raise StateFormatError(
             f"expected {1 << n} amplitudes for n={n}, found {len(amp_items)}", 0
         )
-    floating = any(is_float_literal(s) for s, _ in amp_items)
-    amps = []
+    first = {}  # each distinct literal at its first position, in file order
     for text_amp, pos in amp_items:
+        first.setdefault(text_amp, pos)
+    parse = parse_float if any(map(is_float_literal, first)) else parse_exact
+    values = {}
+    for text_amp, pos in first.items():
         try:
-            amps.append(
-                parse_float(text_amp, pos) if floating else parse_exact(text_amp, pos)
-            )
+            values[text_amp] = parse(text_amp, pos)
         except ScalarFormatError as exc:
             raise StateFormatError(str(exc), exc.position) from exc
+    amps = [values[text_amp] for text_amp, _ in amp_items]
     if labels is None:
         labels = default_labels(n)
     elif len(labels) != n:

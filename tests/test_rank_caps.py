@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sloccrank._kernels as kernels
+import sloccrank.coeffmatrix as coeffmatrix
 from sloccrank._kernels import ONE4, P, ZERO4, _eliminate, _term_rank, bareiss
 from sloccrank.coeffmatrix import _canonical_plans, _cut_cap, rank_signature, split_rank
 from sloccrank.scalars import ExactScalar
@@ -353,3 +354,20 @@ def test_cut_cap_stops_at_its_floor():
     assert _cut_cap(memo, plan, least) == least and memo.reads <= every
     memo.reads = 0
     assert _cut_cap(memo, plan, 100) >= least and memo.reads == 2  # the first cut
+
+
+def test_cut_cap_reads_no_cut_when_no_product_can_reach_the_floor(monkeypatch):
+    """GHZ_8 under local operators: every split has rank 2 and a floor of 2,
+    and every product of two ranks is 4, so no cut is ever enumerated."""
+    rng = random.Random(5)
+    amps = [ExactScalar(0)] * 256
+    amps[0], amps[-1] = _scalar(rng), _scalar(rng)
+    psi = apply_local(state(8, amps), random_invertible_local(8, 5))
+    _canonical_plans(8)  # the plans' canonical keys are built before the spy
+    calls, caps = [], []
+    real_key, real_cap = coeffmatrix._split_key, coeffmatrix._cut_cap
+    monkeypatch.setattr(coeffmatrix, "_split_key", lambda *a: calls.append(a) or real_key(*a))
+    monkeypatch.setattr(coeffmatrix, "_cut_cap", lambda *a: caps.append(a[2]) or real_cap(*a))
+    signature = rank_signature(psi)
+    assert set(signature.ranks.values()) == {2}
+    assert caps and set(caps) == {2} and calls == []

@@ -192,3 +192,28 @@ def test_splits_too_large_to_share_a_stack_take_the_lone_route(monkeypatch):
     assert lone and all(2 * plan.rows * plan.cols > 32 for plan in lone)
     monkeypatch.setattr(coeffmatrix, "_split_rank", real_lone)
     _same(sigs, _lone(batch))
+
+
+def test_sparse_states_from_the_stack_size_on_take_rank_signature(monkeypatch):
+    """GHZ-10, W-8 and a sparse n=6 state fail ``_stacks``: none of their
+    splits enters the stacks, and each takes ``rank_signature`` (which alone
+    looks for qubit symmetry); the n=4 state below the stack size and the
+    dense n=6 one stay in the batch."""
+    sparse = [ghz(10), w_state(8), state(6, [k % 5 + 1 if k % 11 == 0 else 0 for k in range(64)])]
+    batched = [apply_local(ghz(4), random_invertible_local(4, 3))]
+    batched.append(random_exact_state(6, random.Random(8)))
+    stacked, detected = [], []
+    real_stacked, real_classes = coeffmatrix._stacked_floors, coeffmatrix._qubit_classes
+    monkeypatch.setattr(
+        coeffmatrix,
+        "_stacked_floors",
+        lambda pairs: stacked.extend(p for p, _ in pairs) or real_stacked(pairs),
+    )
+    monkeypatch.setattr(
+        coeffmatrix, "_qubit_classes", lambda psi: detected.append(psi) or real_classes(psi)
+    )
+    batch = sparse + batched
+    sigs = rank_signatures(batch)
+    assert {id(psi) for psi in stacked} == {id(psi) for psi in batched}
+    assert [id(psi) for psi in detected] == [id(psi) for psi in sparse]
+    _same(sigs, _lone(batch))

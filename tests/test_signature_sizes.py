@@ -22,7 +22,7 @@ def test_small_sizes_pass_their_checks(capsys):
     tool = _tool()
     assert tool.main(["--sizes", "3", "6", "--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == 2 * len(tool.KINDS) == 12
+    assert len(lines) == 2 * len(tool.KINDS) == 14
     assert all(line.endswith(" ok") for line in lines)
 
 

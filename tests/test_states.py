@@ -4,10 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloccrank.coeffmatrix import coefficient_matrix, rank
 from sloccrank.families import instantiate
-from sloccrank.scalars import ExactScalar, I_OVER_SQRT2
+from sloccrank.scalars import (
+    ExactScalar,
+    I_OVER_SQRT2,
+    ScalarFormatError,
+    is_float_literal,
+    parse_exact,
+    parse_float,
+)
 from sloccrank.states import (
     PureState,
     QubitPermutation,
@@ -62,6 +71,49 @@ def test_parse_state_float_marking():
     psi = parse_state('{n:1, amps:["0.5", "1"]}')
     assert not psi.is_exact
     assert psi.amps == (0.5 + 0j, 1 + 0j)
+
+
+LITERALS = ("0", "1", "-1", "i", "1/2", "r2", "1-i", "2*i*r2", "0.5", "1e-3", "frog", "1/0", "")
+
+
+def _parse_item_by_item(text, items):
+    """The amplitudes of ``text`` parsed one literal at a time, each at its
+    own position: the floating parser when any literal is floating."""
+    parse = parse_float if any(is_float_literal(s) for s in items) else parse_exact
+    amps, at = [], 0
+    for s in items:
+        at = text.index(f'"{s}"', at) + 1
+        try:
+            amps.append(parse(s, at))
+        except ScalarFormatError as exc:
+            raise StateFormatError(str(exc), exc.position) from exc
+        at += len(s) + 1
+    return tuple(amps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.sampled_from(LITERALS), min_size=1 << n, max_size=1 << n)))
+def test_parse_state_parses_each_distinct_literal_once_as_item_by_item(items):
+    body = ", ".join(f'"{s}"' for s in items)
+    text = f"{{n: {len(items).bit_length() - 1}, amps: [{body}]}}"
+    try:
+        want = _parse_item_by_item(text, items)
+    except StateFormatError as exc:
+        with pytest.raises(StateFormatError) as got:
+            parse_state(text)
+        assert (str(got.value), got.value.position) == (str(exc), exc.position)
+        return
+    if not any(want):
+        return  # the zero vector: no state, whichever way it is parsed
+    assert parse_state(text).amps == want
+
+
+def test_repeated_bad_literal_is_reported_at_its_first_position():
+    text = '{n: 2, amps: ["1", "frog", "0", "frog"]}'
+    with pytest.raises(StateFormatError) as exc:
+        parse_state(text)
+    assert exc.value.position == text.index("frog")
 
 
 def test_round_trip_exact_states():

@@ -3,17 +3,21 @@
 
     PYTHONPATH=src python3 tools/signature_sizes.py [--sizes 8 10 12] [--repeats 3]
 
-For each n, six states: a random Gaussian-integer state
-(``random_exact_state``), GHZ, W, a product of three factors (4 + 4 + 4
-at n = 12, sizes as even as possible otherwise) on shuffled qubits, and
-GHZ and W under random invertible local operators
-(``random_invertible_local``): full support and every rank 2, so a dense
-signature whose floors mod Q all fall short.  Each repeat builds the state
+For each n, seven states: a random Gaussian-integer state
+(``random_exact_state``), GHZ, W, the Dicke state D(n, k) with
+k = min(4, n // 2) (the sum of the basis states of weight k), a product
+of three factors (4 + 4 + 4 at n = 12, sizes as even as possible
+otherwise) on shuffled qubits, and GHZ and W under random invertible
+local operators (``random_invertible_local``): full support and every
+rank 2, so a dense signature whose floors mod Q all fall short.  GHZ, W
+and Dicke states are symmetric under every swap of qubits, so their
+signatures rank one split per size.  Each repeat builds the state
 afresh, so its cleared form and split memo start empty, and times one
 ``rank_signature`` in CPU seconds; the report is the minimum over the
 repeats.  Every signature is checked, outside the timing, against the SVD
 signature of the amplitudes (random and product states) or the known ranks
-(every split of the four GHZ and W kinds has rank 2).  Before the timing,
+(every split of the four GHZ and W kinds has rank 2, and a split of s
+qubits of D(n, k) has rank min(s, n - s, k, n - k) + 1).  Before the timing,
 one ``rank_signatures`` call ranks fresh copies of the six states of each
 n together, and each of its signatures is checked against the same
 reference.  Exit status 1 when a signature is wrong.
@@ -41,6 +45,11 @@ def _w(n: int, rng: random.Random):
     return state(n, amps)
 
 
+def _dicke(n: int, rng: random.Random):
+    k = min(4, n // 2)
+    return state(n, [int(bin(i).count("1") == k) for i in range(1 << n)])
+
+
 def _product(n: int, rng: random.Random):
     order = list(range(1, n + 1))
     rng.shuffle(order)
@@ -61,6 +70,7 @@ KINDS = {
     "random": lambda n, rng: random_exact_state(n, rng),
     "ghz": _ghz,
     "w": _w,
+    "dicke": _dicke,
     "product": _product,
     "ghz_local": _local(_ghz),
     "w_local": _local(_w),
@@ -78,6 +88,13 @@ def rank_two_signature(n: int) -> dict:
     return {bp.canonical_key(): 2 for bp in enumerate_bipartitions(n)}
 
 
+def dicke_signature(n: int) -> dict:
+    """The rank of every canonical split of ``_dicke(n)``."""
+    k = min(4, n // 2)
+    sizes = {bp.canonical_key(): len(bp.canonical_key()) for bp in enumerate_bipartitions(n)}
+    return {key: min(s, n - s, k, n - k) + 1 for key, s in sizes.items()}
+
+
 def measure(kind: str, psi, repeats: int, batched) -> tuple[float, bool]:
     """(min CPU seconds of ``rank_signature`` over fresh copies of ``psi``,
     whether it and ``batched``, its signature from ``rank_signatures``, were right)."""
@@ -89,6 +106,8 @@ def measure(kind: str, psi, repeats: int, batched) -> tuple[float, bool]:
         best = min(best, time.process_time() - start)
     if kind in RANK_TWO:
         want = rank_two_signature(psi.n)
+    elif kind == "dicke":
+        want = dicke_signature(psi.n)
     else:
         want = svd_signature(psi)
     return best, sig.ranks == want == batched.ranks
