@@ -11,15 +11,15 @@ otherwise) on shuffled qubits, and GHZ and W under random invertible
 local operators (``random_invertible_local``): full support and every
 rank 2, so a dense signature whose floors mod Q all fall short.  GHZ, W
 and Dicke states are symmetric under every swap of qubits, so their
-signatures rank one split per size.  Each repeat builds the state
+signatures rank one split per split size.  Each repeat builds the state
 afresh, so its cleared form and split memo start empty, and times one
 ``rank_signature`` in CPU seconds; the report is the minimum over the
 repeats.  Every signature is checked, outside the timing, against the SVD
 signature of the amplitudes (random and product states) or the known ranks
 (every split of the four GHZ and W kinds has rank 2, and a split of s
 qubits of D(n, k) has rank min(s, n - s, k, n - k) + 1).  Before the timing,
-one ``rank_signatures`` call ranks fresh copies of the six states of each
-n together, and each of its signatures is checked against the same
+one ``rank_signatures`` call ranks fresh copies of the states of each n
+together, and each of its signatures is checked against the same
 reference.  Exit status 1 when a signature is wrong.
 """
 
@@ -91,8 +91,10 @@ def rank_two_signature(n: int) -> dict:
 def dicke_signature(n: int) -> dict:
     """The rank of every canonical split of ``_dicke(n)``."""
     k = min(4, n // 2)
-    sizes = {bp.canonical_key(): len(bp.canonical_key()) for bp in enumerate_bipartitions(n)}
-    return {key: min(s, n - s, k, n - k) + 1 for key, s in sizes.items()}
+    return {
+        bp.canonical_key(): min(len(bp.row_bits), len(bp.col_bits), k, n - k) + 1
+        for bp in enumerate_bipartitions(n)
+    }
 
 
 def measure(kind: str, psi, repeats: int, batched) -> tuple[float, bool]:
