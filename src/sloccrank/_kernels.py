@@ -23,8 +23,8 @@ is stored as P, not 0), so no quadruple is scanned.  What is left is eliminated 
 (``_pivots_mod_p_int64``), a whole row block at a time and reduced again
 after every update: residues below P < 2**31 keep each product below
 2**62.  The quadruples themselves are read only on demand: ``bareiss``
-takes any sequence of them, and only a determinant, the certificate and
-``_eliminate`` read it, listing it once.  A state's split passes
+takes any sequence of them, and only a determinant and the proof of a
+shortfall read it, listing it once.  A state's split passes
 ``coeffmatrix.SplitCells``, which transposes and lists the split's
 quadruples on first read, so a split that its floor, its rank mod P or
 an upper bound decides lists none.
@@ -75,44 +75,35 @@ SLOCC-rotated states of the last column, which the verify-all checks
 rank; at s = n it would win at n = 8, tie at n = 10 and lose at n = 12;
 so the rule stays n >= 6 and s >= 2**(n/2).
 
-A rank r mod P below full is proved exact rather than recomputed, from
-``CERTIFY_MIN_CELLS`` compressed cells on.  The elimination's r pivot
-rows and columns give a minor that is nonzero mod P, so it is nonzero,
-and rank M >= r.  Every (r+1)-minor x vanishes mod P.  If x also vanishes
-mod the distinct primes p_2, ..., p_k of ``PRIME_TABLE`` (each = 1 mod 8,
-mapped the same way), then P * p_2 * ... * p_k divides the integer N(x),
-the product of its four complex embeddings.  Every embedding of an entry
-has modulus at most h (see ``_h2``); with T the sum of h**2 over all
-entries, Hadamard and AM-GM bound the norm of every minor of at most s
-rows by (T/s)**(2s) once T >= e * s (``_norm_bits``), so a product of
-primes above that forces x = 0, and rank M <= r.  This one proof, with
-this one bound, also ranks the stacks below, and one F_p row reduction
-serves both: ``_reduce_mod`` reduces a (K, rows, cols) int64 stack of
-residue matrices, each modulo its own prime, pivoting each row on its
-largest residue.
+A rank R mod P below full that no upper bound below proves is proved
+exact by ``stacked_rank``, for a stack of matrices of one shape (the
+rule-table scans, ``coeffmatrix.rank_signatures``) and for a lone matrix,
+a stack of one, alike.  In the wide orientation, R rows independent mod P
+come first: a lone matrix passes its F_P pivot lines and R from
+``_pivots_mod_p_int64``, and a stack finds them by one ``_reduce_mod``
+over every row mod P, its live rows moved first.  Their R-minor is
+nonzero mod P, so it is nonzero, and rank M >= R.  Every (R+1)-minor x
+vanishes mod P.  If x also vanishes mod the distinct primes p_2, ..., p_k
+of ``PRIME_TABLE`` (each = 1 mod 8, mapped the same way), then
+P * p_2 * ... * p_k divides the integer N(x), the product of its four
+complex embeddings.  Every embedding of an entry has modulus at most h
+(see ``_h2``); with T the sum of h**2 over all entries, Hadamard and
+AM-GM bound the norm of every minor of at most s rows by (T/s)**(2s)
+once T >= e * s (``_norm_bits``), so primes whose product passes that
+bound at s = R + 1 force x = 0, and rank M <= R.  Modulo each table
+prime, R steps of ``_reduce_mod`` (over a (K, rows, cols) int64 stack,
+each matrix modulo its own prime, each row pivoting on its largest
+residue) leave the rows from R on zero only when the rank mod p is at
+most R, and then x vanishes mod p.  A matrix of full rank mod P takes
+no table prime.  A row from R on left nonzero mod some p (a pivot row
+dead mod p, or a minor that vanishes mod P only), a bound beyond the
+table or a component beyond int64 sends the matrix to ``_eliminate``.
+A split of a state holds each amplitude once, and compression drops
+only zero lines, so every split of a state has the state's T and asks
+for the same primes; the quadruples are reduced modulo a batch of
+primes at once (``_residues_mod``).
 
-A certificate reads only its own matrix.  The compressed cells, the F_P
-pivot rows first, form one list that feeds both the certificate and, if
-it fails, ``_eliminate``.  The certificate (``_bordered_minors_vanish``)
-takes them as an int64 (rows, cols, 4) array, sums T over them and
-reduces them modulo each batch of table primes the bound still needs
-(``_residues_mod``).  A split of a state holds each amplitude once, and
-compression drops only zero lines, so every split of a state has the
-state's T and asks for the same primes.  The check runs r steps of
-``_reduce_mod`` for a whole batch of primes at once.  When
-all r pivot rows are live mod p, the rows below them are then zero
-exactly when the rank mod p is r, that is when every (r+1)-minor
-vanishes mod p; a prime on which a pivot row dies is not counted, and
-the next one replaces it.  A nonzero row below (the exact rank is above
-r), a component beyond int64 or a bound beyond the table
-sends the matrix to ``_eliminate``, as does every rank-deficient matrix
-under the cutoff that no upper bound below proves.  On sums of r random
-outer products, as lone matrices (one core of a 2-CPU x86-64 host,
-Python 3.11, numpy 2.4), the certificate took 0.75-0.84 vs 4.3-7.6 ms
-for ``_eliminate`` at 16 x 16 rank 8 and 0.2-0.36 vs 0.37-0.67 ms at
-8 x 8 rank 4; at 4 x 8 rank 2 it lost, 0.12-0.13 vs 0.06-0.07 ms.
-
-Before any certificate, a rank r mod P below full is compared with two
+Before that proof, a rank r mod P below full is compared with two
 upper bounds on the exact rank that need no field arithmetic
 (``_upper_bounds``), each read only on a shortfall, so a full-rank
 matrix evaluates neither.  A bound equal to r proves rank M = r; a bound
@@ -137,20 +128,7 @@ below r contradicts the lower bound and raises ArithmeticError.
    C_{A+B} lies in U_A (x) U_B.  A split and its complement have one
    rank, so the cuts of either side bound it (``coeffmatrix._cut_cap``
    reads the ranks the state has already).
-A certificate or ``_eliminate`` runs only when neither bound equals r.
-
-A stack of matrices of one shape (``stacked_rank``, which the rule-table
-scans use) takes the same proof without pivots.  Each matrix is reduced
-modulo the first k primes of ``STACK_PRIMES`` = (P,) + ``PRIME_TABLE``,
-enough for their product to pass the ``_norm_bits`` bound of its own T
-on minors of up to min(r, c) rows, and one ``_reduce_mod`` over every
-row of all k * B residue matrices gives their ranks mod their primes.
-The largest rank R over the k primes is the exact rank: no prime sees
-more than the exact rank, and every (R+1)-minor vanishes modulo all k
-primes, so it is 0.  The stack pays a fixed cost in numpy calls that one
-matrix does not amortise, so a lone matrix finds its rank mod P with
-``_pivots_mod_p_int64``.  The stacks of both proofs reduce int64
-quadruples modulo a batch of primes through ``_residues_mod``.
+The proof runs only when neither bound equals r.
 """
 
 import math
@@ -168,9 +146,6 @@ IS_P = 391447392  # I_P * S_P % P
 Q = 1048433  # prime, Q = 1 (mod 8), below 2**20: the prime of ``ranks_mod_q``
 I_Q = 661878  # I_Q**2 = -1 (mod Q)
 S_Q = 597083  # S_Q**2 = 2 (mod Q)
-# rank-deficient matrices from this many cells on are certified; certifying
-# every one slowed verify_all by about 7% (4.90-4.94 s against 4.44-4.62 s)
-CERTIFY_MIN_CELLS = 64
 PRIME_BITS = 30.99  # every prime of PRIME_TABLE, and P, exceeds 2**PRIME_BITS
 # (p, I_p, S_p): the next primes p = 1 (mod 8) below P, with I_p**2 = -1 and
 # S_p**2 = 2 (mod p), so i -> I_p, sqrt2 -> S_p maps Z[i, sqrt2] into F_p
@@ -208,7 +183,7 @@ PRIME_TABLE = (
     (2147478481, 411266291, 2116800879), (2147478089, 1948947042, 1392030773),
     (2147478049, 1177723471, 347015307), (2147478017, 1404461508, 244346993),
 )
-STACK_PRIMES = ((P, I_P, S_P),) + PRIME_TABLE  # the primes of ``stacked_rank``, P first
+_P_ROW = np.array([(P, I_P, S_P)], dtype=np.int64)
 _TABLE_PRIMES = np.array(PRIME_TABLE, dtype=np.int64)  # rows (p, I_p, S_p)
 
 
@@ -468,34 +443,6 @@ def _reduce_mod(m, p, steps):
     return np.count_nonzero(m[:, :steps].any(axis=2), axis=1)
 
 
-def _bordered_minors_vanish(q, r):
-    """Whether every (r+1)-minor of a matrix of rank r mod P is 0.
-
-    ``q`` is the matrix as an int64 (m, n, 4) array of quadruples, the
-    pivot rows of its F_P elimination (see ``_pivots_mod_p_int64``)
-    first.  Its entries give the T of ``_norm_bits``, and each batch of
-    table primes the bound still needs reduces them with ``_residues_mod``.
-    A prime counts when all r pivot rows are live under ``_reduce_mod``;
-    the proof is in the module docstring.  False means a row below the
-    pivots is nonzero mod a counted prime (so the rank exceeds r) or the
-    table ran out before the bound.
-    """
-    need = _norm_bits(float(_h2(q).sum()), r + 1) - PRIME_BITS  # P is the first prime
-    start = 0
-    while need > 0:
-        count = math.ceil(need / PRIME_BITS)
-        if start + count > len(PRIME_TABLE):
-            return False
-        primes = _TABLE_PRIMES[start:start + count]
-        res = _residues_mod(q, primes)
-        alive = _reduce_mod(res, primes[:, :1, None], r) == r
-        start += count
-        if res[alive, r:].any():
-            return False
-        need -= PRIME_BITS * int(alive.sum())
-    return True
-
-
 def _term_rank(support, limit):
     """The size of a maximum matching of the True cells of the 2-d bool
     array ``support`` (no two in one row or column), or ``limit`` once a
@@ -562,13 +509,13 @@ def _bounded(support, r, cap, lower):
 
 
 def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
-    """Exact rank: support compression, then F_P, then a proof or ``_eliminate``.
+    """Exact rank: support compression, then F_P, then bounds or ``stacked_rank``.
 
     A ``floor`` equal to min(nrows, ncols) is returned before anything
     else is read.  ``res`` is ``residues(entries)`` when the caller has it
     already, as any array whose row-major order is that of ``entries``;
     its nonzero cells are the nonzero entries, so it gives the support.
-    ``entries`` is listed once, and only for a certificate or ``_eliminate``.
+    ``entries`` is listed once, and only for ``stacked_rank`` or ``_eliminate``.
     ``cap(r)``, read only on a shortfall, returns a proven upper bound on
     the exact rank or None; it may stop looking once it reaches r.
     ``floor`` is a proven lower bound on the rank, such as a rank mod Q
@@ -587,69 +534,79 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     full = min(len(rows), len(cols))
     if full <= 1 or floor == full:
         return full
-    cells = len(rows) * len(cols)
-    if cells < mod.size:
+    if len(rows) * len(cols) < mod.size:
         mod = mod[rows][:, cols]
     if floor is not None and _bounded(mod != 0, floor, cap, f"the floor {floor}"):
         return floor
     # not _reduce_mod: a stack of one costs 1.6-2.6x up to 32 x 32 (16 x 16: 130-149 vs 64-68 us)
-    pivot_rows = _pivots_mod_p_int64(mod)[0]
-    r = len(pivot_rows)
+    pivots = _pivots_mod_p_int64(mod)
+    r = len(pivots[0])
     if r == full or (r != floor and _bounded(mod != 0, r, cap, f"the rank {r} mod P")):
         return r
-    certify = cells >= CERTIFY_MIN_CELLS
-    if certify:  # the certificate takes the F_P pivot rows first, _eliminate any order
-        rows = np.concatenate((rows[pivot_rows], np.delete(rows, pivot_rows)))
+    if len(rows) <= len(cols):  # the F_P pivot lines of the wide orientation first
+        rows = np.concatenate((rows[pivots[0]], np.delete(rows, pivots[0])))
+    else:
+        cols = np.concatenate((cols[pivots[1]], np.delete(cols, pivots[1])))
     rows, cols = rows.tolist(), cols.tolist()
     if not isinstance(entries, list):
         entries = list(entries)
     sub = [entries[i * ncols + j] for i in rows for j in cols]
-    if certify:
-        try:
-            q = np.fromiter(chain.from_iterable(sub), np.int64, 4 * cells)
-        except OverflowError:  # a component beyond int64: elimination decides
-            pass
-        else:
-            # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
-            if _bordered_minors_vanish(q.reshape(len(rows), len(cols), 4), r):
-                return r
-    return _eliminate(sub, len(rows), len(cols))[0]
+    try:
+        q = np.fromiter(chain.from_iterable(sub), np.int64, 4 * len(sub))
+    except OverflowError:  # a component beyond int64: elimination decides
+        return _eliminate(sub, len(rows), len(cols))[0]
+    # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
+    return int(stacked_rank(q.reshape(1, len(rows), len(cols), 4), [r])[0])
 
 
-def stacked_rank(q):
+def stacked_rank(q, ranks=None):
     """Exact ranks of a stack of quadruple matrices, as an int64 array.
 
-    ``q`` is a (B, r, c, 4) int64 array.  Each matrix is reduced modulo
-    the first k primes of ``(P,) + PRIME_TABLE``, with k the least count
-    whose bits pass the ``_norm_bits`` bound of its own entries on minors
-    of up to min(r, c) rows; the batch takes the largest k.  One
-    ``_reduce_mod`` over every row of all (k * B) residue matrices gives
-    each its rank mod its prime, and the rank of a matrix is its largest
-    rank over the k primes, which is exact (see the module docstring).  A
-    matrix whose bound needs more primes than the table holds goes to
-    ``_eliminate``.
+    ``q`` is a (B, r, c, 4) int64 array, ranked in its wide orientation (a
+    tall stack is transposed, and its rows below are the columns of ``q``).
+    Each matrix's rank R mod P is ``ranks[b]`` when the caller has it, with
+    R rows independent mod P first, or else comes from one ``_reduce_mod``
+    over every row mod P, whose live rows are then moved first.  A matrix
+    with R below min(r, c) takes the table primes its ``_norm_bits`` bound
+    on (R+1)-minors needs beyond P (the batch takes the largest count), and
+    R steps of ``_reduce_mod`` modulo each must leave its rows from R on
+    zero (see the module docstring); one that fails, or whose bound is
+    beyond the table, goes to ``_eliminate``.  ``_certified_rank`` passes
+    its F_P pivots as ``ranks``: without them a stack of one 64 x 64
+    matrix of rank 2 took 3.7-3.9 ms against 1.9-2.0 ms with them (one
+    core of a 2-CPU x86-64 host).
     """
     if q.dtype != np.int64:
         raise TypeError(f"stacked_rank takes an int64 stack, got {q.dtype}")
-    count, nrows, ncols = q.shape[:3]
-    ranks = np.zeros(count, dtype=np.int64)
-    bits = _norm_bits(_h2(q).sum(axis=(1, 2)), min(nrows, ncols))
-    need = np.ceil(bits / PRIME_BITS).astype(np.int64)
-    fast = need <= len(STACK_PRIMES)
-    for b in np.flatnonzero(~fast).tolist():
-        entries = list(map(tuple, q[b].reshape(-1, 4).tolist()))
-        ranks[b] = _eliminate(entries, nrows, ncols)[0]
-    if not fast.any():
-        return ranks
-    if not fast.all():
-        q = q[fast]
-    if nrows > ncols:  # wide orientation: one step per row
+    if q.shape[1] > q.shape[2]:  # wide orientation: one step per row
         q = q.swapaxes(1, 2)
-    k = int(need[fast].max())
-    primes = np.array(STACK_PRIMES[:k], dtype=np.int64)
-    m = _residues_mod(q, primes).reshape(-1, *q.shape[1:3])  # (k * B, r, c), prime-major
-    p_rows = np.repeat(primes[:, 0], len(q))[:, None, None]
-    ranks[fast] = _reduce_mod(m, p_rows, m.shape[1]).reshape(k, -1).max(axis=0)
+    nrows, ncols = q.shape[1:3]
+    if ranks is None:
+        m = _residues_mod(q, _P_ROW)[0]
+        ranks = _reduce_mod(m, P, nrows)
+        short = np.flatnonzero(ranks < nrows)
+        live_first = np.argsort(~m[short].any(axis=2), axis=1, kind="stable")
+        q = q[short[:, None], live_first]
+    else:
+        ranks = np.array(ranks, dtype=np.int64)
+        short = np.flatnonzero(ranks < nrows)
+        if len(short) < len(q):
+            q = q[short]
+    r = ranks[short]
+    bits = _norm_bits(_h2(q).sum(axis=(1, 2)), r + 1) - PRIME_BITS  # P counted
+    need = np.ceil(bits / PRIME_BITS).astype(np.int64)  # at most 0: P alone proves it
+    failed = need > len(PRIME_TABLE)
+    check = np.flatnonzero((need > 0) & ~failed)
+    if len(check):
+        primes = _TABLE_PRIMES[:need[check].max()]
+        sub = q if len(check) == len(q) else q[check]
+        m = _residues_mod(sub, primes).reshape(-1, nrows, ncols)  # (k * B, r, c), prime-major
+        r = r[check]
+        _reduce_mod(m, np.repeat(primes[:, 0], len(check))[:, None, None], int(r.max()))
+        live = m.reshape(len(primes), len(check), nrows, ncols).any(axis=3)
+        failed[check] = (live & (np.arange(nrows) >= r[:, None])).any(axis=(0, 2))
+    for b in np.flatnonzero(failed).tolist():
+        ranks[short[b]] = _eliminate(list(map(tuple, q[b].reshape(-1, 4).tolist())), nrows, ncols)[0]
     return ranks
 
 
@@ -658,7 +615,7 @@ def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
 
     ``entries`` is any row-major sequence of ``nrows * ncols`` quadruples
     (``coeffmatrix.SplitCells`` lists a split's only when it is read);
-    only a determinant, the certificate and ``_eliminate`` read it.
+    only a determinant, ``stacked_rank`` and ``_eliminate`` read it.
     With ``det=True`` returns ``(rank, det)`` as ``_eliminate`` does:
     ``det`` is the exact determinant for square input and ``(0, 0, 0, 0)``
     for rank-deficient or non-square input.  With ``det=False`` returns

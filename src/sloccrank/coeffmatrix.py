@@ -23,15 +23,15 @@ split that a state's memo lacks is ranked mod Q in one stack per split
 shape across all the states (``_stacked_floors``, which also gives
 ``rank_signature`` its floors on one dense state), and a floor equal to
 min(rows, cols) is the rank.  Every shortfall is then ranked by
-``stacked_rank``, the multi-prime proof of the rule-table stacks, one
-stack per shape in chunks of ``SHORTFALL_CELLS`` input cells: unchunked,
-one process running the 36 verify-all items of the benchmark's seed 5
+``stacked_rank``, the one proof of every rank shortfall, one stack per
+shape in chunks of ``SHORTFALL_CELLS`` input cells: unchunked, one
+process running the 36 verify-all items of the benchmark's seed 5
 peaked at 35.9 MB against 33.1 MB (32.8 MB with every state ranked
 alone).  A state whose splits are too large for two to share a chunk
-(n >= 11) takes ``rank_signature`` instead, since a stack of one saves
-nothing: ``stacked_rank`` eliminates every row over as many primes as
-minors of min(rows, cols) rows need, and at n = 12 a shuffled 4+4+4
-product took about 40 s through stacks of one against 0.6 s alone.
+(n >= 11) takes ``rank_signature`` instead, since a stack of one lacks
+the term-rank and cut bounds of the lone route: a shuffled 4+4+3
+product took 2.3-2.6 s through stacks of one against 0.15-0.22 s alone
+(CPU time, two runs).
 
 ``rank_signature`` keeps its lone route for one state, as does a sparse
 state of ``rank_signatures`` from ``STACK_MIN_QUBITS`` qubits on: there

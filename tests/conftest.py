@@ -15,3 +15,18 @@ def eliminate_calls(monkeypatch):
 
     monkeypatch.setattr(kernels, "_eliminate", spy)
     return calls
+
+
+@pytest.fixture
+def stacked_ranks(monkeypatch):
+    """The ranks each ``_kernels.stacked_rank`` call returns, as lists, in order."""
+    calls = []
+    real = kernels.stacked_rank
+
+    def spy(q, ranks=None):
+        out = real(q, ranks)
+        calls.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(kernels, "stacked_rank", spy)
+    return calls

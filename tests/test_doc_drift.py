@@ -25,8 +25,8 @@ def _missing(names, module=kernels):
 def test_kernel_docstring_names_existing_symbols():
     names = re.findall(r"``([A-Za-z_]\w*)``", kernels.__doc__)
     required = {
-        "_certified_rank", "CERTIFY_MIN_CELLS", "stacked_rank", "_reduce_mod", "_norm_bits",
-        "_bordered_minors_vanish", "ranks_mod_q",
+        "_certified_rank", "stacked_rank", "_pivots_mod_p_int64", "_reduce_mod", "_norm_bits",
+        "ranks_mod_q",
     }
     assert required <= set(names)
     assert _missing(names) == []

@@ -155,10 +155,10 @@ def test_fallback_runs_when_mod_p_rank_falls_short(q, eliminate_calls):
     assert eliminate_calls == [(2, 2), (2, 2)]
 
 
-def test_rank_deficient_matrix_takes_the_fallback(eliminate_calls):
+def test_rank_deficient_matrix_takes_the_stacked_proof(eliminate_calls, stacked_ranks):
     row = [(1, 2, 0, -1), (3, 0, 1, 0), (0, 0, 0, 5)]
     assert bareiss(row + row, 2, 3, det=False) == (1, None)
-    assert eliminate_calls == [(2, 3)]
+    assert stacked_ranks == [[1]] and eliminate_calls == []
 
 
 def test_full_rank_matrix_is_certified_without_fallback(eliminate_calls):

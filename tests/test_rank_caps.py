@@ -7,10 +7,9 @@ a state's split is the least r(A) * r(B) over the cuts A + B of either
 side whose ranks the state holds already (rank subadditivity,
 ``coeffmatrix._cut_cap``).  The differential suites compare every split
 rank of ``rank_signature`` with ``_eliminate`` on the split's cells; the
-spies, with the certificate cutoff lowered so that every shortfall no
-bound proves would show, tell which shortfalls the bounds prove with
-neither a certificate nor elimination, and the last cases pin the bounds
-themselves against brute force.
+spies on ``stacked_rank``, which proves every shortfall no bound proves,
+and on ``_eliminate`` tell which shortfalls the bounds prove alone, and
+the last cases pin the bounds themselves against brute force.
 """
 
 import itertools
@@ -141,9 +140,9 @@ def test_sparse_support_signatures_match_elimination(psi):
 @given(w_states(n_range=(4, 10)))
 def test_w_shortfalls_take_neither_certificate_nor_elimination(psi):
     """Every W split of k <= n/2 qubits has rank 2 and a term rank of 2."""
-    with _route_spies(min_cells=4) as (certified, eliminated):
+    with _route_spies() as (stacked, eliminated):
         signature = rank_signature(psi)
-    assert certified == [] and eliminated == []
+    assert stacked == [] and eliminated == []
     assert set(signature.ranks.values()) == {2}
     assert len(_shortfalls(psi)) == len(signature.ranks) - psi.n  # all but the 1-qubit splits
 
@@ -161,23 +160,23 @@ def test_product_shortfalls_are_capped_once_their_cuts_are_ranked(drawn):
         if len(blocks) == 2 and side in blocks:
             continue
         del memo[plan.key]
-        with _route_spies(min_cells=4) as (certified, eliminated):
+        with _route_spies() as (stacked, eliminated):
             assert split_rank(psi, plan.key) == ranks[plan.key]
-        assert certified == [] and eliminated == [], plan.key
+        assert stacked == [] and eliminated == [], plan.key
 
 
 def test_signature_order_caps_product_shortfalls():
     """In ``rank_signature``'s order most product shortfalls find their
-    cuts ranked already; the few left take certificates, never elimination."""
+    cuts ranked already; the few left take ``stacked_rank``, never elimination."""
     rng = random.Random(3)
     factors = [(_factor("dense", 3, rng), (1, 4, 7)), (_factor("dense", 3, rng), (2, 5, 8)),
                (_factor("dense", 2, rng), (3, 6))]
     psi = product_state(factors, 8)
-    with _route_spies(min_cells=4) as (certified, eliminated):
+    with _route_spies() as (stacked, eliminated):
         rank_signature(psi)
-    assert eliminated == [] and all(certified)
+    assert eliminated == []
     shortfalls = _shortfalls(psi)
-    assert len(certified) < len(shortfalls) // 4
+    assert len(stacked) < len(shortfalls) // 4
 
 
 # --- the kernel's use of the bounds --------------------------------------------
@@ -207,18 +206,18 @@ def test_cap_equal_to_the_rank_mod_p_proves_it(term_ranks):
     flat = _rank_two_8x8(random.Random(1))
     assert all(any(q) for q in flat)
     floors = []
-    with _route_spies(min_cells=4) as (certified, eliminated):
+    with _route_spies() as (stacked, eliminated):
         assert bareiss(flat, 8, 8, det=False, cap=lambda r: floors.append(r) or 2)[0] == 2
-    assert floors == [2] and certified == [] and eliminated == []
+    assert floors == [2] and stacked == [] and eliminated == []
     assert term_ranks == []  # 64 nonzero cells > 2 * 8: the term rank exceeds 2
 
 
 def test_cap_above_the_rank_or_none_leaves_the_certificate(term_ranks):
     flat = _rank_two_8x8(random.Random(2))
     for cap in (lambda r: 3, lambda r: None):
-        with _route_spies(min_cells=4) as (certified, eliminated):
+        with _route_spies() as (stacked, eliminated):
             assert bareiss(flat, 8, 8, det=False, cap=cap)[0] == 2
-        assert certified == [True] and eliminated == []
+        assert stacked == [[2]] and eliminated == []
 
 
 def test_cap_below_the_rank_mod_p_raises():
@@ -242,9 +241,9 @@ def test_term_rank_proves_a_sparse_lone_shortfall(term_ranks):
     for k in range(1, 9):
         flat[k] = _nonzero(rng)
         flat[9 * k] = _nonzero(rng)
-    with _route_spies(min_cells=4) as (certified, eliminated):
+    with _route_spies() as (stacked, eliminated):
         assert bareiss(flat, 9, 9, det=False)[0] == 2
-    assert term_ranks == [2] and certified == [] and eliminated == []
+    assert term_ranks == [2] and stacked == [] and eliminated == []
 
 
 def test_term_rank_reads_entries_that_vanish_mod_p_as_nonzero():

@@ -1,9 +1,10 @@
-"""The rank-deficiency certificate agrees with exact Bareiss elimination.
+"""The proof of a rank shortfall agrees with exact Bareiss elimination.
 
-From ``CERTIFY_MIN_CELLS`` compressed cells on, a matrix whose rank mod P
-falls short is not eliminated exactly: the F_P pivot minor proves
-rank >= r and the (r+1)-minors, checked mod enough table primes to pass
-the ``_norm_bits`` bound on their norms, prove rank <= r.  Every case
+A lone matrix whose rank r mod P falls short, and which no upper bound
+proves, is not eliminated exactly: ``stacked_rank`` takes it as a stack
+of one, its F_P pivot lines first.  The pivot minor proves rank >= r and
+the (r+1)-minors, checked mod enough table primes to pass the
+``_norm_bits`` bound on their norms, prove rank <= r.  Every case
 compares ``bareiss(det=False)`` with ``_eliminate``; the fixed cases also
 pin which route answered, and the hand-built ones sit on the edges of the
 proof: a minor vanishing mod P only, a minor vanishing mod every prime but
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 import sloccrank._kernels as kernels
 from sloccrank._kernels import (
-    CERTIFY_MIN_CELLS,
     I_P,
     P,
     PRIME_BITS,
@@ -209,12 +209,12 @@ def test_rank_deficient_matrices_are_certified_without_elimination(eliminate_cal
     assert eliminate_calls == []
 
 
-def test_small_matrices_stay_on_elimination(eliminate_calls):
-    assert CERTIFY_MIN_CELLS == 64
+def test_small_matrices_take_the_stacked_proof(eliminate_calls, stacked_ranks):
     flat = [ONES] * 64
-    assert bareiss(flat[:32], 4, 8, det=False) == (1, None)  # 32 cells: int64 F_P, then Bareiss
+    assert bareiss(flat[:4], 2, 2, det=False) == (1, None)
+    assert bareiss(flat[:32], 4, 8, det=False) == (1, None)
     assert bareiss(flat, 8, 8, det=False) == (1, None)
-    assert eliminate_calls == [(4, 8)]
+    assert stacked_ranks == [[1]] * 3 and eliminate_calls == []
 
 
 def _ones_with_corner(x, rows=8, cols=8):
@@ -295,7 +295,7 @@ def _total(quads):
 
 
 def _table_primes_needed(flat, r):
-    """Table primes (after P) the certificate's bound asks for at rank r."""
+    """Table primes (after P) the bound of a rank-r shortfall asks for."""
     return math.ceil((_norm_bits(_total(flat), r + 1) - PRIME_BITS) / PRIME_BITS)
 
 
@@ -321,7 +321,7 @@ def _two_rows_with_minor(x, cols=32):
 def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
     """x vanishes mod P and the first k - 1 table primes, where the bound needs k.
 
-    A certificate that stopped one prime short would call this rank 1.
+    A proof that stopped one prime short would call this rank 1.
     """
     found = []
     for k in range(2, 6):
@@ -347,7 +347,7 @@ def test_row_nonzero_only_left_of_the_pivot_column_is_seen(eliminate_calls):
     assert eliminate_calls == [(2, 32)]
 
 
-def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):
+def test_pivot_vanishing_mod_a_table_prime_takes_elimination(eliminate_calls):
     # row 0 is all y, so y is the first pivot; y is 0 mod the first table prime
     y = _vanishing_under(PRIME_TABLE[:1])
     assert kernels.residues([y])[0] != 0  # but not mod P
@@ -356,10 +356,11 @@ def test_pivot_vanishing_mod_a_table_prime_is_replaced(eliminate_calls):
     flat = _outer_sum(left, [[ONES] * 8])
     assert _table_primes_needed(flat, 1) >= 1  # the first table prime is needed
     assert bareiss(flat, 8, 8, det=False) == (1, None)
-    assert eliminate_calls == []
+    assert eliminate_calls == [(8, 8)]  # the rows below the dead pivot stay nonzero
     # and a rank-2 matrix with that pivot still reaches the exact rank
     flat[-1] = _add(flat[-1], ONES)
     assert bareiss(flat, 8, 8, det=False) == (2, None)
+    assert eliminate_calls == [(8, 8)] * 2
 
 
 def test_entries_near_2_31_are_certified(eliminate_calls):

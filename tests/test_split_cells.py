@@ -4,7 +4,7 @@ The listing is the eager transpose of ``PureState.cleared`` for every split
 of every state kind, whatever the split memo held before.  Per ``bareiss``
 call, a spy on the listing and on the kernel's routes shows that a split
 decided by its floor, its support, a full rank mod P, the term rank or the
-subadditivity cap is never listed, and one that reaches the certificate or
+subadditivity cap is never listed, and one that reaches ``stacked_rank`` or
 ``_eliminate`` is listed exactly once.
 """
 
@@ -115,7 +115,7 @@ def test_the_listing_is_made_on_first_read_and_kept():
 def _listing_spy():
     """Per ``coeffmatrix.bareiss`` call: the listings of its cells and the kernel
     routes it ran, in order (``pivots``, ``term_rank``, ``cut_cap``,
-    ``certificate``, ``eliminate``), with the floor it was given."""
+    ``stacked_rank``, ``eliminate``), with the floor it was given."""
     calls = []
     real_listed = SplitCells._listed
 
@@ -142,7 +142,7 @@ def _listing_spy():
         mp.setattr(coeffmatrix, "bareiss", traced_bareiss)
         mp.setattr(coeffmatrix, "_cut_cap", route("cut_cap", coeffmatrix._cut_cap))
         for name, attr in (("pivots", "_pivots_mod_p_int64"), ("term_rank", "_term_rank"),
-                           ("certificate", "_bordered_minors_vanish"), ("eliminate", "_eliminate")):
+                           ("stacked_rank", "stacked_rank"), ("eliminate", "_eliminate")):
             mp.setattr(kernels, attr, route(name, getattr(kernels, attr)))
         yield calls
 
@@ -158,11 +158,12 @@ def _corpus():
     rng = random.Random(21)
     ghz_local = apply_local(_ghz(6, rng), random_invertible_local(6, 7))
     dicke = _dicke(8, 2, ExactScalar(3, 1, 2, 1))
+    beyond_int64 = _dicke(6, 3, ExactScalar(2**70, 1))  # its shortfalls take elimination
     partly = _product(8, rng)
     _prefill(partly, "split_rank")
     return [random_exact_state(8, rng), _ghz(8, rng), _w(8, rng), _product(8, rng),
             _product(6, rng), _dicke(6, 3, _scalar(rng)), dicke, ghz_local, partly,
-            state(5, [1] + [0] * 31)]
+            beyond_int64, state(5, [1] + [0] * 31)]
 
 
 def test_only_a_certificate_or_elimination_lists_a_split():
@@ -174,13 +175,15 @@ def test_only_a_certificate_or_elimination_lists_a_split():
         for call in calls:
             decided = _decided_by(call)
             seen.add(decided)
-            reads = "certificate" in call["routes"] or "eliminate" in call["routes"]
+            reads = "stacked_rank" in call["routes"] or "eliminate" in call["routes"]
             assert call["listings"] == (1 if reads else 0), call
         fresh = state(psi.n, psi.amps)
         for plan in _canonical_plans(psi.n):
             assert signature.ranks[plan.key] == _eliminate(_eager(fresh, plan), plan.rows, plan.cols)[0]
     # every route was met: the corpus decides splits each way
-    assert seen >= {"floor", "support", "pivots", "term_rank", "cut_cap", "certificate", "eliminate"}
+    assert seen >= {
+        "floor", "support", "pivots", "term_rank", "cut_cap", "stacked_rank", "eliminate"
+    }
 
 
 def test_a_full_floor_reads_neither_entries_nor_residues():

@@ -1,18 +1,16 @@
-"""Rank shortfalls of state splits are certified from each split's own cells.
+"""Rank shortfalls of state splits are proved from each split's own cells.
 
-A certificate takes the split's compressed cells, the F_P pivot rows
-first, as an int64 (rows, cols, 4) array and reduces them modulo the
-table primes its bound asks for; every split holds each amplitude of the
-state once, so one bound per state, (T/s)**(2s) on the norm of every
-s-minor, covers them all.  The differential suites compare every split
-rank with ``_eliminate`` on the split's cells; the certificate cutoff is
-lowered there, and on products the upper bounds (tested in
-``test_rank_caps``) are switched off, so every shortfall takes a
-certificate, and a spy checks that it answered.  Dicke states keep
-shortfalls that no bound proves, so they carry the tests that need
-certificates at the default cutoff.  The fixed cases repeat the edges of
-``test_rank_certificate`` on state splits, and the last ones pin what a
-certificate reads and the work it must not add.
+``stacked_rank`` takes the split's compressed cells, the F_P pivot lines
+first, as a stack of one and reduces them modulo the table primes its
+bound asks for; every split holds each amplitude of the state once, so
+one bound per state, (T/s)**(2s) on the norm of every s-minor, covers
+them all.  The differential suites compare every split rank with
+``_eliminate`` on the split's cells; on products the upper bounds
+(tested in ``test_rank_caps``) are switched off, so every shortfall
+takes the proof, and a spy checks that it answered without elimination.
+Dicke states keep shortfalls that no bound proves.  The fixed cases
+repeat the edges of ``test_rank_certificate`` on state splits, and the
+last ones pin what the proof reads and the work it must not add.
 """
 
 import itertools
@@ -54,13 +52,6 @@ from test_rank_certificate import (
 )
 
 SEEDS = st.integers(0, 2**32)
-
-
-@pytest.fixture
-def certificates():
-    """The results of ``_bordered_minors_vanish``, in call order."""
-    with _route_spies() as (calls, _):
-        yield calls
 
 
 @pytest.fixture
@@ -143,27 +134,27 @@ def dicke_states(draw, n_range=(4, 9)):
 
 
 @contextmanager
-def _route_spies(min_cells=None, bounds=True):
-    """Spies on the certificate's results and ``_eliminate``'s shapes, for
-    hypothesis tests (which take no function-scoped fixture); ``bounds``
-    False leaves every shortfall to the certificate or ``_eliminate``."""
+def _route_spies(bounds=True):
+    """Spies on the ranks each ``stacked_rank`` call returns and on
+    ``_eliminate``'s shapes, for hypothesis tests (which take no
+    function-scoped fixture); ``bounds`` False leaves every shortfall to
+    ``stacked_rank``."""
     calls, eliminated = [], []
-    real_certificate, real_eliminate = kernels._bordered_minors_vanish, kernels._eliminate
+    real_stacked, real_eliminate = kernels.stacked_rank, kernels._eliminate
 
-    def certificate(q, r):
-        calls.append(real_certificate(q, r))
-        return calls[-1]
+    def stacked(q, ranks=None):
+        out = real_stacked(q, ranks)
+        calls.append(out.tolist())
+        return out
 
     def eliminate(entries, nrows, ncols):
         eliminated.append((nrows, ncols))
         return real_eliminate(entries, nrows, ncols)
 
     with pytest.MonkeyPatch.context() as mp:
-        if min_cells is not None:
-            mp.setattr(kernels, "CERTIFY_MIN_CELLS", min_cells)
         if not bounds:
             mp.setattr(kernels, "_upper_bounds", lambda support, r, cap: iter(()))
-        mp.setattr(kernels, "_bordered_minors_vanish", certificate)
+        mp.setattr(kernels, "stacked_rank", stacked)
         mp.setattr(kernels, "_eliminate", eliminate)
         yield calls, eliminated
 
@@ -175,9 +166,9 @@ def _assert_signature_matches_elimination(psi):
         assert signature.ranks[plan.key] == _eliminate(quads, plan.rows, plan.cols)[0], plan.key
 
 
-def _assert_certificates_answered(certificates, eliminate_calls):
-    assert certificates and all(certificates)
-    assert eliminate_calls == []  # every shortfall was proved by a certificate
+def _assert_proved_without_elimination(stacked, eliminate_calls):
+    assert stacked
+    assert eliminate_calls == []  # every shortfall was proved by ``stacked_rank``
 
 
 # --- differential suites -----------------------------------------------------
@@ -186,32 +177,31 @@ def _assert_certificates_answered(certificates, eliminate_calls):
 @settings(max_examples=40, deadline=None)
 @given(shuffled_products())
 def test_product_signatures_from_the_stack_match_elimination(psi):
-    # the bounds would prove most product shortfalls: every one takes a certificate
-    with _route_spies(min_cells=4, bounds=False) as (calls, eliminated):
+    # the bounds would prove most product shortfalls: every one takes the proof
+    with _route_spies(bounds=False) as (calls, eliminated):
         _assert_signature_matches_elimination(psi)
-    _assert_certificates_answered(calls, eliminated)
+    _assert_proved_without_elimination(calls, eliminated)
 
 
 @settings(max_examples=15, deadline=None)
 @given(dicke_states())
 def test_dicke_signatures_from_the_stack_match_elimination(psi):
-    with _route_spies(min_cells=4) as (calls, eliminated):  # no shortfall is eliminated
+    with _route_spies() as (calls, eliminated):  # no shortfall is eliminated
         _assert_signature_matches_elimination(psi)
-    _assert_certificates_answered(calls, eliminated)
+    _assert_proved_without_elimination(calls, eliminated)
 
 
 @settings(max_examples=10, deadline=None)
 @given(dicke_states(n_range=(8, 9)))
 def test_default_cutoff_certifies_large_shortfalls_from_the_stack(psi):
-    """At ``CERTIFY_MIN_CELLS`` = 64 only matrices under 64 compressed cells are eliminated.
+    """At the default settings no shortfall of any size is eliminated.
 
     Dicke states, since D(8, 2), D(9, 2) and D(9, 3) keep 119, 246 and 246
     shortfalls that neither the term rank nor subadditivity proves.
     """
     with _route_spies() as (calls, eliminated):
         _assert_signature_matches_elimination(psi)
-    assert calls and all(calls)
-    assert all(r * c < kernels.CERTIFY_MIN_CELLS for r, c in eliminated)
+    _assert_proved_without_elimination(calls, eliminated)
 
 
 # --- the bound ----------------------------------------------------------------
@@ -241,7 +231,7 @@ def test_state_bound_covers_every_minor_of_every_split(psi):
     total = _total(psi.cleared[0].ravel().tolist())
     for plan in _canonical_plans(psi.n):
         quads = SplitCells(psi.cleared[0], plan.axes)
-        # the split's own T, the one its certificate computes, is the state's
+        # the split's own T, the one its proof computes, is the state's
         assert math.isclose(_total(_compressed(psi, plan)), total, rel_tol=1e-12)
         for size in range(1, min(plan.rows, plan.cols) + 1):
             bits = _norm_bits(total, size)
@@ -259,19 +249,20 @@ def _state_of(flat):
     return state(len(flat).bit_length() - 1, [ExactScalar(*q) for q in flat])
 
 
-def test_split_minor_vanishing_mod_p_only_is_not_certified(eliminate_calls, certificates):
+def test_split_minor_vanishing_mod_p_only_is_not_certified(eliminate_calls, stacked_ranks):
     psi = _state_of(_ones_with_corner((P, 0, 0, 0)))  # the 3|3 split is the 8 x 8 matrix
     assert split_rank(psi, (1, 2, 3)) == 2
-    assert certificates == [False] and eliminate_calls == [(8, 8)]
+    assert len(stacked_ranks) == 1 and eliminate_calls == [(8, 8)]
     # the algebraic x = I_P - i, on a 2 x 32 split and its transpose
     flat = _ones_with_corner((I_P, -1, 0, 0), 2, 32)
     assert split_rank(_state_of(flat), (1,)) == 2
     assert split_rank(_state_of(flat), (2, 3, 4, 5, 6), (1,)) == 2  # a fresh state: no memo
-    assert certificates == [False] * 3
+    assert len(stacked_ranks) == 3
+    assert eliminate_calls == [(8, 8), (2, 32), (2, 32)]  # the 32 x 2 split is ranked wide
 
 
 def test_split_minor_vanishing_mod_all_but_the_last_needed_prime(
-    eliminate_calls, certificates, reduced
+    eliminate_calls, stacked_ranks, reduced
 ):
     found = []
     for k in range(2, 6):
@@ -283,12 +274,12 @@ def test_split_minor_vanishing_mod_all_but_the_last_needed_prime(
             assert split_rank(_state_of(flat), (1,)) == 2
             assert reduced == [(0, k)]  # it read every needed prime
     assert found
-    assert certificates == [False] * len(found)
+    assert len(stacked_ranks) == len(found)
     assert eliminate_calls == [(2, 32)] * len(found)
 
 
-def test_split_pivot_vanishing_mod_a_table_prime_grows_the_stack(
-    eliminate_calls, certificates, reduced
+def test_split_pivot_vanishing_mod_a_table_prime_takes_elimination(
+    eliminate_calls, stacked_ranks, reduced
 ):
     y = _vanishing_under(PRIME_TABLE[:1])  # 0 mod the first table prime, not mod P
     rng = random.Random(5)
@@ -297,35 +288,38 @@ def test_split_pivot_vanishing_mod_a_table_prime_grows_the_stack(
     needed = _table_primes_needed(flat, 1)
     assert needed >= 1
     assert split_rank(_state_of(flat), (1, 2, 3)) == 1
-    assert reduced == [(0, needed), (needed, 1)]  # the dead prime was replaced by the next
+    assert reduced == [(0, needed)]
+    assert eliminate_calls == [(8, 8)]  # the rows below the dead pivot stay nonzero
     flat[-1] = _add(flat[-1], ONES)
-    assert split_rank(_state_of(flat), (1, 2, 3)) == 2
-    assert certificates == [True, True] and eliminate_calls == []  # rank 2 mod P, proved
+    assert split_rank(_state_of(flat), (1, 2, 3)) == 2  # rank 2 mod P
+    assert len(stacked_ranks) == 2 and eliminate_calls == [(8, 8)] * 2
 
 
 def test_split_components_beyond_int64_take_elimination(
-    eliminate_calls, certificates, reduced
+    eliminate_calls, stacked_ranks, reduced
 ):
     flat = [(2**62 + 1, 0, 0, 0)] * 64
     flat[0] = (2**63 + 1, 0, 0, 0)
     flat[9] = (-(2**63) - 1, 0, 0, 0)
     assert split_rank(_state_of(flat), (1, 2, 3)) == 3
-    assert certificates == [] and reduced == [] and eliminate_calls == [(8, 8)]
+    assert stacked_ranks == [] and reduced == [] and eliminate_calls == [(8, 8)]
 
 
-# --- what a certificate reads, and no extra work ----------------------------------
+# --- what the proof reads, and no extra work --------------------------------------
 
 
 def test_certificate_reads_only_its_own_split(monkeypatch):
-    """Each certificate of D(8, 2) sees its split's compressed cells, F_P pivot rows first."""
+    """Each proof of D(8, 2) sees its split's compressed cells, the F_P pivot
+    lines of the wide orientation first."""
     seen = []
-    real = kernels._bordered_minors_vanish
+    real = kernels.stacked_rank
 
-    def spy(q, r):
-        seen.append((q.copy(), r))
-        return real(q, r)
+    def spy(q, ranks=None):
+        assert len(q) == 1 and len(ranks) == 1
+        seen.append((q[0].copy(), ranks[0]))
+        return real(q, ranks)
 
-    monkeypatch.setattr(kernels, "_bordered_minors_vanish", spy)
+    monkeypatch.setattr(kernels, "stacked_rank", spy)
     psi = _dicke(8, 2, ExactScalar(3, 1, 2, 1))
     total = _total(psi.cleared[0].ravel().tolist())
     checked = 0
@@ -337,6 +331,8 @@ def test_certificate_reads_only_its_own_split(monkeypatch):
         own = _compressed(psi, plan)
         for q, r in seen:
             assert q.dtype == np.int64 and q.shape == own.shape and r == rank
+            if q.shape[0] > q.shape[1]:  # tall: the pivot columns come first
+                q, own = q.swapaxes(0, 1), own.swapaxes(0, 1)
             # the same rows, reordered
             assert sorted(map(str, q.tolist())) == sorted(map(str, own.tolist()))
             pivots = residues(map(tuple, q[:r].reshape(-1, 4).tolist())).reshape(r, -1)
@@ -346,12 +342,12 @@ def test_certificate_reads_only_its_own_split(monkeypatch):
     assert checked
 
 
-def test_full_rank_state_never_builds_the_stack(certificates, reduced):
-    """A full-rank state runs no certificate and reduces nothing mod the table primes."""
+def test_full_rank_state_never_builds_the_stack(stacked_ranks, reduced):
+    """A full-rank state runs no proof and reduces nothing mod the table primes."""
     psi = random_exact_state(7, random.Random(3))
     signature = rank_signature(psi)
     assert all(r == 1 << min(len(k), psi.n - len(k)) for k, r in signature.items())
-    assert certificates == [] and reduced == []
+    assert stacked_ranks == [] and reduced == []
 
 
 def _lowrank_product(seed=8):
@@ -365,14 +361,14 @@ def _lowrank_product(seed=8):
     return product_state(factors, 8)
 
 
-def test_memoised_split_is_not_certified_again(monkeypatch, certificates):
+def test_memoised_split_is_not_certified_again(monkeypatch, stacked_ranks):
     psi = _lowrank_product()
     first = rank_signature(psi)
-    assert certificates
+    assert stacked_ranks
     pivots = []
     monkeypatch.setattr(kernels, "_pivots_mod_p_int64", lambda m: pivots.append(m) or ((), ()))
-    count = len(certificates)
+    count = len(stacked_ranks)
     assert rank_signature(psi) == first
     for plan in _canonical_plans(psi.n):
         assert split_rank(psi, plan.bipartition.row_bits) == first.ranks[plan.key]
-    assert len(certificates) == count and pivots == []
+    assert len(stacked_ranks) == count and pivots == []

@@ -1,12 +1,14 @@
 """The stacked exact rank agrees with exact Bareiss elimination, matrix by matrix.
 
-``stacked_rank`` takes the largest rank of each matrix modulo the first
-k primes of ``STACK_PRIMES``, with k set by the ``_norm_bits`` bound of
-the matrix's T, the sum of h**2 over its entries.  Every case compares
-it with ``_eliminate`` on each matrix of a stack that mixes ranks; the
-fixed cases sit on the edges of the proof: a minor vanishing mod every
-prime but the last one the bound needs, components up to the ends of
-int64, and a bound beyond the table.
+``stacked_rank`` ranks each matrix mod P, its live rows moved first, and
+proves a rank R below full by R steps of row reduction modulo the table
+primes that the ``_norm_bits`` bound on its (R+1)-minors needs.  Every
+case compares it with ``_eliminate`` on each matrix of a stack that mixes
+ranks; the fixed cases sit on the edges of the proof: a minor vanishing
+mod every prime but the last one the bound needs, components up to the
+ends of int64, and a bound beyond the table.  The last cases pin the lone
+route, a stack of one with its F_P pivot lines first, and the work that
+neither route may add.
 """
 
 import itertools
@@ -18,16 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_rank_certificate import _outer_sum, _small, _two_rows_with_minor, _vanishing_under
+from test_stack_certificate import _route_spies
 
+import sloccrank._kernels as kernels
 from sloccrank._kernels import (
+    I_P,
     PRIME_BITS,
     PRIME_TABLE,
-    STACK_PRIMES,
+    S_P,
     ZERO4,
     P,
     _eliminate,
     _h2,
     _norm_bits,
+    _pivots_mod_p_int64,
     _residues_mod,
     bareiss,
     residues,
@@ -35,6 +41,7 @@ from sloccrank._kernels import (
 )
 
 ONES = (1, 0, 0, 0)
+P_ROW = (P, I_P, S_P)
 
 
 def _matrix(rng, rows, cols, rank, span):
@@ -53,8 +60,11 @@ def _array(stack, rows, cols, dtype=np.int64):
 
 
 def _primes_needed(stack, rows, cols):
+    """The table primes after P that each matrix's proof needs: none at full rank."""
+    ranks = np.array(_exact_ranks(stack, rows, cols))
     totals = _h2(_array(stack, rows, cols)).sum(axis=(1, 2))
-    return np.ceil(_norm_bits(totals, min(rows, cols)) / PRIME_BITS).astype(int)
+    need = np.ceil(np.maximum(_norm_bits(totals, ranks + 1) - PRIME_BITS, 0) / PRIME_BITS)
+    return np.where(ranks < min(rows, cols), need, 0).astype(int)
 
 
 @st.composite
@@ -93,25 +103,34 @@ def test_one_stack_holds_every_rank_and_needs_several_primes(eliminate_calls):
     assert eliminate_calls == []
 
 
-def test_minor_vanishing_mod_all_but_the_last_needed_prime(eliminate_calls):
+def test_minor_vanishing_mod_all_but_the_last_needed_prime(monkeypatch, eliminate_calls):
     """Rows (t, 1, ..., 1) and (c, d, ..., d) whose nonzero 2-minors are all x.
 
     x vanishes mod the first k - 1 primes, P among them, where the bound
     needs k; a stack that stopped one prime short would call it rank 1.
+    The last prime finds the row below the pivot row nonzero, and the
+    matrix is eliminated.
     """
+    reads = []  # the primes of each ``_residues_mod`` call
+
+    def spy(q, primes):
+        reads.append(len(primes))
+        return _residues_mod(q, primes)
+
+    monkeypatch.setattr(kernels, "_residues_mod", spy)
     found = []
     for k in range(2, 7):
-        x = _vanishing_under(STACK_PRIMES[: k - 1])
+        x = _vanishing_under((P_ROW,) + PRIME_TABLE[: k - 2])
         table_primes, flat = _two_rows_with_minor(x)  # the bound's primes after P
         if table_primes + 1 == k:
             found.append(k)
             rng = random.Random(k)
             stack = [_matrix(rng, 2, 32, 1, 1), flat, [ZERO4] * 64]
-            need = _primes_needed(stack, 2, 32).tolist()
-            assert need[0] <= k and need[1:] == [k, 1]
+            reads.clear()
             assert stacked_rank(_array(stack, 2, 32)).tolist() == [1, 2, 0]
+            assert reads == [1, k - 1]  # P, then the table primes the bound asks for
     assert found  # the bound is tight enough for at least one k to land exactly
-    assert eliminate_calls == []
+    assert eliminate_calls == [(2, 32)] * len(found)
 
 
 def test_components_beyond_int64_are_refused():
@@ -128,10 +147,10 @@ def test_components_beyond_int64_are_refused():
 
 def test_bound_beyond_the_table_takes_elimination(eliminate_calls):
     rng = random.Random(8)
-    big = [_matrix(rng, 16, 16, 2, 2**28), _matrix(rng, 16, 16, 3, 1)]
+    big = [_matrix(rng, 16, 16, 8, 2**28), _matrix(rng, 16, 16, 3, 1)]
     need = _primes_needed(big, 16, 16)
-    assert need[0] > len(STACK_PRIMES) >= need[1]
-    assert stacked_rank(_array(big, 16, 16)).tolist() == [2, 3]
+    assert need[0] > len(PRIME_TABLE) >= need[1]
+    assert stacked_rank(_array(big, 16, 16)).tolist() == [8, 3]
     assert eliminate_calls == [(16, 16)]
 
 
@@ -148,7 +167,7 @@ def test_residues_of_large_components():
 EDGE_QUADS = list(itertools.product(
     (2**63 - 1, -(2**63 - 1), -(2**63), 2**31, -(2**31), P + 1, P - 1, 0), repeat=4
 ))
-EDGE_PRIMES = (STACK_PRIMES[0], PRIME_TABLE[0], PRIME_TABLE[-1])
+EDGE_PRIMES = (P_ROW, PRIME_TABLE[0], PRIME_TABLE[-1])
 
 
 @pytest.mark.parametrize("shape", [(4096,), (64, 64), (16, 16, 16)])
@@ -160,3 +179,92 @@ def test_residues_mod_matches_python_ints(shape):
     assert got[0] == (residues(EDGE_QUADS) % P).tolist()
     for row, (p, i_p, s_p) in zip(got, EDGE_PRIMES):
         assert row == [(a + b * i_p + c * s_p + d * i_p * s_p) % p for a, b, c, d in EDGE_QUADS]
+
+
+# --- the lone route, and no extra work --------------------------------------------
+
+
+def _pivots_first(q):
+    """The matrices of an int64 stack with the F_P pivot lines of the wide
+    orientation first, and their ranks mod P."""
+    tall = q.shape[1] > q.shape[2]
+    out, ranks = [], []
+    for m in q.swapaxes(1, 2) if tall else q:
+        res = residues(map(tuple, m.reshape(-1, 4).tolist())).reshape(m.shape[:2])
+        pivots = _pivots_mod_p_int64(res)[0]
+        out.append(m[pivots + [i for i in range(len(m)) if i not in pivots]])
+        ranks.append(len(pivots))
+    out = np.stack(out)
+    return out.swapaxes(1, 2) if tall else out, ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_stacks())
+def test_given_ranks_match_the_ranks_the_stack_finds(case):
+    stack, rows, cols = case
+    q = _array(stack, rows, cols)
+    ordered, ranks = _pivots_first(q)
+    assert stacked_rank(ordered, ranks).tolist() == stacked_rank(q).tolist()
+
+
+@st.composite
+def lone_shortfalls(draw):
+    """Rank-deficient matrices from 2 x 2 up, wide or tall once their zero
+    lines are dropped; some lines copy the one before, so that the first
+    lines of either orientation are often dependent."""
+    rows, cols = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    span = draw(st.sampled_from((1, 3, 1000)))
+    flat = _matrix(rng, rows, cols, rng.randint(1, min(rows, cols) - 1), span)
+    m = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    for i in range(1, rows):
+        if rng.random() < 0.3:
+            m[i] = list(m[i - 1])
+    for j in range(1, cols):
+        if rng.random() < 0.3:
+            for row in m:
+                row[j] = row[j - 1]
+    zero_rows = {i for i in range(rows) if rng.random() < 0.15}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.15}
+    cells = [ZERO4 if i in zero_rows or j in zero_cols else m[i][j]
+             for i in range(rows) for j in range(cols)]
+    return cells, rows, cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(lone_shortfalls())
+def test_lone_shortfalls_agree_with_elimination(case):
+    """A pivot line of the wrong orientation first leaves a row below the
+    first r nonzero, and the spy then sees an elimination."""
+    flat, rows, cols = case
+    with _route_spies() as (_, eliminated):
+        rank = bareiss(flat, rows, cols, det=False)[0]
+    assert eliminated == []
+    assert rank == _eliminate(flat, rows, cols)[0]
+
+
+def test_full_rank_stack_reduces_mod_p_alone(monkeypatch, eliminate_calls):
+    calls = []
+
+    def spy(q, primes):
+        calls.append(primes[:, 0].tolist())
+        return _residues_mod(q, primes)
+
+    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    rng = random.Random(4)
+    stack = [_matrix(rng, 4, 6, 4, 3) for _ in range(8)]
+    assert _exact_ranks(stack, 4, 6) == [4] * 8
+    assert stacked_rank(_array(stack, 4, 6)).tolist() == [4] * 8
+    assert calls == [[P]] and eliminate_calls == []
+
+
+def test_lone_shortfall_takes_as_many_steps_as_its_rank(monkeypatch, eliminate_calls):
+    """A 64 x 64 rank-2 shortfall: 2 steps of ``_reduce_mod`` over the table
+    primes, not 64 (a full elimination over them cost lowrank_signatures
+    18-25%), and no reduction mod P: the F_P pivots give the rank."""
+    steps = []
+    real = kernels._reduce_mod
+    monkeypatch.setattr(kernels, "_reduce_mod", lambda m, p, k: steps.append(k) or real(m, p, k))
+    flat = _matrix(random.Random(6), 64, 64, 2, 3)
+    assert bareiss(flat, 64, 64, det=False) == (2, None)
+    assert steps == [2] and eliminate_calls == []
