@@ -62,7 +62,9 @@ from .slocc import (
     SIGMA_Y,
     SIGMA_Z,
     apply_local,
+    apply_local_many,
     random_invertible_local,
+    transform_coefficient_matrices,
     transform_coefficient_matrix,
 )
 from .states import (

@@ -129,6 +129,35 @@ below r contradicts the lower bound and raises ArithmeticError.
    rank, so the cuts of either side bound it (``coeffmatrix._cut_cap``
    reads the ranks the state has already).
 The proof runs only when neither bound equals r.
+
+Local operators act on stacks of quadruple amplitude vectors
+(``apply_single_qubit``).  Multiplying by y = (a, b, c, d) is an integer
+linear map on quadruples (``MUL_MATRIX``), so a 2x2 operator cleared
+over one denominator is an 8x8 integer matrix (``operator_stack``, one
+einsum) on the pair of amplitudes that differ in its qubit, and a
+(B, 2**n, 4) stack takes one batched matmul per qubit.  Such a matrix
+maps values of modulus at most m to values, and partial sums, of modulus
+at most m times its largest absolute row sum (``operator_row_sum``).  So
+every value a stack ever holds is at most max |x| times the product of
+the row sums of its n matrices, a bound the caller evaluates in Python
+ints per amplitude vector: below ``INT64_BOUND`` = 2**62 the vector is
+stacked in int64, otherwise as Python ints (object dtype, the same
+matmul over arbitrary-precision ints), and no product can overflow.
+CPU ms of one ``slocc.apply_local`` call, a stack of one, against the
+per-index loop over ``mul4`` it replaced, on a random exact state under
+random operators (min of 5, two runs each; one core of a 2-CPU x86-64
+host, Python 3.11, numpy 2.4):
+
+    n    per-index loop   stack
+    2    0.018-0.027      0.042-0.049
+    4    0.10-0.13        0.080-0.089
+    6    0.61-0.64        0.16-0.20
+    8    3.1-3.2          0.49-0.69
+   10    15.7-16.2        1.8-2.5
+   12    53               7.6-7.9
+
+Below n = 4 the numpy calls cost more than the loop; the verify-all
+checks therefore apply all their trials in stacks of up to 64.
 """
 
 import math
@@ -185,6 +214,16 @@ PRIME_TABLE = (
 )
 _P_ROW = np.array([(P, I_P, S_P)], dtype=np.int64)
 _TABLE_PRIMES = np.array(PRIME_TABLE, dtype=np.int64)  # rows (p, I_p, S_p)
+# MUL_MATRIX[k] holds the coefficients of y_k in the 4 x 4 integer matrix
+# of x -> y * x on quadruples: for y = (a, b, c, d) the matrix is
+# [[a, -b, 2c, -2d], [b, a, 2d, 2c], [c, -d, a, -b], [d, c, b, a]], as ``mul4``
+MUL_MATRIX = np.array([
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[0, 0, 2, 0], [0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 0, -2], [0, 0, 2, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+], dtype=np.int64)
+INT64_BOUND = 1 << 62  # ``slocc`` stacks amplitudes in int64 only below it
 
 
 def mul4(x, y):
@@ -630,25 +669,42 @@ def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
     return _certified_rank(entries, nrows, ncols, res, cap, floor), ZERO4 if det else None
 
 
-def apply_single_qubit(amps, n, target, op):
-    """Apply a 2x2 operator to one qubit of a quadruple amplitude vector.
+def operator_stack(q):
+    """The 8 x 8 integer matrices of 2 x 2 operators over quadruples.
 
-    ``target`` is 0-based with qubit 0 the most significant index bit;
-    ``op`` is ``(op00, op01, op10, op11)`` as quadruples.
+    ``q`` is a (..., 2, 2, 4) array of operator entries as quadruples;
+    entry [r, c] becomes the 4 x 4 block [r, c] of ``MUL_MATRIX`` applied
+    to it, so the result, of shape (..., 8, 8) and ``q``'s dtype, maps
+    the amplitude pair (x0, x1), eight integers, to its image.
     """
-    op00, op01, op10, op11 = op
-    out = list(amps)
-    bit = 1 << (n - 1 - target)
-    for w in range(1 << n):
-        if w & bit:
-            continue
-        w1 = w | bit
-        x0 = amps[w]
-        x1 = amps[w1]
-        t = mul4(op00, x0)
-        u = mul4(op01, x1)
-        out[w] = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
-        t = mul4(op10, x0)
-        u = mul4(op11, x1)
-        out[w1] = (t[0] + u[0], t[1] + u[1], t[2] + u[2], t[3] + u[3])
-    return out
+    out = np.einsum("...rck,kij->...ricj", q, MUL_MATRIX.astype(q.dtype))
+    return out.reshape(q.shape[:-3] + (8, 8))
+
+
+def operator_row_sum(op):
+    """Largest absolute row sum of ``operator_stack``'s matrix of ``op``.
+
+    ``op`` is ``(op00, op01, op10, op11)`` as quadruples of Python ints; a
+    row of block [r, c] sums at most |a| + |b| + 2|c| + 2|d| of entry
+    [r, c], the first two rows of a block exactly that.
+    """
+    w = [abs(a) + abs(b) + 2 * (abs(c) + abs(d)) for a, b, c, d in op]
+    return max(w[0] + w[1], w[2] + w[3])
+
+
+def apply_single_qubit(x, target, mats):
+    """Apply one 8 x 8 operator per amplitude vector to qubit ``target``.
+
+    ``x`` is a (B, 2**n, 4) stack of quadruple amplitude vectors, int64 or
+    object, and ``mats`` the (B, 8, 8) matrices of ``operator_stack`` in
+    the same dtype; ``target`` is 0-based with qubit 0 the most
+    significant index bit.  The pairs of amplitudes that differ in the
+    target bit are gathered into rows of eight and multiplied in one
+    batched ``matmul``; int64 callers must bound the result (see the
+    module docstring).
+    """
+    b, size, _ = x.shape
+    low = size >> (target + 1)  # 2**(index bits below the target)
+    pairs = x.reshape(b, -1, 2, low, 4).transpose(0, 1, 3, 2, 4).reshape(b, -1, 8)
+    out = np.matmul(pairs, mats.transpose(0, 2, 1))
+    return out.reshape(b, -1, low, 2, 4).transpose(0, 1, 3, 2, 4).reshape(b, size, 4)

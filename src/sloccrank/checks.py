@@ -26,9 +26,9 @@ from .separability import recursive_rank
 from .slocc import (
     LocalOperator,
     LocalOperatorSet,
-    apply_local,
+    apply_local_many,
     random_invertible_local,
-    transform_coefficient_matrix,
+    transform_coefficient_matrices,
 )
 from .states import product_state, random_exact_state
 from .tables import epr, ghz, w_state
@@ -80,8 +80,9 @@ def _corpus(n: int):
 def check_rank_invariance(trials: int = 200, seed: int = 0) -> CheckResult:
     """Rank signatures are unchanged by invertible local operators.
 
-    Every trial is drawn first; the corpus states and the transformed ones
-    are then ranked in one ``rank_signatures`` batch.
+    Every trial is drawn first; the operators are applied in one
+    ``apply_local_many`` call, and the corpus states and the transformed
+    ones are ranked in one ``rank_signatures`` batch.
     """
     failures = []
     sizes = (2, 3, 4, 5)
@@ -91,8 +92,8 @@ def check_rank_invariance(trials: int = 200, seed: int = 0) -> CheckResult:
     for t in range(trials):
         n = sizes[t % len(sizes)]
         psi = corpus[n][rng.randrange(len(corpus[n]))]
-        drawn.append((psi, apply_local(psi, random_invertible_local(n, seed + 1000 * t + 1))))
-    sigs = rank_signatures([psi for psi, _ in drawn] + [phi for _, phi in drawn])
+        drawn.append((psi, random_invertible_local(n, seed + 1000 * t + 1)))
+    sigs = rank_signatures([psi for psi, _ in drawn] + apply_local_many(drawn))
     for t, (sig, moved) in enumerate(zip(sigs[:trials], sigs[trials:])):
         if moved != sig:
             n = sizes[t % len(sizes)]
@@ -100,22 +101,39 @@ def check_rank_invariance(trials: int = 200, seed: int = 0) -> CheckResult:
     return CheckResult("rank-invariance", trials, seed, not failures, failures)
 
 
+MATRIX_BATCH = 10  # trials whose coefficient matrices are transformed in one call
+
+
 def check_matrix_transform(trials: int = 100, seed: int = 0) -> CheckResult:
-    """Transforming the matrix equals rebuilding it from the transformed state."""
+    """Transforming the matrix equals rebuilding it from the transformed state.
+
+    Every trial is drawn first and the states are transformed in one
+    ``apply_local_many`` call; the matrices of every split are then
+    transformed ``MATRIX_BATCH`` trials at a time.
+    """
     failures = []
     rng = random.Random(seed)
+    drawn = []
     for t in range(trials):
         n = rng.choice((2, 3, 4))
-        psi = random_exact_state(n, rng)
-        ops = random_invertible_local(n, seed + 7919 * t + 3)
-        phi = apply_local(psi, ops)
-        for bp in enumerate_bipartitions(n):
-            C = coefficient_matrix(psi, bp.row_bits, bp.col_bits)
-            direct = transform_coefficient_matrix(C, ops)
-            rebuilt = coefficient_matrix(phi, bp.row_bits, bp.col_bits)
+        drawn.append((random_exact_state(n, rng), random_invertible_local(n, seed + 7919 * t + 3)))
+    moved = apply_local_many(drawn)
+    for start in range(0, trials, MATRIX_BATCH):
+        batch = range(start, min(start + MATRIX_BATCH, trials))
+        jobs = [
+            (t, bp, coefficient_matrix(drawn[t][0], bp.row_bits, bp.col_bits))
+            for t in batch
+            for bp in enumerate_bipartitions(drawn[t][0].n)
+        ]
+        directs = transform_coefficient_matrices([(C, drawn[t][1]) for t, _, C in jobs])
+        failed = set()
+        for (t, bp, _), direct in zip(jobs, directs):
+            if t in failed:
+                continue
+            rebuilt = coefficient_matrix(moved[t], bp.row_bits, bp.col_bits)
             if direct.entries != rebuilt.entries:
                 failures.append(f"trial {t}: mismatch at split {bp.canonical_key()}")
-                break
+                failed.add(t)
     return CheckResult("matrix-transform", trials, seed, not failures, failures)
 
 
@@ -174,13 +192,18 @@ def check_det_identity(trials: int = 100, seed: int = 0) -> CheckResult:
 
 
 def check_dxy_covariance(trials: int = 100, seed: int = 0) -> CheckResult:
-    """dxy picks up exactly the cubed determinant product."""
+    """dxy picks up exactly the cubed determinant product.
+
+    Every trial is drawn first and transformed in one ``apply_local_many`` call.
+    """
     failures = []
     rng = random.Random(seed)
-    for t in range(trials):
-        psi = random_exact_state(4, rng)
-        ops = random_invertible_local(4, seed + 104729 * t + 11)
-        lhs = dxy(apply_local(psi, ops))
+    drawn = [
+        (random_exact_state(4, rng), random_invertible_local(4, seed + 104729 * t + 11))
+        for t in range(trials)
+    ]
+    for t, ((psi, ops), phi) in enumerate(zip(drawn, apply_local_many(drawn))):
+        lhs = dxy(phi)
         before = dxy(psi)
         rhs = before * dxy_covariance_factor(ops)
         if lhs != rhs:
@@ -195,21 +218,51 @@ def _semi_half(v: ExactScalar) -> ExactScalar:
 
 
 def check_semi_invariants(trials: int = 100, seed: int = 0) -> CheckResult:
-    """Orbit laws of f1/f2 on both ten-amplitude families, plus the annihilator."""
+    """Orbit laws of f1/f2 on both ten-amplitude families, plus the annihilator.
+
+    Every trial and every annihilator is drawn first; the operators are
+    applied in one ``apply_local_many`` call.
+    """
     failures = []
     rng = random.Random(seed)
     reg = default_registry()
+    drawn = []
     for t in range(trials):
         a = ExactScalar(rng.randint(-4, 4))
         b = ExactScalar(rng.randint(-4, 4))
-        ops = random_invertible_local(4, seed + 65537 * t + 7)
+        drawn.append((a, b, random_invertible_local(4, seed + 65537 * t + 7)))
+    # annihilating operator: alpha2 chosen so both semi-invariants vanish
+    annihilators = []
+    attempt = 0
+    while len(annihilators) < 20:
+        attempt += 1
+        a = ExactScalar(rng.randint(-4, 4))
+        b = ExactScalar(rng.randint(-4, 4))
+        guard = a * (a * a - b * b)
+        if guard.is_zero():
+            continue
+        alpha1 = ExactScalar(rng.randint(1, 3))
+        alpha4 = ExactScalar(rng.randint(1, 3))
+        m_sq = ExactScalar(3) * a * a + b * b
+        alpha2 = ExactScalar(0, 0, 0, 1) * m_sq * alpha1 / (ExactScalar(8) * guard)
+        star = LocalOperator(((alpha1, alpha2), (ExactScalar(0), alpha4)))
+        tail = random_invertible_local(3, seed + 31 * attempt)
+        annihilators.append((a, b, LocalOperatorSet((star,) + tail.ops)))
+    jobs = []
+    for a, b, ops in drawn:
+        jobs.append((instantiate("L_ab3", {"a": a, "b": b}, reg), ops))
+        jobs.append((instantiate("L_ab3'", {"a": a, "b": b}, reg), ops))
+    for a, b, ops in annihilators:
+        jobs.append((instantiate("L_ab3'", {"a": a, "b": b}, reg), ops))
+    moved = apply_local_many(jobs)
+    for t, (a, b, ops) in enumerate(drawn):
         alpha = ops[0].entries
         a1, a2 = alpha[0]
         a3, a4 = alpha[1]
         rest = ops[1].det() * ops[2].det() * ops[3].det()
         rest2 = rest * rest
         # first family: f1 = (a^2 - b^2)/2 * alpha1^4 * rest^2 and alpha3^4 for f2
-        psi = apply_local(instantiate("L_ab3", {"a": a, "b": b}, reg), ops)
+        psi = moved[2 * t]
         lead = _semi_half(a * a - b * b)
         if f1(psi) != lead * (a1 * a1 * a1 * a1) * rest2:
             failures.append(f"trial {t}: first-family f1 law violated")
@@ -217,7 +270,7 @@ def check_semi_invariants(trials: int = 100, seed: int = 0) -> CheckResult:
             failures.append(f"trial {t}: first-family f2 law violated")
         # primed family: f1 = -i/(2*sqrt2) * alpha1^3 *
         #   (-i*sqrt2*(3a^2+b^2)*alpha1 + 8a(a^2-b^2)*alpha2) * rest^2
-        phi = apply_local(instantiate("L_ab3'", {"a": a, "b": b}, reg), ops)
+        phi = moved[2 * t + 1]
         front = ExactScalar(0, -1, 0, 0) * ExactScalar(0, 0, 1, 0, 4)  # -i/(2*sqrt2)
         m_sq = ExactScalar(3) * a * a + b * b
         m_cu = ExactScalar(8) * a * (a * a - b * b)
@@ -227,25 +280,7 @@ def check_semi_invariants(trials: int = 100, seed: int = 0) -> CheckResult:
             failures.append(f"trial {t}: primed-family f1 law violated")
         if f2(phi) != front * (a3 * a3 * a3) * inner2 * rest2:
             failures.append(f"trial {t}: primed-family f2 law violated")
-    # annihilating operator: alpha2 chosen so both semi-invariants vanish
-    count = 0
-    attempt = 0
-    while count < 20:
-        attempt += 1
-        a = ExactScalar(rng.randint(-4, 4))
-        b = ExactScalar(rng.randint(-4, 4))
-        guard = a * (a * a - b * b)
-        if guard.is_zero():
-            continue
-        count += 1
-        alpha1 = ExactScalar(rng.randint(1, 3))
-        alpha4 = ExactScalar(rng.randint(1, 3))
-        m_sq = ExactScalar(3) * a * a + b * b
-        alpha2 = ExactScalar(0, 0, 0, 1) * m_sq * alpha1 / (ExactScalar(8) * guard)
-        star = LocalOperator(((alpha1, alpha2), (ExactScalar(0), alpha4)))
-        tail = random_invertible_local(3, seed + 31 * attempt)
-        ops = LocalOperatorSet((star,) + tail.ops)
-        phi = apply_local(instantiate("L_ab3'", {"a": a, "b": b}, reg), ops)
+    for (a, b, _), phi in zip(annihilators, moved[2 * trials:]):
         if not (f1(phi).is_zero() and f2(phi).is_zero()):
             failures.append(f"annihilator failed at a={a}, b={b}")
     return CheckResult("semi-invariants", trials, seed, not failures, failures)

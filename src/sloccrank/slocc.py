@@ -1,8 +1,13 @@
 """Local invertible operators: state transforms, matrix transforms, sampling.
 
-Applying an operator set is done qubit by qubit (n passes of 2x2
-multiplications over the amplitude vector) instead of materialising the
-2^n x 2^n Kronecker product.
+An operator set acts on exact amplitudes without the 2^n x 2^n Kronecker
+product: each 2x2 operator becomes the 8x8 integer matrix of its action
+on a pair of quadruples (``_kernels.operator_stack``), and a stack of
+amplitude vectors of one qubit count takes one batched matrix product per
+qubit (``_kernels.apply_single_qubit``).  ``apply_local_many`` and
+``transform_coefficient_matrices`` stack many products at once;
+``apply_local`` and ``transform_coefficient_matrix`` are stacks of one.
+Anything floating contracts complex arrays instead.
 """
 
 from __future__ import annotations
@@ -10,10 +15,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._kernels import apply_single_qubit, mul4
+from ._kernels import INT64_BOUND, apply_single_qubit, mul4, operator_row_sum, operator_stack
 from .coeffmatrix import CoefficientMatrix
 from .scalars import (
     ExactScalar,
@@ -29,15 +35,23 @@ from .states import PureState, _from_tensor, amplitude_tensor, coerce_amplitudes
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Invertible 2x2 operator acting on a single qubit."""
+    """Invertible 2x2 operator acting on a single qubit.
+
+    The entries are coerced as amplitudes are (``coerce_amplitudes``): all
+    exact, or all complex once any of them is floating.
+    """
 
     entries: tuple  # ((a, b), (c, d))
 
     def __post_init__(self):
         if len(self.entries) != 2 or any(len(r) != 2 for r in self.entries):
             raise ValueError("operator must be 2x2")
-        (a, b), (c, d) = self.entries
-        if all(isinstance(x, ExactScalar) for x in (a, b, c, d)):
+        vals = [x for row in self.entries for x in row]
+        if not all(isinstance(x, ExactScalar) for x in vals):
+            vals = coerce_amplitudes(vals)
+        a, b, c, d = vals
+        object.__setattr__(self, "entries", ((a, b), (c, d)))
+        if isinstance(a, ExactScalar):
             # ad == bc, cleared of denominators: no ExactScalar is built
             ad, bc = mul4(a.quad, d.quad), mul4(b.quad, c.quad)
             left, right = b.den * c.den, a.den * d.den
@@ -49,8 +63,7 @@ class LocalOperator:
 
     @classmethod
     def of(cls, a, b, c, d) -> LocalOperator:
-        vals = coerce_amplitudes((a, b, c, d))
-        return cls(((vals[0], vals[1]), (vals[2], vals[3])))
+        return cls(((a, b), (c, d)))
 
     @property
     def is_exact(self) -> bool:
@@ -127,29 +140,95 @@ def _contract(amps: np.ndarray, ops) -> np.ndarray:
     return amps
 
 
-def _apply_exact(quads: list, den: int, ops) -> tuple[ExactScalar, ...]:
-    """Apply exact ``ops[t]`` to qubit ``t`` of the amplitude vector ``quads / den``.
+STACK_JOBS = 64  # amplitude vectors per stack: bounds the arrays and the scalars held at once
 
-    ``quads`` is a flat list of integer quadruples, as ``common_denominator``
-    returns; qubit ``t`` is the ``t``-th most significant index bit.
+
+def _apply_exact(jobs) -> list[tuple[ExactScalar, ...]]:
+    """Apply exact operators to many amplitude vectors, as stacks.
+
+    Each job is ``(quads, den, ops)``: the amplitude vector ``quads / den``,
+    ``quads`` a flat list of integer quadruples as ``common_denominator``
+    returns, and ``ops[t]`` the operator of qubit ``t``, the ``t``-th most
+    significant index bit.  Jobs of one qubit count and dtype are stacked,
+    ``STACK_JOBS`` at a time.  A job is stacked in int64 when its bound,
+    max |x| times the largest absolute row sum of every qubit's 8x8
+    matrix, is below ``INT64_BOUND``: no partial sum of any of its
+    products can then exceed it.  Any other job is stacked as Python ints
+    (object dtype).
     """
-    for t, op in enumerate(ops):
-        (a, b), (c, d) = op.entries
-        op_quads, op_den = common_denominator([a, b, c, d])
-        quads = apply_single_qubit(quads, len(ops), t, tuple(op_quads))
-        den *= op_den
-    return tuple(ExactScalar(*q, den) for q in quads)
+    groups = {}
+    for j, (quads, den, ops) in enumerate(jobs):
+        bound = max(map(abs, chain.from_iterable(quads)))
+        op_quads = []
+        for op in ops:
+            (a, b), (c, d) = op.entries
+            q, op_den = common_denominator([a, b, c, d])
+            op_quads.append(q)
+            bound *= operator_row_sum(q)
+            den *= op_den
+        key = (len(ops), bound < INT64_BOUND)
+        groups.setdefault(key, []).append((j, quads, op_quads, den))
+    out = [None] * len(jobs)
+    for (n, small), members in groups.items():
+        dtype = np.int64 if small else object
+        for start in range(0, len(members), STACK_JOBS):
+            part = members[start:start + STACK_JOBS]
+            x = np.array([quads for _, quads, _, _ in part], dtype=dtype)
+            mats = operator_stack(
+                np.array([q for _, _, q, _ in part], dtype=dtype).reshape(len(part), n, 2, 2, 4)
+            )
+            for t in range(n):
+                x = apply_single_qubit(x, t, mats[:, t])
+            for (j, _, _, den), amps in zip(part, x.tolist()):
+                out[j] = tuple(ExactScalar(*q, den) for q in amps)
+    return out
+
+
+def apply_local_many(pairs) -> list[PureState]:
+    """``apply_local`` of each ``(psi, ops)`` pair, the exact pairs stacked."""
+    out = [None] * len(pairs)
+    exact = []
+    for k, (psi, ops) in enumerate(pairs):
+        if len(ops) != psi.n:
+            raise ValueError("operator count does not match qubit count")
+        if psi.is_exact and ops.is_exact:
+            quads, den, _ = psi.cleared
+            exact.append((k, (quads.ravel().tolist(), den, ops.ops)))
+        else:
+            phi = psi.to_float()
+            out[k] = _from_tensor(_contract(amplitude_tensor(phi), ops.ops), phi.labels)
+    for (k, _), amps in zip(exact, _apply_exact([job for _, job in exact])):
+        psi = pairs[k][0]
+        out[k] = PureState(psi.n, amps, psi.labels)
+    return out
 
 
 def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
     """Transform the state by the tensor product of the per-qubit operators."""
-    if len(ops) != psi.n:
-        raise ValueError("operator count does not match qubit count")
-    if psi.is_exact and ops.is_exact:
-        quads, den, _ = psi.cleared
-        return PureState(psi.n, _apply_exact(quads.ravel().tolist(), den, ops.ops), psi.labels)
-    psi = psi.to_float()
-    return _from_tensor(_contract(amplitude_tensor(psi), ops.ops), psi.labels)
+    return apply_local_many([(psi, ops)])[0]
+
+
+def transform_coefficient_matrices(pairs) -> list[CoefficientMatrix]:
+    """``transform_coefficient_matrix`` of each ``(C, ops)`` pair, the exact pairs stacked."""
+    out = [None] * len(pairs)
+    exact = []
+    for k, (C, ops) in enumerate(pairs):
+        bp = C.bipartition
+        if len(ops) != bp.n:
+            raise ValueError("operator count does not match qubit count")
+        ordered = [ops[b - 1] for b in bp.row_bits + bp.col_bits]
+        if C.is_exact and ops.is_exact:
+            quads, den = common_denominator([e for row in C.entries for e in row])
+            exact.append((k, (quads, den, ordered)))
+        else:
+            amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)
+            entries = _contract(amps, ordered).reshape(C.rows, C.cols)
+            out[k] = CoefficientMatrix(C.rows, C.cols, entries, bp)
+    for (k, _), flat in zip(exact, _apply_exact([job for _, job in exact])):
+        C = pairs[k][0]
+        entries = tuple(flat[i:i + C.cols] for i in range(0, len(flat), C.cols))
+        out[k] = CoefficientMatrix(C.rows, C.cols, entries, C.bipartition)
+    return out
 
 
 def transform_coefficient_matrix(
@@ -160,17 +239,7 @@ def transform_coefficient_matrix(
     C is read as an amplitude vector whose qubit ``t`` is stored bit
     ``(row_bits + col_bits)[t]``, and transformed as ``apply_local`` does.
     """
-    bp = C.bipartition
-    if len(ops) != bp.n:
-        raise ValueError("operator count does not match qubit count")
-    ordered = [ops[b - 1] for b in bp.row_bits + bp.col_bits]
-    if C.is_exact and ops.is_exact:
-        flat = _apply_exact(*common_denominator([e for row in C.entries for e in row]), ordered)
-        entries = tuple(flat[i:i + C.cols] for i in range(0, len(flat), C.cols))
-    else:
-        amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)
-        entries = _contract(amps, ordered).reshape(C.rows, C.cols)
-    return CoefficientMatrix(C.rows, C.cols, entries, bp)
+    return transform_coefficient_matrices([(C, ops)])[0]
 
 
 def random_invertible_local(n: int, seed: int) -> LocalOperatorSet:

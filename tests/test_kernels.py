@@ -2,7 +2,9 @@
 
 import random
 
-from sloccrank._kernels import apply_single_qubit, bareiss, echelon
+import numpy as np
+
+from sloccrank._kernels import apply_single_qubit, bareiss, echelon, operator_stack
 from sloccrank.scalars import ExactScalar
 from _oracles import quad_matrix_to_scalars, ref_det_leibniz, ref_rank_exact
 
@@ -88,15 +90,20 @@ def test_apply_single_qubit_matches_field_arithmetic():
     rng = random.Random(41)
     for _ in range(100):
         n = rng.randint(1, 4)
-        amps = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(1 << n)]
-        op = tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4))
+        b = rng.randint(1, 3)
+        amps = [
+            [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(1 << n)] for _ in range(b)
+        ]
+        ops = [[tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4)] for _ in range(b)]
         target = rng.randrange(n)
-        got = apply_single_qubit(list(amps), n, target, op)
-        o00, o01, o10, o11 = (ExactScalar(*q) for q in op)
+        mats = operator_stack(np.array(ops, dtype=np.int64).reshape(b, 2, 2, 4))
+        got = apply_single_qubit(np.array(amps, dtype=np.int64), target, mats).tolist()
         bit = 1 << (n - 1 - target)
-        for w in range(1 << n):
-            if w & bit:
-                continue
-            x0, x1 = ExactScalar(*amps[w]), ExactScalar(*amps[w | bit])
-            assert ExactScalar(*got[w]) == o00 * x0 + o01 * x1
-            assert ExactScalar(*got[w | bit]) == o10 * x0 + o11 * x1
+        for vec, op, out in zip(amps, ops, got):
+            o00, o01, o10, o11 = (ExactScalar(*q) for q in op)
+            for w in range(1 << n):
+                if w & bit:
+                    continue
+                x0, x1 = ExactScalar(*vec[w]), ExactScalar(*vec[w | bit])
+                assert ExactScalar(*out[w]) == o00 * x0 + o01 * x1
+                assert ExactScalar(*out[w | bit]) == o10 * x0 + o11 * x1

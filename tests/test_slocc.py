@@ -66,6 +66,22 @@ def test_operator_entries_are_coerced_like_amplitudes():
         LocalOperator.of("1", 0, 0, 1)
 
 
+def test_mixed_exact_operator_entries_are_all_coerced():
+    # only entry [0][0] is an ExactScalar: the ints must be coerced too
+    op = LocalOperator(((ExactScalar(1), 0), (0, ExactScalar(1))))
+    psi = random_exact_state(2, random.Random(4))
+    assert apply_local(psi, LocalOperatorSet((op, op))).amps == psi.amps
+    assert all(isinstance(x, ExactScalar) for row in op.entries for x in row)
+
+
+def test_all_int_operator_keeps_an_exact_state_exact():
+    op = LocalOperator(((1, 0), (0, 1)))
+    assert op.is_exact
+    psi = random_exact_state(3, random.Random(8))
+    phi = apply_local(psi, LocalOperatorSet((op,) * 3))
+    assert phi.is_exact and phi.amps == psi.amps
+
+
 def test_identity_application_is_exact_identity():
     psi = random_exact_state(3, random.Random(1))
     assert apply_local(psi, identity_ops(3)).amps == psi.amps
