@@ -17,17 +17,16 @@ mod P, so the rank mod P is a lower bound on the exact rank; when it
 reaches min(nonzero rows, nonzero columns) it is the exact rank.
 
 A lone matrix (``_certified_rank``), a state's split or not, takes one
-route.  It drops its exactly zero rows and columns, found on the
-residues (see ``residues``: an entry that is nonzero but vanishes mod P
-is stored as P, not 0), so no quadruple is scanned.  What is left is eliminated in int64
-(``_pivots_mod_p_int64``), a whole row block at a time and reduced again
-after every update: residues below P < 2**31 keep each product below
-2**62.  The quadruples themselves are read only on demand: ``bareiss``
-takes any sequence of them, and only a determinant and the proof of a
-shortfall read it, listing it once.  A state's split passes
-``coeffmatrix.SplitCells``, which transposes and lists the split's
-quadruples on first read, so a split that its floor, its rank mod P or
-an upper bound decides lists none.
+route.  It drops its exactly zero rows and columns, found on its
+residues mod P (a nonzero entry that vanishes mod P is stored as P),
+and eliminates the rest in int64 (``_pivots_mod_p_int64``), a whole row
+block at a time, reduced after every update: residues below P < 2**31
+keep each product below 2**62.  Every residue comes from
+``residues_mod``, over one ``quad_array`` (int64, or Python ints beyond
+it).  The quadruples are read only by a determinant and a shortfall
+proof: a state's split passes ``coeffmatrix.SplitCells``, a view of its
+quadruple array, so a split that its floor, its rank mod P or an upper
+bound decides reads none.
 
 The splits of a dense state come first, as one stack per split shape,
 modulo a second prime Q = 1 (mod 8) below 2**20 (``ranks_mod_q``).
@@ -101,7 +100,7 @@ table or a component beyond int64 sends the matrix to ``_eliminate``.
 A split of a state holds each amplitude once, and compression drops
 only zero lines, so every split of a state has the state's T and asks
 for the same primes; the quadruples are reduced modulo a batch of
-primes at once (``_residues_mod``).
+primes at once (``residues_mod``).
 
 Before that proof, a rank r mod P below full is compared with two
 upper bounds on the exact rank that need no field arithmetic
@@ -112,8 +111,8 @@ below r contradicts the lower bound and raises ArithmeticError.
    nonzero cells no two of which share a row or column (``_term_rank``).
    A nonzero s-minor has a nonzero term in its Leibniz expansion, that is
    s nonzero cells in distinct rows and columns, so rank M <= term rank.
-   The support is exact, not its image mod P: ``residues`` stores a
-   nonzero entry that vanishes mod P as P.  By Koenig's theorem the term
+   The support is exact, not its image mod P: a nonzero entry that
+   vanishes mod P is stored as P.  By Koenig's theorem the term
    rank is the least number of rows and columns covering every nonzero
    cell, and r of them cover at most r * max(rows, cols) cells, so a
    matrix with more nonzero cells has term rank above r and is not
@@ -161,7 +160,6 @@ checks therefore apply all their trials in stacks of up to 64.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -171,7 +169,6 @@ ONE4 = (1, 0, 0, 0)
 P = 2147483497  # prime, P = 1 (mod 8), below 2**31
 I_P = 1731803418  # I_P**2 = -1 (mod P)
 S_P = 974023842  # S_P**2 = 2 (mod P)
-IS_P = 391447392  # I_P * S_P % P
 Q = 1048433  # prime, Q = 1 (mod 8), below 2**20: the prime of ``ranks_mod_q``
 I_Q = 661878  # I_Q**2 = -1 (mod Q)
 S_Q = 597083  # S_Q**2 = 2 (mod Q)
@@ -212,7 +209,8 @@ PRIME_TABLE = (
     (2147478481, 411266291, 2116800879), (2147478089, 1948947042, 1392030773),
     (2147478049, 1177723471, 347015307), (2147478017, 1404461508, 244346993),
 )
-_P_ROW = np.array([(P, I_P, S_P)], dtype=np.int64)
+P_ROW = np.array([(P, I_P, S_P)], dtype=np.int64)  # the ``primes`` of ``residues_mod`` mod P
+Q_ROW = np.array([(Q, I_Q, S_Q)], dtype=np.int64)
 _TABLE_PRIMES = np.array(PRIME_TABLE, dtype=np.int64)  # rows (p, I_p, S_p)
 # MUL_MATRIX[k] holds the coefficients of y_k in the 4 x 4 integer matrix
 # of x -> y * x on quadruples: for y = (a, b, c, d) the matrix is
@@ -275,7 +273,8 @@ def echelon(entries, nrows, ncols):
     ``len(pivots)`` on are zero, and ``sign`` is the parity of the row
     swaps.  Each pivot is a minor of the input, so for square input of
     full rank the last pivot times ``sign`` is the determinant.  This is
-    the one elimination loop of the package.
+    the one exact elimination loop of the package; the three F_p
+    eliminations below only bound or prove ranks.
     """
     m = list(entries)
     pivots = []
@@ -329,28 +328,37 @@ def _eliminate(entries, nrows, ncols):
     return rank, (a, b, c, d) if sign > 0 else (-a, -b, -c, -d)
 
 
-def residues(quads):
-    """The images ``a + b*I_P + c*S_P + d*IS_P`` in F_P, as an int64 array.
+def quad_array(quads):
+    """Quadruples as an (..., 4) array, int64 when every component lies in
+    (-2**63, 2**63), where ``np.abs`` cannot wrap, else Python ints (object
+    dtype).  Anything with ``__array__`` is taken as it is."""
+    if hasattr(quads, "__array__"):
+        return np.asarray(quads)
+    try:
+        q = np.array(quads, dtype=np.int64)
+    except OverflowError:
+        return np.array(quads, dtype=object)
+    return q.astype(object) if (q == -(1 << 63)).any() else q
 
-    A nonzero quadruple whose image is 0 is stored as P (also 0 mod P),
-    so the nonzero cells of the array are exactly the nonzero quadruples:
-    values lie in [0, P] and must be reduced before any F_P arithmetic.
+
+def residues_mod(q, primes):
+    """Residues of the int64 or object (..., 4) quadruple array ``q`` modulo
+    each row (p, I_p, S_p) of the (k, 3) int64 array ``primes``, as a
+    (k,) + ``q.shape[:-1]`` int64 array in [0, p).
+
+    Object components are reduced mod p in Python ints first, and every
+    component before it is weighted, so each product is below p**2 < 2**62.
+    One call costs 14 us at 16 amplitudes against 6 us for a Python loop,
+    22 against 80 us at 256: callers stack their states first.
     """
-    return np.array(
-        [
-            (a + b * I_P + c * S_P + d * IS_P) % P or (P if a or b or c or d else 0)
-            for a, b, c, d in quads
-        ],
-        dtype=np.int64,
-    )
-
-
-def residues_q(quads):
-    """The images ``a + b*I_Q + c*S_Q + d*I_Q*S_Q`` in F_Q, as an int64 array in [0, Q)."""
-    is_q = I_Q * S_Q % Q
-    return np.array(
-        [(a + b * I_Q + c * S_Q + d * is_q) % Q for a, b, c, d in quads], dtype=np.int64
-    )
+    p, i_p, s_p = primes.T.reshape(3, -1, *(1,) * (q.ndim - 1))
+    if q.dtype == object:
+        q = (q % p[..., None].astype(object)).astype(np.int64)
+    m = q[..., 0] % p
+    for c, w in ((1, i_p), (2, s_p), (3, i_p * s_p % p)):
+        m += q[..., c] % p * w % p
+    m %= p
+    return m
 
 
 def ranks_mod_q(m):
@@ -364,6 +372,8 @@ def ranks_mod_q(m):
     else is reduced: each update subtracts less than Q**2 < 2**40, and an
     entry takes fewer than 2**23 of them before it could leave int64 (see
     the module docstring).  A zero row scales by 0 and changes nothing.
+    It stays for speed: the dense_signatures floors took 27.6-28.8 ms here
+    against 31.8 ms through ``_reduce_mod`` (seed-41 inputs, min of 5-7 runs).
     """
     at = np.arange(len(m))
     ranks = np.zeros(len(m), dtype=np.int64)
@@ -384,7 +394,7 @@ def ranks_mod_q(m):
 
 
 def _pivots_mod_p_int64(m):
-    """Pivot rows and columns of the F_P elimination of a ``residues`` array.
+    """Pivot rows and columns of the F_P elimination of a residue array mod P.
 
     Returns ``(I, J)`` with ``m[I, J]`` of nonzero determinant mod P and
     ``len(I)`` the rank of ``m`` mod P.  Works on a reduced copy in the
@@ -392,7 +402,9 @@ def _pivots_mod_p_int64(m):
     entry x in column j, and then every later row r becomes
     ``(x * r - r[j] * row) % P`` in one vectorised update.  Both products
     are below P**2 < 2**62, so their difference fits int64 too, and it is
-    reduced at once: every entry read is in [0, P).
+    reduced at once: every entry read is in [0, P).  It stays for speed:
+    as ``_reduce_mod`` stacks of one, the lone ranks took 3.7 against 1.5 ms
+    on rule_tables, 19.0 against 5.9 ms on lowrank_signatures (as above).
     """
     wide = m.shape[0] <= m.shape[1]
     m = np.remainder(m if wide else m.T, P, order="C")
@@ -442,22 +454,6 @@ def _norm_bits(total, size):
     return 2 * size * np.log2(np.maximum(total, math.e * size) / size) * (1 + 1e-9) + 1
 
 
-def _residues_mod(q, primes):
-    """Residues of the int64 quadruples ``q``, shape (..., 4), modulo each prime.
-
-    ``primes`` is a (k, 3) int64 array of rows (p, I_p, S_p), and the
-    result has shape (k,) + ``q.shape[:-1]``.  Each component is reduced
-    before it is weighted by I_p, S_p or I_p * S_p, so every product stays
-    below p**2 < 2**62: exact for any int64 component.
-    """
-    p, i_p, s_p = primes.T.reshape(3, -1, *(1,) * (q.ndim - 1))
-    m = q[..., 0] % p
-    for c, w in ((1, i_p), (2, s_p), (3, i_p * s_p % p)):
-        m += q[..., c] % p * w % p
-    m %= p
-    return m
-
-
 def _reduce_mod(m, p, steps):
     """Row-reduce the first ``steps`` rows of a stack of residue matrices in place.
 
@@ -469,6 +465,9 @@ def _reduce_mod(m, p, steps):
     p**2 < 2**62.  Returns the count of live (nonzero) pivot rows of each
     matrix; after ``rows`` steps that is its rank mod p.  A pivot row is
     final once it is reached, so the count is read off the rows at the end.
+    It stays for speed: as ``ranks_mod_q`` over 20-bit primes, the proofs
+    took 41 against 17-24 ms on rule_tables, 236 against 131-134 ms on
+    verify_all (seed-41 inputs, min of 5-7 runs).
     """
     at = np.arange(len(m))
     for t in range(min(steps, m.shape[1] - 1)):  # the last row has no rows below
@@ -551,10 +550,12 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     """Exact rank: support compression, then F_P, then bounds or ``stacked_rank``.
 
     A ``floor`` equal to min(nrows, ncols) is returned before anything
-    else is read.  ``res`` is ``residues(entries)`` when the caller has it
-    already, as any array whose row-major order is that of ``entries``;
-    its nonzero cells are the nonzero entries, so it gives the support.
-    ``entries`` is listed once, and only for ``stacked_rank`` or ``_eliminate``.
+    else is read.  ``res`` holds the entries' residues mod P when the
+    caller has them already (``PureState.residues``), as any array whose
+    row-major order is that of ``entries``, with a nonzero entry that
+    vanishes mod P stored as P, so that its nonzero cells are the nonzero
+    entries and give the support.  ``entries`` is read once, as an array
+    (``quad_array``), and only for the residues or a shortfall proof.
     ``cap(r)``, read only on a shortfall, returns a proven upper bound on
     the exact rank or None; it may stop looking once it reaches r.
     ``floor`` is a proven lower bound on the rank, such as a rank mod Q
@@ -565,8 +566,11 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     """
     if floor == min(nrows, ncols):  # floor <= rank <= min(nrows, ncols)
         return floor
+    q = None
     if res is None:
-        res = residues(entries)
+        q = quad_array(entries)
+        res = residues_mod(q, P_ROW)[0]
+        res[(res == 0) & q.any(axis=-1)] = P
     mod = res.reshape(nrows, ncols)
     rows = mod.any(axis=1).nonzero()[0]
     cols = mod.any(axis=0).nonzero()[0]
@@ -586,16 +590,13 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
         rows = np.concatenate((rows[pivots[0]], np.delete(rows, pivots[0])))
     else:
         cols = np.concatenate((cols[pivots[1]], np.delete(cols, pivots[1])))
-    rows, cols = rows.tolist(), cols.tolist()
-    if not isinstance(entries, list):
-        entries = list(entries)
-    sub = [entries[i * ncols + j] for i in rows for j in cols]
-    try:
-        q = np.fromiter(chain.from_iterable(sub), np.int64, 4 * len(sub))
-    except OverflowError:  # a component beyond int64: elimination decides
-        return _eliminate(sub, len(rows), len(cols))[0]
+    if q is None:
+        q = quad_array(entries)
+    sub = q.reshape(nrows, ncols, 4)[rows[:, None], cols]
+    if sub.dtype != np.int64:  # a component beyond int64: elimination decides
+        return _eliminate(list(map(tuple, sub.reshape(-1, 4).tolist())), len(rows), len(cols))[0]
     # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
-    return int(stacked_rank(q.reshape(1, len(rows), len(cols), 4), [r])[0])
+    return int(stacked_rank(sub[None], [r])[0])
 
 
 def stacked_rank(q, ranks=None):
@@ -621,7 +622,7 @@ def stacked_rank(q, ranks=None):
         q = q.swapaxes(1, 2)
     nrows, ncols = q.shape[1:3]
     if ranks is None:
-        m = _residues_mod(q, _P_ROW)[0]
+        m = residues_mod(q, P_ROW)[0]
         ranks = _reduce_mod(m, P, nrows)
         short = np.flatnonzero(ranks < nrows)
         live_first = np.argsort(~m[short].any(axis=2), axis=1, kind="stable")
@@ -639,7 +640,7 @@ def stacked_rank(q, ranks=None):
     if len(check):
         primes = _TABLE_PRIMES[:need[check].max()]
         sub = q if len(check) == len(q) else q[check]
-        m = _residues_mod(sub, primes).reshape(-1, nrows, ncols)  # (k * B, r, c), prime-major
+        m = residues_mod(sub, primes).reshape(-1, nrows, ncols)  # (k * B, r, c), prime-major
         r = r[check]
         _reduce_mod(m, np.repeat(primes[:, 0], len(check))[:, None, None], int(r.max()))
         live = m.reshape(len(primes), len(check), nrows, ncols).any(axis=3)
@@ -653,16 +654,16 @@ def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
     """Exact rank, and the determinant on request, of a quadruple matrix.
 
     ``entries`` is any row-major sequence of ``nrows * ncols`` quadruples
-    (``coeffmatrix.SplitCells`` lists a split's only when it is read);
+    (``coeffmatrix.SplitCells`` is a view of a state's quadruple array);
     only a determinant, ``stacked_rank`` and ``_eliminate`` read it.
     With ``det=True`` returns ``(rank, det)`` as ``_eliminate`` does:
     ``det`` is the exact determinant for square input and ``(0, 0, 0, 0)``
     for rank-deficient or non-square input.  With ``det=False`` returns
     ``(rank, None)``.  Ranks not needing a determinant come from the
     certified mod-P route (see the module docstring), never from chance;
-    ``res``, the entries' ``residues`` in the same row-major order, spares
-    that route computing them, ``cap`` is a lazy upper bound on the rank
-    and ``floor`` a proven lower bound (see ``_certified_rank``).
+    ``res``, the entries' residues mod P in the same row-major order,
+    spares that route computing them, ``cap`` is a lazy upper bound on the
+    rank and ``floor`` a proven lower bound (see ``_certified_rank``).
     """
     if det and nrows == ncols:
         return _eliminate(entries, nrows, ncols)

@@ -220,8 +220,9 @@ def _semi_half(v: ExactScalar) -> ExactScalar:
 def check_semi_invariants(trials: int = 100, seed: int = 0) -> CheckResult:
     """Orbit laws of f1/f2 on both ten-amplitude families, plus the annihilator.
 
-    Every trial and every annihilator is drawn first; the operators are
-    applied in one ``apply_local_many`` call.
+    Every trial and every annihilator is drawn first; each family state is
+    built once per (family, a, b), and the operators are applied in one
+    ``apply_local_many`` call.
     """
     failures = []
     rng = random.Random(seed)
@@ -248,13 +249,13 @@ def check_semi_invariants(trials: int = 100, seed: int = 0) -> CheckResult:
         star = LocalOperator(((alpha1, alpha2), (ExactScalar(0), alpha4)))
         tail = random_invertible_local(3, seed + 31 * attempt)
         annihilators.append((a, b, LocalOperatorSet((star,) + tail.ops)))
-    jobs = []
-    for a, b, ops in drawn:
-        jobs.append((instantiate("L_ab3", {"a": a, "b": b}, reg), ops))
-        jobs.append((instantiate("L_ab3'", {"a": a, "b": b}, reg), ops))
-    for a, b, ops in annihilators:
-        jobs.append((instantiate("L_ab3'", {"a": a, "b": b}, reg), ops))
-    moved = apply_local_many(jobs)
+    jobs = [((f, a, b), ops) for a, b, ops in drawn for f in ("L_ab3", "L_ab3'")]
+    jobs += [(("L_ab3'", a, b), ops) for a, b, ops in annihilators]
+    built = {}
+    for key, _ in jobs:
+        if key not in built:
+            built[key] = instantiate(key[0], {"a": key[1], "b": key[2]}, reg)
+    moved = apply_local_many([(built[key], ops) for key, ops in jobs])
     for t, (a, b, ops) in enumerate(drawn):
         alpha = ops[0].entries
         a1, a2 = alpha[0]

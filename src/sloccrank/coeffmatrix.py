@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import bareiss, ranks_mod_q, residues_q, stacked_rank
+from ._kernels import Q_ROW, bareiss, ranks_mod_q, residues_mod, stacked_rank
 from .scalars import ExactScalar, common_denominator, render_exact, render_float
 from .states import QUBIT_CAP, PureState, amplitude_tensor
 
@@ -179,15 +179,16 @@ def _array(psi: PureState, plan: SplitPlan) -> np.ndarray:
 
 
 class SplitCells(Sequence):
-    """The row-major quadruples of one split, listed only when first read.
+    """The row-major quadruples of one split, read only on demand.
 
-    A read-only sequence over ``quads``, the 2 x ... x 2 quadruple array of
-    ``PureState.cleared``, and a split's ``SplitPlan.axes``: ``len`` is
-    rows * cols, and the first ``__iter__`` or ``__getitem__`` lists
-    ``quads.transpose(axes).ravel()`` and keeps the list.  ``bareiss`` reads
-    its entries only for a certificate, ``_eliminate`` or a determinant, so
-    a split that its floor, its rank mod P or an upper bound decides is
-    never listed.
+    A read-only sequence over ``quads``, the (2, ..., 2, 4) quadruple array
+    of ``PureState.cleared``, and a split's ``SplitPlan.axes``: ``len`` is
+    rows * cols, ``np.asarray`` gives the (rows * cols, 4) transpose of
+    ``quads`` (a proof gathers its submatrix from it), and the first
+    ``__iter__`` or ``__getitem__`` lists its cells as tuples of Python
+    ints (what ``_eliminate`` and a determinant read) and keeps the list.
+    A split that its floor, its rank mod P or an upper bound decides is
+    never read.
     """
 
     __slots__ = ("_quads", "_axes", "_cells")
@@ -198,11 +199,15 @@ class SplitCells(Sequence):
         self._cells = None
 
     def __len__(self) -> int:
-        return self._quads.size
+        return self._quads.size >> 2
+
+    def __array__(self, dtype=None, copy=None):
+        cells = self._quads.transpose(self._axes + (len(self._axes),)).reshape(-1, 4)
+        return cells if dtype is None else cells.astype(dtype)
 
     def _listed(self) -> list:
         if self._cells is None:
-            self._cells = self._quads.transpose(self._axes).ravel().tolist()
+            self._cells = list(map(tuple, np.asarray(self).tolist()))
         return self._cells
 
     def __iter__(self):
@@ -396,9 +401,10 @@ def _split_rank(
 
     An exact rank is computed once per state and split
     (``PureState.split_ranks``), by one ``bareiss`` call on the split's
-    ``SplitCells`` and a transposed view of the state's residues.
+    ``SplitCells`` and a transposed view of ``PureState.residues``.
     ``floor``, a proven lower bound such as the split's rank mod Q
-    (``_stacked_floors``), decides a full rank without reading either.
+    (``_stacked_floors``), decides a full rank without reading either, and
+    then the residues are not computed.
     A shortfall is proved first by the upper bounds of ``_kernels``: the
     term rank of the split's support, then subadditivity over the ranks
     the memo already holds (``_cut_cap``); only a certificate or an
@@ -411,17 +417,17 @@ def _split_rank(
     memo = psi.split_ranks
     value = memo.get(plan.key)
     if value is None:
-        quads, _, res = psi.cleared
+        res = None if floor == min(plan.rows, plan.cols) else psi.residues.transpose(plan.axes)
         value = memo[plan.key] = bareiss(
-            SplitCells(quads, plan.axes), plan.rows, plan.cols, det=False,
-            res=res.transpose(plan.axes), cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
+            SplitCells(psi.cleared[0], plan.axes), plan.rows, plan.cols, det=False,
+            res=res, cap=lambda r: _cut_cap(memo, plan, r), floor=floor,
         )[0]
     return value
 
 
 def _support(psi: PureState) -> int:
     """The number of nonzero amplitudes of an exact state."""
-    return int(np.count_nonzero(psi.cleared[2]))
+    return int(np.count_nonzero(psi.cleared[0].any(axis=-1)))
 
 
 def _stacks(n: int, support: int) -> bool:
@@ -452,15 +458,17 @@ def _stacked_floors(pairs) -> list[int]:
     ``ranks_mod_q`` over one stack per split shape across all the pairs, at
     most ``STACK_CELLS`` cells per chunk.
 
-    Each matrix is one transpose of its state's residues mod Q, which are
-    computed once per state here from ``PureState.cleared``; a canonical
-    split has at most as many rows as columns, the wide orientation the
-    kernel takes.
+    Each matrix is one transpose of its state's residues mod Q, computed
+    here from ``PureState.cleared`` by one ``residues_mod`` call per qubit
+    count and dtype of the states; a canonical split has at most as many
+    rows as columns, the wide orientation the kernel takes.
     """
+    groups = {}
+    for key, psi in {id(psi): psi for psi, _ in pairs}.items():
+        groups.setdefault((psi.n, psi.cleared[0].dtype), {})[key] = psi.cleared[0]
     res = {}
-    for psi, _ in pairs:
-        if id(psi) not in res:
-            res[id(psi)] = residues_q(psi.cleared[0].ravel().tolist()).reshape((2,) * psi.n)
+    for group in groups.values():
+        res.update(zip(group, residues_mod(np.stack(list(group.values())), Q_ROW)[0]))
     floors = [0] * len(pairs)
     for (rows, cols), group in _by_shape(plan for _, plan in pairs).items():
         for chunk in _chunks(group, rows * cols, STACK_CELLS):
@@ -473,40 +481,25 @@ def _stacked_floors(pairs) -> list[int]:
     return floors
 
 
-def _int64_quads(psi: PureState) -> np.ndarray | None:
-    """An exact state's quadruples as an int64 (2, ..., 2, 4) array, or None
-    when a component is beyond int64."""
-    quads = psi.cleared[0]
-    try:
-        flat = np.fromiter(chain.from_iterable(quads.ravel().tolist()), np.int64, 4 * quads.size)
-    except OverflowError:
-        return None
-    return flat.reshape(quads.shape + (4,))
-
-
 def _stacked_shortfalls(short) -> None:
     """Rank the split of each (state, plan, floor) triple of ``short``, whose
     floor mod Q fell short, into the state's memo.
 
-    The splits of states whose quadruples fit int64 (read once per state)
-    are ranked by ``stacked_rank``, one stack per split shape, at most
+    The splits of states whose quadruples are int64 are ranked by
+    ``stacked_rank``, one stack per split shape, at most
     ``SHORTFALL_CELLS`` input cells per call.  The splits of any other
     state take the lone route of ``_split_rank`` after the stacks, so that
     its cut bounds read the stacked ranks.
     """
-    quads = {}
     stackable, lone = [], []
     for item in short:
-        psi = item[0]
-        if id(psi) not in quads:
-            quads[id(psi)] = _int64_quads(psi)
-        (lone if quads[id(psi)] is None else stackable).append(item)
+        (stackable if item[0].cleared[0].dtype == np.int64 else lone).append(item)
     for (rows, cols), group in _by_shape(plan for _, plan, _ in stackable).items():
         for chunk in _chunks(group, rows * cols, SHORTFALL_CELLS):
             q = np.empty((len(chunk), rows, cols, 4), dtype=np.int64)
             for b, i in enumerate(chunk):
                 psi, plan, _ = stackable[i]
-                q[b] = quads[id(psi)].transpose(plan.axes + (psi.n,)).reshape(rows, cols, 4)
+                q[b] = psi.cleared[0].transpose(plan.axes + (psi.n,)).reshape(rows, cols, 4)
             for i, r in zip(chunk, stacked_rank(q).tolist()):
                 psi, plan, floor = stackable[i]
                 if r < floor:
@@ -531,15 +524,16 @@ def _qubit_classes(psi: PureState) -> tuple[int, ...]:
     so the fixing swaps are an equivalence on the qubits, and union-find
     over them is exact: two qubits share a class only when their swap
     fixes the tensor.  Each pair of qubits in distinct classes is tested
-    in three steps, cheapest first: per qubit, the sum of the residues mod
-    P at the indices that set its bit (equal for i and j when (i j) fixes
-    the tensor, so a random state stops here), the residue tensor against
-    its swapped axes (a hint only), and the exact quadruples on the
-    support, which alone prove the swap.
+    in two steps, cheapest first: per qubit, the sum of one integer image
+    of each quadruple at the indices that set its bit (equal for i and j
+    when (i j) fixes the tensor, also where int64 wraps, so a random state
+    stops here), then the quadruple array against its swapped axes, which
+    alone proves the swap.
     """
-    quads, _, res = psi.cleared
+    quads = psi.cleared[0]
     n = psi.n
-    ones = [int(res.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(n)]
+    image = quads @ np.array([1, 3, 5, 7])  # one reduction per qubit below, not four
+    ones = [int(image.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(n)]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -547,16 +541,11 @@ def _qubit_classes(psi: PureState) -> tuple[int, ...]:
             i = parent[i]
         return i
 
-    support = None
     for j in range(1, n):
         for i in range(j):
             if ones[i] != ones[j] or find(i) == find(j):
                 continue
-            if not np.array_equal(res, res.swapaxes(i, j)):
-                continue
-            if support is None:  # equal residues have equal supports: a residue is 0 only at 0
-                support = np.flatnonzero(res)
-            if quads.ravel()[support].tolist() == quads.swapaxes(i, j).ravel()[support].tolist():
+            if np.array_equal(quads, quads.swapaxes(i, j)):
                 parent[find(j)] = find(i)
     ids = {}
     return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
@@ -712,7 +701,7 @@ def det_coeff(psi: PureState, half_bits):
         raise ValueError("half_bits must select exactly half the qubits")
     plan = split_plan(psi.n, half_bits)
     if psi.is_exact:
-        quads, den, _ = psi.cleared
+        quads, den = psi.cleared
         return _det(SplitCells(quads, plan.axes), den, plan.rows)
     return complex(np.linalg.det(_array(psi, plan)))
 

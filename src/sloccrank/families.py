@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._kernels import echelon, stacked_rank
+from ._kernels import echelon, quad_array, stacked_rank
 from .coeffmatrix import split_rank
 from .scalars import (
     RATIONAL,
@@ -298,12 +298,8 @@ class FamilyTemplate:
         by_symbol = [dict(e.coeffs) for e in self.amps]
         values = [e.const for e in self.amps]
         values += [terms.get(s, zero) for s in self.params for terms in by_symbol]
-        quads, _ = common_denominator(values)
-        try:
-            form = np.array(quads, dtype=np.int64).reshape(1 + len(self.params), 16, 4)
-        except OverflowError:
-            return None
-        return form[0], form[1:]
+        form = quad_array(common_denominator(values)[0]).reshape(1 + len(self.params), 16, 4)
+        return (form[0], form[1:]) if form.dtype == np.int64 else None
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from ._kernels import INT64_BOUND, apply_single_qubit, mul4, operator_row_sum, operator_stack
+from ._kernels import (
+    INT64_BOUND, apply_single_qubit, mul4, operator_row_sum, operator_stack, quad_array,
+)
 from .coeffmatrix import CoefficientMatrix
 from .scalars import (
     ExactScalar,
@@ -147,18 +148,19 @@ def _apply_exact(jobs) -> list[tuple[ExactScalar, ...]]:
     """Apply exact operators to many amplitude vectors, as stacks.
 
     Each job is ``(quads, den, ops)``: the amplitude vector ``quads / den``,
-    ``quads`` a flat list of integer quadruples as ``common_denominator``
-    returns, and ``ops[t]`` the operator of qubit ``t``, the ``t``-th most
-    significant index bit.  Jobs of one qubit count and dtype are stacked,
-    ``STACK_JOBS`` at a time.  A job is stacked in int64 when its bound,
-    max |x| times the largest absolute row sum of every qubit's 8x8
-    matrix, is below ``INT64_BOUND``: no partial sum of any of its
-    products can then exceed it.  Any other job is stacked as Python ints
-    (object dtype).
+    ``quads`` a (2**n, 4) array of integer quadruples as
+    ``_kernels.quad_array`` returns, and ``ops[t]`` the operator of qubit
+    ``t``, the ``t``-th most significant index bit.  Jobs of one qubit
+    count and dtype are stacked, ``STACK_JOBS`` at a time.  A job is
+    stacked in int64 when its bound, max |x| times the largest absolute
+    row sum of every qubit's 8x8 matrix, is below ``INT64_BOUND``: no
+    partial sum of any of its products can then exceed it.  Any other job
+    is stacked as Python ints (object dtype).  ``np.abs`` gives max |x|
+    exactly on either dtype, since int64 storage excludes -2**63.
     """
     groups = {}
     for j, (quads, den, ops) in enumerate(jobs):
-        bound = max(map(abs, chain.from_iterable(quads)))
+        bound = int(np.abs(quads).max())
         op_quads = []
         for op in ops:
             (a, b), (c, d) = op.entries
@@ -173,7 +175,7 @@ def _apply_exact(jobs) -> list[tuple[ExactScalar, ...]]:
         dtype = np.int64 if small else object
         for start in range(0, len(members), STACK_JOBS):
             part = members[start:start + STACK_JOBS]
-            x = np.array([quads for _, quads, _, _ in part], dtype=dtype)
+            x = np.stack([quads for _, quads, _, _ in part]).astype(dtype, copy=False)
             mats = operator_stack(
                 np.array([q for _, _, q, _ in part], dtype=dtype).reshape(len(part), n, 2, 2, 4)
             )
@@ -192,8 +194,8 @@ def apply_local_many(pairs) -> list[PureState]:
         if len(ops) != psi.n:
             raise ValueError("operator count does not match qubit count")
         if psi.is_exact and ops.is_exact:
-            quads, den, _ = psi.cleared
-            exact.append((k, (quads.ravel().tolist(), den, ops.ops)))
+            quads, den = psi.cleared
+            exact.append((k, (quads.reshape(-1, 4), den, ops.ops)))
         else:
             phi = psi.to_float()
             out[k] = _from_tensor(_contract(amplitude_tensor(phi), ops.ops), phi.labels)
@@ -219,7 +221,7 @@ def transform_coefficient_matrices(pairs) -> list[CoefficientMatrix]:
         ordered = [ops[b - 1] for b in bp.row_bits + bp.col_bits]
         if C.is_exact and ops.is_exact:
             quads, den = common_denominator([e for row in C.entries for e in row])
-            exact.append((k, (quads, den, ordered)))
+            exact.append((k, (quad_array(quads), den, ordered)))
         else:
             amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)
             entries = _contract(amps, ordered).reshape(C.rows, C.cols)

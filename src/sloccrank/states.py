@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._kernels import residues
+from ._kernels import P, P_ROW, quad_array, residues_mod
 from .scalars import (
     ExactScalar,
     ScalarFormatError,
@@ -106,20 +106,27 @@ class PureState:
         return "exact" if self.is_exact else "float"
 
     @cached_property
-    def cleared(self) -> tuple[np.ndarray, int, np.ndarray]:
-        """``(quads, den, res)`` of an exact state, computed once and cached.
+    def cleared(self) -> tuple[np.ndarray, int]:
+        """``(quads, den)`` of an exact state, computed once and cached.
 
         ``quads`` holds the amplitudes as integer quadruples over the one
-        shared denominator ``den`` and ``res`` their residues in F_P (int64),
-        the form the rank kernel takes.  Each is a 2 x ... x 2 array with
+        shared denominator ``den``, one (2, ..., 2, 4) ``quad_array`` with
         qubit p on axis p - 1, as ``amplitude_tensor``, so a split's
-        row-major cells are one transpose of each.  The cache is not a
-        field, so it is invisible to ``==``, ``hash`` and ``repr``.
+        row-major cells are one transpose of it.  The cache is not a field,
+        so it is invisible to ``==``, ``hash`` and ``repr``.
         """
         quads, den = common_denominator(self.amps)
-        shape = (2,) * self.n
-        quad_array = np.fromiter(quads, dtype=object, count=len(quads)).reshape(shape)
-        return quad_array, den, residues(quads).reshape(shape)
+        return quad_array(quads).reshape((2,) * self.n + (4,)), den
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """``cleared``'s quadruples in F_P, a 2 x ... x 2 int64 array computed on
+        first use, by the lone rank route only.  A nonzero quadruple that
+        vanishes mod P is stored as P, so the nonzero cells are the support."""
+        quads = self.cleared[0]
+        res = residues_mod(quads, P_ROW)[0]
+        res[(res == 0) & quads.any(axis=-1)] = P
+        return res
 
     @cached_property
     def split_ranks(self) -> dict[tuple[int, ...], int]:

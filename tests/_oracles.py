@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's fraction-free kernel: rank by
 division-based Gaussian elimination with field inverses, determinant by
-the permutation-sum expansion; and its term scanner: the scalar text
-grammar as a split-then-match parser over Fractions.
+the permutation-sum expansion; its term scanner: the scalar text
+grammar as a split-then-match parser over Fractions; and its array
+residues: one Python-int image per quadruple.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
+
+from sloccrank._kernels import I_P, I_Q, P, Q, S_P, S_Q
 from sloccrank.families import AffineExpr, FamilyError
 from sloccrank.scalars import SQRT2_FLOAT, ExactScalar, ScalarFormatError
 from sloccrank.slocc import LocalOperator, LocalOperatorSet
@@ -26,6 +30,24 @@ def random_exact_scalar(rng: random.Random, span: int = 5) -> ExactScalar:
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
     )
+
+
+def residues_p(quads) -> np.ndarray:
+    """The images ``a + b*I_P + c*S_P + d*I_P*S_P`` in F_P, as an int64 array;
+    a nonzero quadruple whose image is 0 is stored as P, as in
+    ``PureState.residues``."""
+    return np.array(
+        [
+            (a + b * I_P + c * S_P + d * I_P * S_P) % P or (P if a or b or c or d else 0)
+            for a, b, c, d in quads
+        ],
+        dtype=np.int64,
+    )
+
+
+def residues_q(quads) -> np.ndarray:
+    """The images ``a + b*I_Q + c*S_Q + d*I_Q*S_Q`` in F_Q, as an int64 array in [0, Q)."""
+    return np.array([(a + b * I_Q + c * S_Q + d * I_Q * S_Q) % Q for a, b, c, d in quads], np.int64)
 
 
 def ref_rank_exact(rows: list[list[ExactScalar]]) -> int:

@@ -56,10 +56,10 @@ def _eager_counts(psi, ranks):
     """The tracer's counters, computed from the eager listing of every split."""
     counts = {"calls": 0, "cells": 0, "zero_cells": 0, "full_rank": 0, "max_input_bits": 0}
     for plan in _canonical_plans(psi.n):
-        cells = psi.cleared[0].transpose(plan.axes).ravel().tolist()
+        cells = psi.cleared[0].transpose(plan.axes + (psi.n,)).reshape(-1, 4).tolist()
         counts["calls"] += 1
         counts["cells"] += len(cells)
-        counts["zero_cells"] += sum(q == (0, 0, 0, 0) for q in cells)
+        counts["zero_cells"] += sum(not any(q) for q in cells)
         counts["full_rank"] += ranks[plan.key] == min(plan.rows, plan.cols)
         bits = max(abs(x).bit_length() for q in cells for x in q)
         counts["max_input_bits"] = max(counts["max_input_bits"], bits)
@@ -70,7 +70,7 @@ def _eager_counts(psi, ranks):
 def test_traced_bareiss_counters_match_eager_lists(kind):
     psi = STATES[kind](random.Random(41))
     if kind == "dense":  # the stacked-floor path
-        assert _stacks(psi.n, int(np.count_nonzero(psi.cleared[2])))
+        assert _stacks(psi.n, int(np.count_nonzero(psi.cleared[0].any(axis=-1))))
     bench_trace = _bench_trace()
     tracer = bench_trace.Tracer()
     with tracer:

@@ -15,6 +15,7 @@ applied nothing could not pass.
 
 import random
 
+import numpy as np
 import pytest
 
 import sloccrank.checks as checks
@@ -22,7 +23,6 @@ import sloccrank.coeffmatrix as coeffmatrix
 from sloccrank.checks import CheckResult, _corpus, run_check
 from sloccrank.coeffmatrix import (
     _canonical_plans,
-    _int64_quads,
     coefficient_matrix,
     enumerate_bipartitions,
     rank_signature,
@@ -228,7 +228,8 @@ def _wrong_application(monkeypatch, index):
 
 def _split_matrices(psi):
     """The bytes of each canonical split's int64 quadruple matrix, as ``stacked_rank`` sees it."""
-    quads = _int64_quads(psi)
+    quads = psi.cleared[0]
+    assert quads.dtype == np.int64
     return {
         quads.transpose(plan.axes + (psi.n,)).reshape(plan.rows, plan.cols, 4).tobytes()
         for plan in _canonical_plans(psi.n)
@@ -311,3 +312,21 @@ def test_one_wrong_amplitude_fails_the_check_at_its_trial(monkeypatch, name, ind
     result = run_check(name, trials=15, seed=seed)
     assert not result.passed
     assert set(_names(result)) == {f"trial {target}"}
+
+
+def test_semi_invariants_builds_each_family_state_once(monkeypatch):
+    """One ``instantiate`` per (family, a, b) of a call, however many trials
+    and annihilators share it; the result is that of the per-trial loop."""
+    built = []
+    real = checks.instantiate
+
+    def counted(name, values, reg):
+        built.append((name, values["a"], values["b"]))
+        return real(name, values, reg)
+
+    monkeypatch.setattr(checks, "instantiate", counted)
+    result = run_check("semi-invariants", trials=60, seed=5)
+    assert len(built) == len(set(built)) <= 2 * 81
+    assert len(built) < 2 * 60 + 20  # some pair was drawn twice and built once
+    assert _fields(result) == _fields(reference_semi_invariants(trials=60, seed=5))
+

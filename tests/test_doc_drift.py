@@ -26,7 +26,7 @@ def test_kernel_docstring_names_existing_symbols():
     names = re.findall(r"``([A-Za-z_]\w*)``", kernels.__doc__)
     required = {
         "_certified_rank", "stacked_rank", "_pivots_mod_p_int64", "_reduce_mod", "_norm_bits",
-        "ranks_mod_q",
+        "ranks_mod_q", "residues_mod", "quad_array",
     }
     assert required <= set(names)
     assert _missing(names) == []
@@ -34,7 +34,10 @@ def test_kernel_docstring_names_existing_symbols():
 
 def test_readme_names_existing_kernel_symbols():
     names = re.findall(r"\b_kernels\.([A-Za-z_]\w*)", README.read_text())
-    assert {"echelon", "stacked_rank", "_norm_bits"} <= set(names)
+    assert {
+        "echelon", "stacked_rank", "_norm_bits", "residues_mod", "ranks_mod_q", "_reduce_mod",
+        "_pivots_mod_p_int64",
+    } <= set(names)
     assert _missing(names) == []
 
 
@@ -46,5 +49,5 @@ def test_readme_names_existing_coeffmatrix_symbols():
 
 def test_readme_names_existing_pure_state_attributes():
     names = re.findall(r"\bPureState\.([A-Za-z_]\w*)", README.read_text())
-    assert {"cleared", "split_ranks"} <= set(names)
+    assert {"cleared", "residues", "split_ranks"} <= set(names)
     assert _missing(names, PureState) == []

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from sloccrank._kernels import (
     I_P,
-    IS_P,
     P,
+    P_ROW,
     S_P,
     ZERO4,
     _eliminate,
@@ -26,9 +26,10 @@ from sloccrank._kernels import (
     bareiss,
     echelon,
     mul4,
-    residues,
+    quad_array,
+    residues_mod,
 )
-from _oracles import quad_matrix_to_scalars, ref_rank_exact
+from _oracles import quad_matrix_to_scalars, ref_rank_exact, residues_p
 from test_rank_certificate import _outer_sum, _small
 
 MAX_DIM = 6
@@ -43,7 +44,7 @@ SEEDS = st.integers(0, 2**32)
 
 def _to_field(q):
     a, b, c, d = q
-    return (a + b * I_P + c * S_P + d * IS_P) % P
+    return (a + b * I_P + c * S_P + d * (I_P * S_P % P)) % P
 
 
 def _assert_ranks_agree(flat, rows, cols):
@@ -129,7 +130,6 @@ def test_constants():
     assert all(P % d for d in range(2, int(P**0.5) + 1))
     assert I_P * I_P % P == P - 1
     assert S_P * S_P % P == 2
-    assert IS_P == I_P * S_P % P
 
 
 def test_field_map_is_a_ring_homomorphism():
@@ -237,7 +237,8 @@ def _assert_pivots_agree(flat, rows, cols):
     rank, det = bareiss(list(flat), rows, cols, det=False)
     assert det is None
     assert rank == _eliminate(list(flat), rows, cols)[0]
-    res = residues(flat)
+    res = residues_p(flat)
+    assert residues_mod(quad_array(flat), P_ROW)[0].tolist() == (res % P).tolist()
     assert res.dtype == np.int64 and 0 <= res.min() and res.max() <= P
     assert (res != 0).tolist() == [any(q) for q in flat]  # the support is exact
     assert bareiss(list(flat), rows, cols, det=False, res=res) == (rank, None)
@@ -246,7 +247,7 @@ def _assert_pivots_agree(flat, rows, cols):
     r = len(pivot_rows)
     assert r == len(pivot_cols) == _rank_mod_p(m.tolist()) <= rank
     assert _rank_mod_p(m[pivot_rows][:, pivot_cols].tolist()) == r  # det != 0 mod P
-    assert np.array_equal(m, residues(flat).reshape(rows, cols))  # not modified
+    assert np.array_equal(m, residues_p(flat).reshape(rows, cols))  # not modified
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,7 +271,7 @@ def test_sparse_matrices_with_special_cells(case):
 def test_residues_near_p_stay_reduced():
     # every cell at P - 1: the first update multiplies (P - 1) by (P - 1)
     flat = [(-1, 0, 0, 0)] * (16 * 16)
-    assert residues(flat[:1]).tolist() == [P - 1]
+    assert residues_mod(quad_array(flat[:1]), P_ROW)[0].tolist() == [P - 1]
     m = np.full((16, 16), P - 1, dtype=np.int64)
     assert _pivots_mod_p_int64(m) == ([0], [0])
     assert bareiss(flat, 16, 16, det=False) == (1, None)
@@ -282,7 +283,7 @@ def test_vanishing_line_falls_back_to_exact_rank():
     # row 5 is nonzero exactly but zero mod P, so F_P sees rank 15 of 16
     flat = [((i * 16 + j) % 7 - 3 + 20 * (i == j), 0, 0, 0) for i in range(16) for j in range(16)]
     flat[5 * 16:6 * 16] = [VANISHING_MOD_P[j % 3] for j in range(16)]
-    m = residues(flat).reshape(16, 16)
+    m = residues_p(flat).reshape(16, 16)
     assert m[5].tolist() == [P] * 16  # nonzero, but 0 mod P
     pivot_rows, pivot_cols = _pivots_mod_p_int64(m)
     assert len(pivot_rows) == 15 and 5 not in pivot_rows

@@ -173,7 +173,7 @@ def test_residues_that_match_do_not_merge_unequal_quadruples(n, plus_p, weight_o
     for q in weight_one:
         amps[1 << (n - q)] = 1
     psi = state(n, amps)
-    res = psi.cleared[2]
+    res = psi.residues
     assert all(np.array_equal(res, res.swapaxes(plus_p - 1, q - 1)) for q in weight_one)
     assert _assert_orbit_reduced_matches_full(psi) == classes
 

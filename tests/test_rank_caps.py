@@ -53,7 +53,7 @@ def _shortfalls(psi):
     """The splits of ``psi`` whose rank is below their compressed size."""
     out = []
     for plan in _canonical_plans(psi.n):
-        mod = psi.cleared[2].transpose(plan.axes).reshape(plan.rows, plan.cols) != 0
+        mod = psi.residues.transpose(plan.axes).reshape(plan.rows, plan.cols) != 0
         full = min(mod.any(axis=1).sum(), mod.any(axis=0).sum())
         if split_rank(psi, plan.bipartition.row_bits) < full:
             out.append(plan.key)

@@ -25,10 +25,13 @@ from hypothesis import strategies as st
 import sloccrank._kernels as kernels
 from sloccrank._kernels import (
     I_P,
+    I_Q,
     P,
     PRIME_BITS,
     PRIME_TABLE,
     S_P,
+    S_Q,
+    Q,
     ZERO4,
     _eliminate,
     _h2,
@@ -108,6 +111,32 @@ def test_prime_table():
         assert i_p * i_p % p == p - 1
         assert s_p * s_p % p == 2
         assert 2**PRIME_BITS < p < 2**31  # so every product of two residues is below 2**62
+
+
+def _eighth_root_images(p):
+    """(I_p, S_p) = (z**2, z + z**7) for z = g**((p - 1) / 8), g the least
+    quadratic non-residue mod p: z is a primitive 8th root of unity, so
+    z**2 is a square root of -1 and (z + z**-1)**2 = 2."""
+    g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+    z = pow(g, (p - 1) // 8, p)
+    return z * z % p, (z + pow(z, 7, p)) % p
+
+
+def _primes_1_mod_8_below(bound):
+    return (p for p in range(bound - 1 - (bound - 2) % 8, 1, -8) if _is_prime(p))
+
+
+def test_prime_table_is_the_eighth_root_construction():
+    """The table is the 64 primes = 1 (mod 8) next below P, none skipped, each
+    with the images of the eighth-root construction; P is the largest such
+    prime below 2**31 and Q the largest below 2**20.  I_P and I_Q may be
+    either root of -1."""
+    below_p = _primes_1_mod_8_below(P)
+    assert PRIME_TABLE == tuple((p, *_eighth_root_images(p)) for p, _ in zip(below_p, range(64)))
+    for bound, (p, i_p, s_p) in ((2**31, (P, I_P, S_P)), (2**20, (Q, I_Q, S_Q))):
+        assert next(_primes_1_mod_8_below(bound)) == p
+        i_z, s_z = _eighth_root_images(p)
+        assert i_p in (i_z, p - i_z) and s_p == s_z
 
 
 def test_miller_rabin_helper():
@@ -350,7 +379,7 @@ def test_row_nonzero_only_left_of_the_pivot_column_is_seen(eliminate_calls):
 def test_pivot_vanishing_mod_a_table_prime_takes_elimination(eliminate_calls):
     # row 0 is all y, so y is the first pivot; y is 0 mod the first table prime
     y = _vanishing_under(PRIME_TABLE[:1])
-    assert kernels.residues([y])[0] != 0  # but not mod P
+    assert kernels.residues_mod(kernels.quad_array([y]), kernels.P_ROW)[0, 0] != 0  # but not mod P
     rng = random.Random(5)
     left = [[y]] + [[_nonzero(rng)] for _ in range(7)]
     flat = _outer_sum(left, [[ONES] * 8])

@@ -24,16 +24,19 @@ import sloccrank._kernels as kernels
 from sloccrank._kernels import (
     I_Q,
     P,
+    P_ROW,
     Q,
+    Q_ROW,
     S_Q,
     ZERO4,
     _eliminate,
     _pivots_mod_p_int64,
     bareiss,
+    quad_array,
     ranks_mod_q,
-    residues,
-    residues_q,
+    residues_mod,
 )
+from _oracles import residues_p, residues_q
 from sloccrank.states import QUBIT_CAP
 from test_rank_certificate import _outer_sum, _small
 
@@ -84,7 +87,9 @@ def stacks(draw, special):
 
 
 def _floors(flats, rows, cols):
-    m = np.stack([residues_q(flat).reshape(rows, cols) for flat in flats])
+    m = residues_mod(quad_array(flats), Q_ROW)[0]
+    assert m.tolist() == [residues_q(flat).tolist() for flat in flats]
+    m = m.reshape(-1, rows, cols)
     floors = ranks_mod_q(m.copy()).tolist()
     assert floors == [_rank_mod(x.tolist(), Q) for x in m]
     return floors
@@ -98,7 +103,7 @@ def test_mixed_rank_stacks_agree_with_exact_and_f_p_ranks(case):
     for flat, floor in zip(flats, floors):
         exact = _eliminate(flat, rows, cols)[0]
         assert floor == exact
-        assert len(_pivots_mod_p_int64(residues(flat).reshape(rows, cols))[0]) == exact
+        assert len(_pivots_mod_p_int64(residues_p(flat).reshape(rows, cols))[0]) == exact
         assert bareiss(flat, rows, cols, det=False, floor=floor) == (exact, None)
 
 
@@ -187,7 +192,9 @@ def test_field_map_mod_q_is_a_ring_homomorphism():
     for _ in range(200):
         x, y = _small(rng, 50), _small(rng, 50)
         prod = kernels.mul4(x, y)
-        got = residues_q([x, y, prod]).tolist()
+        got = residues_mod(quad_array([x, y, prod]), Q_ROW)[0].tolist()
+        assert got == residues_q([x, y, prod]).tolist()
         assert got[2] == got[0] * got[1] % Q
-    assert residues_q(VANISHING_MOD_Q).tolist() == [0] * len(VANISHING_MOD_Q)
-    assert all(residues(VANISHING_MOD_Q))  # nonzero, and stored nonzero mod P
+    vanishing = quad_array(VANISHING_MOD_Q)
+    assert residues_mod(vanishing, Q_ROW)[0].tolist() == [0] * len(VANISHING_MOD_Q)
+    assert all(residues_mod(vanishing, P_ROW)[0])  # nonzero mod P

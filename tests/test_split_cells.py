@@ -1,17 +1,18 @@
-"""``coeffmatrix.SplitCells`` lists a split's quadruples only when a proof reads them.
+"""``coeffmatrix.SplitCells`` reads a split's quadruples only when a proof needs them.
 
-The listing is the eager transpose of ``PureState.cleared`` for every split
-of every state kind, whatever the split memo held before.  Per ``bareiss``
-call, a spy on the listing and on the kernel's routes shows that a split
-decided by its floor, its support, a full rank mod P, the term rank or the
-subadditivity cap is never listed, and one that reaches ``stacked_rank`` or
-``_eliminate`` is listed exactly once.
+Its array and its listing are the eager transpose of ``PureState.cleared``
+for every split of every state kind, whatever the split memo held before.
+Per ``bareiss`` call, a spy on the array reads and on the kernel's routes
+shows that a split decided by its floor, its support, a full rank mod P,
+the term rank or the subadditivity cap is never read, and one that
+reaches ``stacked_rank`` or ``_eliminate`` is read exactly once.
 """
 
 import random
 from collections.abc import Sequence
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import sloccrank._kernels as kernels
@@ -76,7 +77,8 @@ def _prefill(psi, how):
 
 
 def _eager(psi, plan):
-    return psi.cleared[0].transpose(plan.axes).ravel().tolist()
+    cells = psi.cleared[0].transpose(plan.axes + (psi.n,)).reshape(-1, 4)
+    return [tuple(q) for q in cells.tolist()]
 
 
 @pytest.mark.parametrize("how", [None, "split_rank", "rank_triple"])
@@ -85,10 +87,11 @@ def _eager(psi, plan):
 def test_listing_is_the_eager_transpose(n, kind, how):
     psi = STATES[kind](n, random.Random(100 * n + len(kind)))
     _prefill(psi, how)
-    quads, den, _ = psi.cleared
+    quads, den = psi.cleared
     for plan in _canonical_plans(n):
         cells, eager = SplitCells(quads, plan.axes), _eager(psi, plan)
         assert len(cells) == plan.rows * plan.cols == len(eager)
+        assert np.asarray(cells).tolist() == [list(q) for q in eager]
         assert cells[-1] == eager[-1] and cells[1:3] == eager[1:3]
         assert list(cells) == eager
         if n <= 4:  # the cells over the state's denominator are the matrix entries
@@ -113,16 +116,16 @@ def test_the_listing_is_made_on_first_read_and_kept():
 
 @contextmanager
 def _listing_spy():
-    """Per ``coeffmatrix.bareiss`` call: the listings of its cells and the kernel
-    routes it ran, in order (``pivots``, ``term_rank``, ``cut_cap``,
-    ``stacked_rank``, ``eliminate``), with the floor it was given."""
+    """Per ``coeffmatrix.bareiss`` call: the array reads of its cells (a
+    listing is one) and the kernel routes it ran, in order (``pivots``,
+    ``term_rank``, ``cut_cap``, ``stacked_rank``, ``eliminate``), with the
+    floor it was given."""
     calls = []
-    real_listed = SplitCells._listed
+    real_array = SplitCells.__array__
 
-    def listed(self):
-        if self._cells is None:
-            calls[-1]["listings"] += 1
-        return real_listed(self)
+    def array(self, *args, **kwargs):
+        calls[-1]["reads"] += 1
+        return real_array(self, *args, **kwargs)
 
     def route(name, fn):
         def spy(*args, **kwargs):
@@ -134,11 +137,11 @@ def _listing_spy():
     real_bareiss = coeffmatrix.bareiss
 
     def traced_bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):
-        calls.append({"listings": 0, "routes": [], "floor": floor, "shape": (nrows, ncols)})
+        calls.append({"reads": 0, "routes": [], "floor": floor, "shape": (nrows, ncols)})
         return real_bareiss(entries, nrows, ncols, det=det, res=res, cap=cap, floor=floor)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SplitCells, "_listed", listed)
+        mp.setattr(SplitCells, "__array__", array)
         mp.setattr(coeffmatrix, "bareiss", traced_bareiss)
         mp.setattr(coeffmatrix, "_cut_cap", route("cut_cap", coeffmatrix._cut_cap))
         for name, attr in (("pivots", "_pivots_mod_p_int64"), ("term_rank", "_term_rank"),
@@ -167,6 +170,7 @@ def _corpus():
 
 
 def test_only_a_certificate_or_elimination_lists_a_split():
+    """A split is read (as an array) only by a proof or an elimination."""
     seen = set()
     for psi in _corpus():
         with _listing_spy() as calls:
@@ -176,7 +180,7 @@ def test_only_a_certificate_or_elimination_lists_a_split():
             decided = _decided_by(call)
             seen.add(decided)
             reads = "stacked_rank" in call["routes"] or "eliminate" in call["routes"]
-            assert call["listings"] == (1 if reads else 0), call
+            assert call["reads"] == (1 if reads else 0), call
         fresh = state(psi.n, psi.amps)
         for plan in _canonical_plans(psi.n):
             assert signature.ranks[plan.key] == _eliminate(_eager(fresh, plan), plan.rows, plan.cols)[0]

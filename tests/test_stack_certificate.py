@@ -32,10 +32,10 @@ from sloccrank._kernels import (
     _eliminate,
     _norm_bits,
     _pivots_mod_p_int64,
-    _residues_mod,
     adjoint_and_norm,
-    residues,
+    residues_mod,
 )
+from _oracles import residues_p
 from sloccrank.coeffmatrix import SplitCells, _canonical_plans, rank_signature, split_rank
 from sloccrank.scalars import ExactScalar
 from sloccrank.states import product_state, random_exact_state, state
@@ -56,15 +56,15 @@ SEEDS = st.integers(0, 2**32)
 
 @pytest.fixture
 def reduced(monkeypatch):
-    """(index in ``PRIME_TABLE`` of the first prime, count) of every ``_residues_mod`` call."""
+    """(index in ``PRIME_TABLE`` of the first prime, count) of every ``residues_mod`` call."""
     table = [p for p, _, _ in PRIME_TABLE]
     calls = []
 
     def spy(q, primes):
         calls.append((table.index(int(primes[0, 0])), len(primes)))
-        return _residues_mod(q, primes)
+        return residues_mod(q, primes)
 
-    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    monkeypatch.setattr(kernels, "residues_mod", spy)
     return calls
 
 
@@ -209,9 +209,9 @@ def test_default_cutoff_certifies_large_shortfalls_from_the_stack(psi):
 
 def _compressed(psi, plan):
     """The split's cells without its zero rows and columns, as a (rows, cols, 4) int64 array."""
-    quads = list(SplitCells(psi.cleared[0], plan.axes))
-    q = np.array(quads, dtype=np.int64).reshape(plan.rows, plan.cols, 4)
-    mod = psi.cleared[2].transpose(plan.axes).reshape(plan.rows, plan.cols)
+    q = np.asarray(SplitCells(psi.cleared[0], plan.axes)).reshape(plan.rows, plan.cols, 4)
+    assert q.dtype == np.int64
+    mod = q.any(axis=2)
     return q[mod.any(axis=1)][:, mod.any(axis=0)]
 
 
@@ -228,7 +228,7 @@ def full_component_states(draw):
 @settings(max_examples=25, deadline=None)
 @given(full_component_states())
 def test_state_bound_covers_every_minor_of_every_split(psi):
-    total = _total(psi.cleared[0].ravel().tolist())
+    total = _total(psi.cleared[0].reshape(-1, 4).tolist())
     for plan in _canonical_plans(psi.n):
         quads = SplitCells(psi.cleared[0], plan.axes)
         # the split's own T, the one its proof computes, is the state's
@@ -321,7 +321,7 @@ def test_certificate_reads_only_its_own_split(monkeypatch):
 
     monkeypatch.setattr(kernels, "stacked_rank", spy)
     psi = _dicke(8, 2, ExactScalar(3, 1, 2, 1))
-    total = _total(psi.cleared[0].ravel().tolist())
+    total = _total(psi.cleared[0].reshape(-1, 4).tolist())
     checked = 0
     for plan in _canonical_plans(psi.n):
         seen.clear()
@@ -335,7 +335,7 @@ def test_certificate_reads_only_its_own_split(monkeypatch):
                 q, own = q.swapaxes(0, 1), own.swapaxes(0, 1)
             # the same rows, reordered
             assert sorted(map(str, q.tolist())) == sorted(map(str, own.tolist()))
-            pivots = residues(map(tuple, q[:r].reshape(-1, 4).tolist())).reshape(r, -1)
+            pivots = residues_p(q[:r].reshape(-1, 4).tolist()).reshape(r, -1)
             assert len(_pivots_mod_p_int64(pivots)[0]) == r
             assert math.isclose(_total(q.reshape(-1, 4)), total, rel_tol=1e-12)
             checked += 1

@@ -34,11 +34,11 @@ from sloccrank._kernels import (
     _h2,
     _norm_bits,
     _pivots_mod_p_int64,
-    _residues_mod,
     bareiss,
-    residues,
+    residues_mod,
     stacked_rank,
 )
+from _oracles import residues_p
 
 ONES = (1, 0, 0, 0)
 P_ROW = (P, I_P, S_P)
@@ -111,13 +111,13 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(monkeypatch, eliminat
     The last prime finds the row below the pivot row nonzero, and the
     matrix is eliminated.
     """
-    reads = []  # the primes of each ``_residues_mod`` call
+    reads = []  # the primes of each ``residues_mod`` call
 
     def spy(q, primes):
         reads.append(len(primes))
-        return _residues_mod(q, primes)
+        return residues_mod(q, primes)
 
-    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    monkeypatch.setattr(kernels, "residues_mod", spy)
     found = []
     for k in range(2, 7):
         x = _vanishing_under((P_ROW,) + PRIME_TABLE[: k - 2])
@@ -173,10 +173,12 @@ EDGE_PRIMES = (P_ROW, PRIME_TABLE[0], PRIME_TABLE[-1])
 @pytest.mark.parametrize("shape", [(4096,), (64, 64), (16, 16, 16)])
 def test_residues_mod_matches_python_ints(shape):
     q = np.array(EDGE_QUADS, dtype=np.int64).reshape(*shape, 4)
-    got = _residues_mod(q, np.array(EDGE_PRIMES, dtype=np.int64))
+    got = residues_mod(q, np.array(EDGE_PRIMES, dtype=np.int64))
     assert got.shape == (len(EDGE_PRIMES),) + shape
+    # Python-int components are reduced first, to the same residues
+    assert np.array_equal(residues_mod(q.astype(object), np.array(EDGE_PRIMES)), got)
     got = got.reshape(len(EDGE_PRIMES), -1).tolist()
-    assert got[0] == (residues(EDGE_QUADS) % P).tolist()
+    assert got[0] == (residues_p(EDGE_QUADS) % P).tolist()
     for row, (p, i_p, s_p) in zip(got, EDGE_PRIMES):
         assert row == [(a + b * i_p + c * s_p + d * i_p * s_p) % p for a, b, c, d in EDGE_QUADS]
 
@@ -190,7 +192,7 @@ def _pivots_first(q):
     tall = q.shape[1] > q.shape[2]
     out, ranks = [], []
     for m in q.swapaxes(1, 2) if tall else q:
-        res = residues(map(tuple, m.reshape(-1, 4).tolist())).reshape(m.shape[:2])
+        res = residues_p(m.reshape(-1, 4).tolist()).reshape(m.shape[:2])
         pivots = _pivots_mod_p_int64(res)[0]
         out.append(m[pivots + [i for i in range(len(m)) if i not in pivots]])
         ranks.append(len(pivots))
@@ -248,9 +250,9 @@ def test_full_rank_stack_reduces_mod_p_alone(monkeypatch, eliminate_calls):
 
     def spy(q, primes):
         calls.append(primes[:, 0].tolist())
-        return _residues_mod(q, primes)
+        return residues_mod(q, primes)
 
-    monkeypatch.setattr(kernels, "_residues_mod", spy)
+    monkeypatch.setattr(kernels, "residues_mod", spy)
     rng = random.Random(4)
     stack = [_matrix(rng, 4, 6, 4, 3) for _ in range(8)]
     assert _exact_ranks(stack, 4, 6) == [4] * 8
