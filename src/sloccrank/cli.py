@@ -27,7 +27,7 @@ from .invariants import invariant_report
 from .scalars import render_exact, render_float
 from .separability import partition_from_signature
 from .states import PureState, StateFormatError, parse_state
-from .tables import TABLE_IDS, run_table
+from .tables import MAX_SAMPLES, TABLE_IDS, run_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,6 +69,14 @@ def _count(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _samples(text: str) -> int:
+    """A table's sample count: at least 1, and at most ``MAX_SAMPLES`` so that its scans fit."""
+    value = _count(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be an integer <= {MAX_SAMPLES}, got {text!r}")
     return value
 
 
@@ -119,7 +127,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="reproduce a bundled reference table")
     p.add_argument("table_id", type=int, choices=TABLE_IDS)
-    p.add_argument("--samples", type=_count, default=20)
+    p.add_argument("--samples", type=_samples, default=20)
     _add_common(p)
     return parser
 

@@ -731,6 +731,10 @@ def grid_rational(rng: random.Random) -> Fraction:
 
 # the distinct values of the grid, ascending
 GRID_VALUES = tuple(sorted({Fraction(n, d) for n in _GRID_NUMERATORS for d in _GRID_DENOMINATORS}))
+# GRID_VALUES index of grid_rational's value, by its two randrange draws
+GRID_DRAWS = np.array(
+    [[GRID_VALUES.index(Fraction(n, d)) for d in _GRID_DENOMINATORS] for n in _GRID_NUMERATORS]
+)
 
 
 class _RatioUnionFind:

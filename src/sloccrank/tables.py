@@ -7,13 +7,21 @@ predicate-directed sampling, and by scans of grid tuples that confirm
 the unreachable rows and the coverage of the listed ones.  The expected
 values ship as data, so the reproduction is a regression check rather
 than a re-derivation.
+
+Scans are drawn as indices into ``GRID_VALUES``.  One family's scan and
+sampled tuples are ranked together in one stacked pass (``_Scan``); a
+sampled tuple that the stack does not prove to land in its row is
+classified on its own, in draw order, so every message names the first
+failing tuple.  Table 4's per-split rows go tuple by tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -21,7 +29,9 @@ import numpy as np
 
 from .coeffmatrix import enumerate_bipartitions, rank_signature, split_rank
 from .families import (
+    GRID_DRAWS,
     GRID_VALUES,
+    MASK_FACTOR_LIMIT,
     SPLIT_BITS,
     ClassificationError,
     FamilyError,
@@ -34,7 +44,6 @@ from .families import (
     classify_subfamily,
     default_registry,
     fits_int64,
-    grid_rational,
     instantiate,
     rank_triple,
     rank_triples,
@@ -46,6 +55,11 @@ from .states import PureState, product_state, random_exact_state, state
 
 TABLE_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
 SCAN_PER_SAMPLE = 500  # empty/coverage scans draw samples * this many tuples
+MAX_SAMPLES = 1000  # so that one scan draws at most 500,000 tuples
+
+# the numerators and denominators of GRID_VALUES
+_GRID_NUMS = np.array([v.numerator for v in GRID_VALUES], dtype=np.int64)
+_GRID_DENS = np.array([v.denominator for v in GRID_VALUES], dtype=np.int64)
 
 _TABLE_CACHE = None
 
@@ -157,6 +171,13 @@ class RowReport:
     computed: str
     verdict: str  # "match", "mismatch", "skipped: ..."
 
+    def __post_init__(self):
+        # reports repeat a few texts many times over; keep one copy of each
+        self.name = sys.intern(self.name)
+        self.expected = sys.intern(self.expected)
+        self.computed = sys.intern(self.computed)
+        self.verdict = sys.intern(self.verdict)
+
     @property
     def passed(self) -> bool:
         return self.verdict == "match" or self.verdict.startswith("skipped")
@@ -184,24 +205,6 @@ def _verdict_row(name: str, expected: str, failure: str | None, done: str) -> Ro
 def _row(name: str, expected: str, inputs, check, done: str) -> RowReport:
     """First message ``check`` returns over ``inputs`` is a mismatch; none is a match."""
     return _verdict_row(name, expected, next(filter(None, map(check, inputs)), None), done)
-
-
-def _sampled_row(
-    name: str, expected: str, rule, samples: int, seed: int, check, done: str
-) -> RowReport:
-    """``_row`` over ``sample_predicate`` tuples; a sampling failure is a mismatch."""
-    try:
-        tuples = sample_predicate(rule, samples, seed)
-    except SamplingError as exc:
-        return RowReport(name, expected, str(exc), "mismatch")
-    return _row(name, expected, tuples, check, done)
-
-
-def _grid_tuples(params, count: int, seed: int):
-    """``count`` parameter tuples drawn from ``grid_rational``, one value per parameter."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield tuple(grid_rational(rng) for _ in params)
 
 
 def _rank_cell(expected, computed: int) -> bool:
@@ -279,6 +282,28 @@ def _run_table3(samples: int, seed: int) -> TableReport:
     return report
 
 
+def _draw_samples(rule: SubfamilyRule, samples: int, seed: int):
+    """``sample_predicate``'s tuples for ``rule``, or the SamplingError it raised."""
+    try:
+        return sample_predicate(rule, samples, seed)
+    except SamplingError as exc:
+        return exc
+
+
+def _sampled_row(name: str, expected: str, tuples, proven, check, done: str) -> RowReport:
+    """``_row`` over the sampled ``tuples`` that the stack has not ``proven`` to pass.
+
+    A sampling failure is a mismatch.  The other tuples, all of them
+    when ``proven`` is None, go through ``check`` in draw order, so the
+    row reports the first failing tuple.
+    """
+    if isinstance(tuples, SamplingError):
+        return RowReport(name, expected, str(tuples), "mismatch")
+    if proven is not None:
+        tuples = [tuples[i] for i in np.flatnonzero(~proven)]
+    return _row(name, expected, tuples, check, done)
+
+
 def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableReport:
     data = _table_data()["4"]
     family = data["family"]
@@ -307,10 +332,11 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
                     return f"params {values}: {exc}"
                 return None
 
-            report.rows.append(
-                _sampled_row(f"F{idx}^{split}", f"rank {idx}", rule, samples,
-                             seed + idx * 101, check, f"rank {idx} on {samples} samples")
-            )
+            tuples = _draw_samples(rule, samples, seed + idx * 101)
+            report.rows.append(_sampled_row(
+                f"F{idx}^{split}", f"rank {idx}", tuples, None, check,
+                f"rank {idx} on {samples} samples",
+            ))
     return report
 
 
@@ -336,49 +362,91 @@ def _classified_as(family: str, rule: SubfamilyRule, registry: FamilyRegistry):
     return check
 
 
+def _grid_tuples(params, count: int, seed: int) -> np.ndarray:
+    """``count`` tuples drawn as ``grid_rational`` draws them, as indices into ``GRID_VALUES``.
+
+    The (count, len(params)) array holds one value per parameter; each
+    value takes ``grid_rational``'s two ``randrange`` calls, in its order.
+    """
+    draw = random.Random(seed).randrange
+    n_num, n_den = GRID_DRAWS.shape
+    codes = [draw(n_num) * n_den + draw(n_den) for _ in range(count * len(params))]
+    return GRID_DRAWS.ravel()[codes].reshape(count, len(params))
+
+
 def _scan_draws(params, count: int, seeds) -> tuple[dict, str]:
-    """Each seed's scan tuples, and how the row texts name them.
+    """Each seed's scan tuples as ``GRID_VALUES`` indices, and how the row texts name them.
 
     A scan draws ``count`` grid tuples from its seed, or takes the whole
     grid, in ascending order, when that has no more tuples than ``count``.
     """
     size = len(GRID_VALUES) ** len(params)
     if size <= count:
-        grid = list(itertools.product(GRID_VALUES, repeat=len(params)))
+        grid = itertools.product(range(len(GRID_VALUES)), repeat=len(params))
+        grid = np.array(list(grid), dtype=np.int64).reshape(size, len(params))
         return {s: grid for s in seeds}, f"all {size} grid tuples"
-    return {s: list(_grid_tuples(params, count, s)) for s in seeds}, f"{count} tuples"
+    return {s: _grid_tuples(params, count, s) for s in seeds}, f"{count} tuples"
 
 
 class _Scan:
-    """One family's scan tuples, ranked together.
+    """One family's scan and sampled tuples, ranked together.
 
-    Every distinct tuple of every scan is ranked once: in one stacked pass
-    (``rank_triples``) when the family ``fits_int64`` on them, else tuple
-    by tuple through ``instantiate`` and ``rank_triple``.  A row reports
-    the first of its own draws that fails, in draw order.
+    The stack holds the distinct tuples of every scan, given as
+    ``GRID_VALUES`` indices, and then every sampled row's tuples.  When
+    the family ``fits_int64`` on it, the whole stack is ranked in one
+    stacked pass (``rank_triples``) and each predicate is masked at once
+    (``Predicate.mask``).  Otherwise the scan tuples are ranked tuple by
+    tuple through ``instantiate`` and ``rank_triple``, and no sampled tuple
+    is proven.  A row reports the first of its own draws that fails, in
+    draw order.
     """
 
-    def __init__(self, family: str, draws: dict, registry: FamilyRegistry):
-        self.entry = registry.get(family)
+    def __init__(self, family: str, draws: dict, registry: FamilyRegistry, sampled=None):
+        self.entry = entry = registry.get(family)
         self.registry = registry
-        distinct: dict = {}
-        self.positions = {
-            s: np.array([distinct.setdefault(t, len(distinct)) for t in ts], dtype=np.int64)
-            for s, ts in draws.items()
+        width = len(entry.params)
+        base = len(GRID_VALUES)
+        weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        codes = [d @ weights for d in draws.values()]
+        distinct, inverse = np.unique(
+            np.concatenate(codes or [np.zeros(0, np.int64)]), return_inverse=True
+        )
+        self.grid = distinct[:, None] // weights % base
+        ends = np.cumsum([len(c) for c in codes], dtype=np.int64)
+        self.positions = dict(zip(draws, np.split(inverse, ends[:-1])))
+        sampled = sampled or {}
+        self.sampled = [t for ts in sampled.values() for t in ts]
+        ends = len(self.grid) + np.cumsum([0] + [len(ts) for ts in sampled.values()])
+        self.sample_positions = {
+            k: np.arange(a, b) for k, a, b in zip(sampled, ends[:-1], ends[1:])
         }
-        self.tuples = list(distinct)
-        shape = (len(self.tuples), len(self.entry.params))
-        values = [v for t in self.tuples for v in t]
-        self.nums = np.array([v.numerator for v in values], np.int64).reshape(shape)
-        self.dens = np.array([v.denominator for v in values], np.int64).reshape(shape)
-        self.batched = fits_int64(self.entry, self.nums, self.dens)
+        values = [v for t in self.sampled for v in t]
+        # a sampled value that fails fits_int64 this way might not fit an int64 array
+        self.batched = entry.template is not None and all(
+            max(abs(v.numerator), v.denominator) < MASK_FACTOR_LIMIT for v in values
+        )
         if self.batched:
-            self.triples = rank_triples(self.entry.template, self.nums, self.dens)
-        else:
-            triples = [self._exact_triple(t) for t in self.tuples]
+            shape = (len(self.sampled), width)
+            self.nums = np.concatenate([
+                _GRID_NUMS[self.grid], np.array([v.numerator for v in values], np.int64).reshape(shape)
+            ])
+            self.dens = np.concatenate([
+                _GRID_DENS[self.grid], np.array([v.denominator for v in values], np.int64).reshape(shape)
+            ])
+            self.batched = fits_int64(entry, self.nums, self.dens)
+        if self.batched:
+            self.triples = rank_triples(entry.template, self.nums, self.dens)
+        else:  # only the scan tuples, one by one
+            triples = [self._exact_triple(self.values(t)) for t in range(len(self.grid))]
             self.triples = np.array(triples, np.int64).reshape(-1, 3)
         self.zero = ~self.triples.any(axis=1)  # the zero vector, which instantiate refuses
-        self.rules = [r for r in self.entry.rules if r.predicate is not None]
+        self.rules = [r for r in entry.rules if r.predicate is not None]
+
+    def values(self, t: int) -> tuple:
+        """Stack tuple ``t`` as the row texts print it: a tuple of Fractions."""
+        if t < len(self.grid):
+            return tuple(GRID_VALUES[i] for i in self.grid[t])
+        return self.sampled[t - len(self.grid)]
 
     def _exact_triple(self, values) -> tuple[int, int, int]:
         try:
@@ -386,43 +454,60 @@ class _Scan:
         except FamilyError:  # the zero vector
             return (0, 0, 0)
 
+    @functools.cached_property
     def masks(self) -> np.ndarray:
         """Whether each rule row with a predicate holds, as a (rows, T) array."""
         if self.batched:
             masks = [r.predicate.mask(self.entry.params, self.nums, self.dens) for r in self.rules]
         else:
             bindings = [
-                {s: ExactScalar._coerce(v) for s, v in zip(self.entry.params, t)}
-                for t in self.tuples
+                {s: ExactScalar._coerce(v) for s, v in zip(self.entry.params, self.values(t))}
+                for t in range(len(self.triples))
             ]
             masks = [[r.predicate.holds(b) for b in bindings] for r in self.rules]
-        return np.array(masks, dtype=bool).reshape(len(self.rules), len(self.tuples))
+        return np.array(masks, dtype=bool).reshape(len(self.rules), len(self.triples))
+
+    @functools.cached_property
+    def classified(self) -> np.ndarray:
+        """Whether exactly one rule row matches each tuple and its triple is the computed one."""
+        rows = np.array([r.triple.as_tuple() for r in self.rules]).reshape(len(self.rules), 3)
+        single = self.masks.sum(axis=0) == 1
+        return single & (self.masks.T.astype(np.int64) @ rows == self.triples).all(axis=1)
 
     def first(self, seed: int, bad: np.ndarray) -> int | None:
-        """Distinct index of the first tuple drawn from ``seed`` that ``bad`` flags, or None."""
+        """Stack index of the first tuple drawn from ``seed`` that ``bad`` flags, or None."""
         hits = np.flatnonzero(bad[self.positions[seed]])
         return int(self.positions[seed][hits[0]]) if hits.size else None
 
     def hit(self, seed: int, triple: RankTriple) -> str | None:
         t = self.first(seed, (self.triples == triple.as_tuple()).all(axis=1))
-        return None if t is None else f"hit at {self.tuples[t]}"
+        return None if t is None else f"hit at {self.values(t)}"
 
     def uncovered(self, seed: int) -> str | None:
-        masks = self.masks()
-        rows = np.array([r.triple.as_tuple() for r in self.rules]).reshape(len(self.rules), 3)
-        single = masks.sum(axis=0) == 1
-        agree = (masks.T.astype(np.int64) @ rows == self.triples).all(axis=1)  # when single
-        t = self.first(seed, ~(single & agree) & ~self.zero)
+        t = self.first(seed, ~self.classified & ~self.zero)
         if t is None:
             return None
-        values = self.tuples[t]
+        values = self.values(t)
         failure = classification_failure(
             self.entry.name,
             [ExactScalar._coerce(v) for v in values],
             RankTriple(*self.triples[t].tolist()),
-            [r for r, m in zip(self.rules, masks[:, t]) if m],
+            [r for r, m in zip(self.rules, self.masks[:, t]) if m],
         )
         return f"params {values}: {failure}"
+
+    def proven(self, k, rule: SubfamilyRule) -> np.ndarray:
+        """Which of sampled row ``k``'s tuples surely land in ``rule``'s row.
+
+        Those are the tuples that match exactly one row, whose triple is
+        the computed one and ``rule``'s (so not the zero vector), when
+        ``rule`` pins no biseparable partition.
+        """
+        positions = self.sample_positions[k]
+        if not self.batched or rule.biseparable is not None:
+            return np.zeros(len(positions), dtype=bool)
+        right = (self.triples[positions] == rule.triple.as_tuple()).all(axis=1)
+        return self.classified[positions] & right
 
 
 def _run_family_rows(
@@ -440,30 +525,35 @@ def _run_family_rows(
             for rule in entry.rules
         )
         return
-    # the empty rows are confirmed unreachable, and the coverage scan
-    # classifies, on grid tuples that are ranked together
+    # the reachable rows classify their sampled tuples, the empty rows are
+    # confirmed unreachable and the coverage scan classifies grid tuples,
+    # all ranked together in one stack
+    sampled = {
+        k: _draw_samples(rule, samples, seed + 13 * k)
+        for k, rule in enumerate(entry.rules)
+        if not rule.empty
+    }
     seeds = [seed + 17 * k for k, rule in enumerate(entry.rules) if rule.empty]
     if scan:
         seeds.append(seed + 9999)
-    if seeds:
-        draws, drawn = _scan_draws(entry.params, samples * SCAN_PER_SAMPLE, seeds)
-        scanned = _Scan(family, draws, registry)
+    draws, drawn = _scan_draws(entry.params, samples * SCAN_PER_SAMPLE, seeds)
+    stacked = {k: [] if isinstance(ts, SamplingError) else ts for k, ts in sampled.items()}
+    stack = _Scan(family, draws, registry, stacked)
     for k, rule in enumerate(entry.rules):
         name = f"{family} {rule.triple}"
         if rule.empty:
             report.rows.append(_verdict_row(
-                name, "unreachable", scanned.hit(seed + 17 * k, rule.triple), f"not hit in {drawn}"
+                name, "unreachable", stack.hit(seed + 17 * k, rule.triple), f"not hit in {drawn}"
             ))
         else:
-            report.rows.append(
-                _sampled_row(name, str(rule.triple), rule, samples, seed + 13 * k,
-                             _classified_as(family, rule, registry),
-                             f"{samples} samples classified")
-            )
+            report.rows.append(_sampled_row(
+                name, str(rule.triple), sampled[k], stack.proven(k, rule),
+                _classified_as(family, rule, registry), f"{samples} samples classified",
+            ))
     if scan:
         report.rows.append(_verdict_row(
             f"{family} coverage scan", "every tuple falls in a listed row",
-            scanned.uncovered(seed + 9999), f"{drawn} covered",
+            stack.uncovered(seed + 9999), f"{drawn} covered",
         ))
 
 
@@ -476,12 +566,15 @@ def run_table(
     """Reproduce one bundled table; every row gets a verdict.
 
     ``samples`` must be at least 1: with none, every sampled row would
-    pass having checked nothing.
+    pass having checked nothing.  It must be at most ``MAX_SAMPLES``,
+    since each scan holds ``samples * SCAN_PER_SAMPLE`` tuples in memory.
     """
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     registry = registry or default_registry()
     if table_id in (1, 2):
         return _run_grid_table(table_id)

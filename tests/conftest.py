@@ -1,6 +1,7 @@
 import pytest
 
 import sloccrank._kernels as kernels
+import sloccrank.tables as tables
 
 
 @pytest.fixture
@@ -30,3 +31,9 @@ def stacked_ranks(monkeypatch):
 
     monkeypatch.setattr(kernels, "stacked_rank", spy)
     return calls
+
+
+@pytest.fixture
+def quick_scans(monkeypatch):
+    """Rule-table scans of 40 tuples per sample instead of 500."""
+    monkeypatch.setattr(tables, "SCAN_PER_SAMPLE", 40)

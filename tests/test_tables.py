@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sloccrank.tables as tables_mod
@@ -28,11 +29,6 @@ from sloccrank.tables import (
     run_table,
     table_title,
 )
-
-
-@pytest.fixture
-def quick_scans(monkeypatch):
-    monkeypatch.setattr(tables_mod, "SCAN_PER_SAMPLE", 40)
 
 
 def test_table_ids_and_titles():
@@ -207,11 +203,19 @@ def _ghz_family(rules):
     return registry
 
 
+ZERO = GRID_VALUES.index(0)  # the grid index of the value 0
+
+
+def _fractions(positions):
+    """Grid-index rows as the tuples of Fractions they stand for."""
+    return [tuple(GRID_VALUES[i] for i in row) for row in positions.tolist()]
+
+
 def test_coverage_scan_goes_through_classify_subfamily(quick_scans):
     seed = 1
-    draws = list(tables_mod._grid_tuples(("a", "b"), 40, seed + 9999))
-    assert (0, 0) in draws  # the all-zero tuple is drawn and must be skipped
-    assert any(a == 0 and b != 0 for a, b in draws)
+    draws = tables_mod._grid_tuples(("a", "b"), 40, seed + 9999).tolist()
+    assert [ZERO, ZERO] in draws  # the all-zero tuple is drawn and must be skipped
+    assert any(a == ZERO and b != ZERO for a, b in draws)
     generic = {"triple": "222", "predicate": "a!=0 & b!=0"}
     one_zero = {"triple": "111", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
     report = tables_mod.TableReport(0, "probe")
@@ -271,15 +275,18 @@ def _per_tuple_uncovered(family, registry, draws):
     return None
 
 
-def _assert_scan_follows_tuples(family, registry, draws, batched=True):
+def _assert_scan_follows_tuples(family, registry, positions, batched=True):
     """Triples, predicate masks, matched rows, skips and messages, tuple by tuple."""
     entry = registry.get(family)
-    scan = tables_mod._Scan(family, {0: draws}, registry)
+    scan = tables_mod._Scan(family, {0: positions}, registry)
     assert scan.batched == batched
-    assert len(scan.tuples) == len(set(draws))
+    draws = _fractions(positions)
+    assert len(scan.grid) == len(set(draws))
+    assert sorted(map(scan.values, range(len(scan.grid)))) == sorted(set(draws))
     rules = [r for r in entry.rules if r.predicate is not None]
-    masks = scan.masks()
-    for t, values in enumerate(scan.tuples):
+    masks = scan.masks
+    for t in range(len(scan.grid)):
+        values = scan.values(t)
         bindings = {s: ExactScalar._coerce(v) for s, v in zip(entry.params, values)}
         assert [m[t] for m in masks] == [r.predicate.holds(bindings) for r in rules]
         try:
@@ -300,22 +307,22 @@ def _assert_scan_follows_tuples(family, registry, draws, batched=True):
 
 def test_batched_scan_on_the_whole_l_ab3_prime_grid():
     draws, drawn = tables_mod._scan_draws(("a", "b"), 729, [0])
-    assert drawn == "all 729 grid tuples" and len(set(draws[0])) == 729
+    assert drawn == "all 729 grid tuples" and len(set(_fractions(draws[0]))) == 729
     _assert_scan_follows_tuples("L_ab3'", default_registry(), draws[0])
 
 
 @pytest.mark.parametrize("family, count", [("G_abcd", 400), ("L_abc2", 400), ("L_ab3", 300)])
 def test_batched_scan_on_seeded_draws(family, count):
     registry = default_registry()
-    draws = list(tables_mod._grid_tuples(registry.get(family).params, count, 21))
+    draws = tables_mod._grid_tuples(registry.get(family).params, count, 21)
     if family == "G_abcd":
-        draws.append((0, 0, 0, 0))  # the zero vector
+        draws = np.vstack([draws, [[ZERO] * 4]])  # the zero vector
     _assert_scan_follows_tuples(family, registry, draws)
 
 
 def test_batched_scan_reports_each_gap_as_the_per_tuple_route_does():
-    draws = list(tables_mod._grid_tuples(("a", "b"), 40, 10000))
-    assert (0, 0) in draws
+    draws = tables_mod._grid_tuples(("a", "b"), 40, 10000)
+    assert [ZERO, ZERO] in draws.tolist()
     generic = {"triple": "222", "predicate": "a!=0 & b!=0"}
     one_zero = {"triple": "111", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
     wrong = {"triple": "222", "predicate": "a=0 & b!=0 | b=0 & a!=0"}
@@ -341,7 +348,7 @@ def test_batched_scan_on_coefficients_beyond_int64():
         {"triple": "444", "predicate": "a!=0 & b!=0"},
     ]})
     assert registry.get("big").template.integer_form is None
-    draws = list(tables_mod._grid_tuples(("a", "b"), 60, 4))
+    draws = tables_mod._grid_tuples(("a", "b"), 60, 4)
     _assert_scan_follows_tuples("big", registry, draws, batched=False)
     # and so does one that fits int64 until the tuples scale it
     amps[0], amps[15] = "1*a", f"{2**60}*a + 1"
@@ -354,7 +361,7 @@ def test_batched_scan_on_coefficients_beyond_int64():
 
 def test_batched_scan_on_predicate_coefficients_beyond_int64_products():
     # so does a predicate whose cross-multiplied products could pass int64
-    draws = list(tables_mod._grid_tuples(("a", "b"), 40, 10000))
+    draws = tables_mod._grid_tuples(("a", "b"), 40, 10000)
     rules = [{"triple": "222", "predicate": "a!=0 & b!=0"},
              {"triple": "111", "predicate": f"a=0 & b!=0 | b=0 & a!=0 | a=±{2**40}b"}]
     _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, batched=False)
