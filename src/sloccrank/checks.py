@@ -297,7 +297,13 @@ CHECKS = {
 }
 
 
+MAX_TRIALS = 10_000  # every check but det-identity holds all its draws at once
+
+
 def run_check(name: str, trials: int | None = None, seed: int = 0) -> CheckResult:
+    """Run one check with ``trials`` trials (its default when ``None``), from 1
+    to ``MAX_TRIALS``: a check that ran nothing must not pass, and the draws
+    of ``MAX_TRIALS`` trials must fit in memory."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     fn = CHECKS[name]
@@ -305,4 +311,6 @@ def run_check(name: str, trials: int | None = None, seed: int = 0) -> CheckResul
         return fn(seed=seed)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     return fn(trials=trials, seed=seed)

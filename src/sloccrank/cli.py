@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import checks
+from .checks import MAX_TRIALS
 from .coeffmatrix import rank_signature, split_rank
 from .families import (
     SPLIT_BITS,
@@ -61,23 +62,23 @@ def _env_seed() -> int:
         raise UsageError(f"SLOCC_RANK_SEED must be an integer, got {raw!r}") from None
 
 
-def _count(text: str) -> int:
-    """A trial or sample count: a gate that ran nothing must not pass."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _count(limit: int):
+    """A trial or sample count: at least 1, since a gate that ran nothing must
+    not pass, and at most ``limit`` (``MAX_TRIALS``, ``MAX_SAMPLES``), so that
+    its draws fit in memory."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {limit}, got {text!r}")
+        return value
 
-def _samples(text: str) -> int:
-    """A table's sample count: at least 1, and at most ``MAX_SAMPLES`` so that its scans fit."""
-    value = _count(text)
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be an integer <= {MAX_SAMPLES}, got {text!r}")
-    return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -91,16 +92,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--mode", choices=("exact", "numeric"), default=None,
-                        help="override the scalar mode (default: exact when possible)")
-    parser.add_argument("--tolerance", type=_tolerance, default=None,
-                        help="relative singular-value cutoff for numeric ranks")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (falls back to SLOCC_RANK_SEED, then 0)")
-    parser.add_argument("--output", choices=("text", "machine"), default="text")
-    parser.add_argument("--registry", default=None,
-                        help="JSON file with additional family templates/rules")
+_COMMON = {
+    "mode": dict(choices=("exact", "numeric"), default=None,
+                 help="override the scalar mode (default: exact when possible)"),
+    "tolerance": dict(type=_tolerance, default=None,
+                      help="relative singular-value cutoff for numeric ranks"),
+    "seed": dict(type=int, default=None, help="RNG seed (falls back to SLOCC_RANK_SEED, then 0)"),
+    "output": dict(choices=("text", "machine"), default="text"),
+    "registry": dict(default=None, help="JSON file with additional family templates/rules"),
+}
+
+
+def _add_common(parser, *names):
+    """The common flags ``names`` that the subcommand reads, and no other."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> _Parser:
@@ -110,25 +116,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ranks", help="rank signature of a state file")
     p.add_argument("state_file")
     p.add_argument("--bits", default=None, help="single split by qubit letters, e.g. AB")
-    _add_common(p)
+    _add_common(p, "mode", "tolerance", "output")
 
     p = sub.add_parser("classify", help="separability partition and subfamily")
     p.add_argument("state_file")
-    _add_common(p)
+    _add_common(p, "mode", "tolerance", "output", "registry")
 
     p = sub.add_parser("invariants", help="dxy, f1, f2 and the three half determinants")
     p.add_argument("state_file")
-    _add_common(p)
+    _add_common(p, "mode", "output")
 
     p = sub.add_parser("verify", help="run a named property check")
     p.add_argument("check", choices=sorted(checks.CHECKS) + ["all"])
-    p.add_argument("--trials", type=_count, default=None)
-    _add_common(p)
+    p.add_argument("--trials", type=_count(MAX_TRIALS), default=None)
+    _add_common(p, "seed", "output")
 
     p = sub.add_parser("table", help="reproduce a bundled reference table")
     p.add_argument("table_id", type=int, choices=TABLE_IDS)
-    p.add_argument("--samples", type=_samples, default=20)
-    _add_common(p)
+    p.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
+    _add_common(p, "seed", "output", "registry")
     return parser
 
 
@@ -146,7 +152,7 @@ def _load_state(path: str, mode: str | None) -> tuple[PureState, str]:
 
 
 def _registry_from(args) -> FamilyRegistry:
-    if not getattr(args, "registry", None):
+    if not args.registry:
         return default_registry()
     registry = FamilyRegistry()
     registry.load_file(args.registry)

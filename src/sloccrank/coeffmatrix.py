@@ -521,34 +521,29 @@ def _qubit_classes(psi: PureState) -> tuple[int, ...]:
     its amplitude tensor, numbered 0, 1, ... in order of first qubit.
 
     If (i j) and (j k) fix the tensor, so does (i k) = (i j)(j k)(i j),
-    so the fixing swaps are an equivalence on the qubits, and union-find
-    over them is exact: two qubits share a class only when their swap
-    fixes the tensor.  Each pair of qubits in distinct classes is tested
-    in two steps, cheapest first: per qubit, the sum of one integer image
-    of each quadruple at the indices that set its bit (equal for i and j
-    when (i j) fixes the tensor, also where int64 wraps, so a random state
-    stops here), then the quadruple array against its swapped axes, which
-    alone proves the swap.
+    so the fixing swaps are an equivalence on the qubits, and a qubit
+    joins a class exactly when its swap with the class's first qubit
+    fixes the tensor.  Each qubit is tested against the first qubit of
+    each class found so far, in two steps, cheapest first: per qubit, the
+    sum of one integer image of each quadruple at the indices that set
+    its bit (equal for i and j when (i j) fixes the tensor, also where
+    int64 wraps, so a random state stops here), then the quadruple array
+    against its swapped axes, which alone proves the swap.
     """
     quads = psi.cleared[0]
-    n = psi.n
     image = quads @ np.array([1, 3, 5, 7])  # one reduction per qubit below, not four
-    ones = [int(image.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(n)]
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for j in range(1, n):
-        for i in range(j):
-            if ones[i] != ones[j] or find(i) == find(j):
-                continue
-            if np.array_equal(quads, quads.swapaxes(i, j)):
-                parent[find(j)] = find(i)
-    ids = {}
-    return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
+    ones = [int(image.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(psi.n)]
+    firsts: list[int] = []
+    classes = []
+    for j in range(psi.n):
+        for c, i in enumerate(firsts):
+            if ones[i] == ones[j] and np.array_equal(quads, quads.swapaxes(i, j)):
+                classes.append(c)
+                break
+        else:
+            classes.append(len(firsts))
+            firsts.append(j)
+    return tuple(classes)
 
 
 @lru_cache(maxsize=32)

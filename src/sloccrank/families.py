@@ -780,13 +780,14 @@ class _RatioUnionFind:
         return m * root_values[root]
 
 
-def sample_predicate(
-    rule: SubfamilyRule, count: int, seed: int, max_attempts: int = 10000
-) -> list[tuple[Fraction, ...]]:
+MAX_ATTEMPTS = 10000  # draws per tuple before ``sample_predicate`` gives up
+
+
+def sample_predicate(rule: SubfamilyRule, count: int, seed: int) -> list[tuple[Fraction, ...]]:
     """Deterministic small-rational parameter tuples satisfying the rule.
 
     Equality constraints are solved by substitution; inequalities by
-    rejection over a small grid, with at most ``max_attempts`` draws for
+    rejection over a small grid, with at most ``MAX_ATTEMPTS`` draws for
     each tuple.
     """
     if rule.predicate is None:
@@ -798,10 +799,10 @@ def sample_predicate(
     conjunctions = rule.predicate.conjunctions or ((),)
     while len(out) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > MAX_ATTEMPTS:
             raise SamplingError(
                 f"could not satisfy predicate {rule.predicate.render()!r} within"
-                f" {max_attempts} attempts"
+                f" {MAX_ATTEMPTS} attempts"
             )
         conj = conjunctions[rng.randrange(len(conjunctions))]
         uf = _RatioUnionFind(symbols)

@@ -117,31 +117,14 @@ def separability_partition(psi: PureState, *, tolerance=None) -> SeparabilityPar
 
 
 def partition_from_signature(sig: RankSignature) -> SeparabilityPartition:
-    """Finest partition: two qubits share a block unless some rank-1 split
-    separates them."""
+    """Finest partition: two qubits share a block exactly when every rank-1
+    split holds both of them or neither, so a block is the set of qubits
+    with one membership vector over the rank-1 splits."""
     separators = [set(k) for k in sig.rank_one_splits()]
-    parent = list(range(sig.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(1, sig.n + 1):
-        for j in range(i + 1, sig.n + 1):
-            if all((i in s) == (j in s) for s in separators):
-                union(i, j)
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple[bool, ...], list[int]] = {}
     for p in range(1, sig.n + 1):
-        groups.setdefault(find(p), []).append(p)
-    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    return SeparabilityPartition(sig.n, blocks, sig.labels)
+        groups.setdefault(tuple(p in s for s in separators), []).append(p)
+    return SeparabilityPartition(sig.n, tuple(sorted(map(tuple, groups.values()))), sig.labels)
 
 
 def degenerate_family(psi: PureState, *, tolerance=None) -> DegenerateFamilyLabel:

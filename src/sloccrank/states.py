@@ -273,11 +273,15 @@ def scale(psi: PureState, c) -> PureState:
     return PureState(psi.n, tuple(a * c for a in amps), psi.labels)
 
 
-def random_exact_state(n: int, rng: random.Random, span: int = 3) -> PureState:
-    """Random state with Gaussian-integer amplitudes from a small grid."""
+AMP_SPAN = 3
+
+
+def random_exact_state(n: int, rng: random.Random) -> PureState:
+    """Random state with Gaussian-integer amplitudes, each real and imaginary
+    part drawn from [-AMP_SPAN, AMP_SPAN]."""
     while True:
         amps = [
-            ExactScalar(rng.randint(-span, span), rng.randint(-span, span))
+            ExactScalar(rng.randint(-AMP_SPAN, AMP_SPAN), rng.randint(-AMP_SPAN, AMP_SPAN))
             for _ in range(1 << n)
         ]
         if any(not a.is_zero() for a in amps):

@@ -326,7 +326,7 @@ def _run_table4(samples: int, seed: int, registry: FamilyRegistry) -> TableRepor
                 if got != idx:
                     return f"params {values}: rank {got}"
                 try:
-                    if classify_g_split(split, values, registry) != idx:
+                    if classify_g_split(split, values, registry, family=family) != idx:
                         return f"params {values}: classified into another row"
                 except ClassificationError as exc:
                     return f"params {values}: {exc}"

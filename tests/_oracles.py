@@ -3,8 +3,9 @@
 These deliberately avoid the package's fraction-free kernel: rank by
 division-based Gaussian elimination with field inverses, determinant by
 the permutation-sum expansion; its term scanner: the scalar text
-grammar as a split-then-match parser over Fractions; and its array
-residues: one Python-int image per quadruple.
+grammar as a split-then-match parser over Fractions; its array
+residues: one Python-int image per quadruple; and its equivalence
+classes of qubits: the union-finds that the direct tests replaced.
 """
 
 from __future__ import annotations
@@ -48,6 +49,55 @@ def residues_p(quads) -> np.ndarray:
 def residues_q(quads) -> np.ndarray:
     """The images ``a + b*I_Q + c*S_Q + d*I_Q*S_Q`` in F_Q, as an int64 array in [0, Q)."""
     return np.array([(a + b * I_Q + c * S_Q + d * I_Q * S_Q) % Q for a, b, c, d in quads], np.int64)
+
+
+def ref_partition_blocks(sig) -> tuple[tuple[int, ...], ...]:
+    """The blocks of ``separability.partition_from_signature``, by union-find
+    over every pair of qubits that no rank-1 split of ``sig`` separates."""
+    separators = [set(k) for k in sig.rank_one_splits()]
+    parent = list(range(sig.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, sig.n + 1):
+        for j in range(i + 1, sig.n + 1):
+            if all((i in s) == (j in s) for s in separators):
+                rx, ry = find(i), find(j)
+                if rx != ry:
+                    parent[rx] = ry
+    groups: dict[int, list[int]] = {}
+    for p in range(1, sig.n + 1):
+        groups.setdefault(find(p), []).append(p)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def ref_qubit_classes(psi) -> tuple[int, ...]:
+    """``coeffmatrix._qubit_classes`` by union-find: each qubit is tested
+    against every earlier qubit of another class, filter first, then by
+    ``np.array_equal`` on the swapped quadruple array."""
+    quads = psi.cleared[0]
+    n = psi.n
+    image = quads @ np.array([1, 3, 5, 7])
+    ones = [int(image.reshape(1 << i, 2, -1)[:, 1].sum()) for i in range(n)]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for j in range(1, n):
+        for i in range(j):
+            if ones[i] != ones[j] or find(i) == find(j):
+                continue
+            if np.array_equal(quads, quads.swapaxes(i, j)):
+                parent[find(j)] = find(i)
+    ids = {}
+    return tuple(ids.setdefault(find(i), len(ids)) for i in range(n))
 
 
 def ref_rank_exact(rows: list[list[ExactScalar]]) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import sloccrank.tables as tables_mod
-from sloccrank.cli import main
+from sloccrank.cli import build_parser, main
 from sloccrank.coeffmatrix import enumerate_bipartitions
 from sloccrank.families import instantiate
 from sloccrank.states import product_state, render_state, state
@@ -224,6 +224,39 @@ def test_run_check_rejects_empty_trial_counts(trials):
 
     with pytest.raises(ValueError, match="trials"):
         run_check("kron-rank", trials=trials)
+
+
+def _refuse_to_run(monkeypatch):
+    """Every check fails the test if it is run, so nothing is drawn."""
+    import sloccrank.checks as checks_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a check")
+
+    for name in checks_mod.CHECKS:
+        monkeypatch.setitem(checks_mod.CHECKS, name, refuse)
+
+
+@pytest.mark.parametrize("excess", [1, 10**20])
+def test_run_check_refuses_trials_above_the_bound_before_drawing(excess, monkeypatch):
+    from sloccrank.checks import CHECKS, MAX_TRIALS, run_check
+
+    _refuse_to_run(monkeypatch)
+    for name in CHECKS:
+        with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}"):
+            run_check(name, trials=MAX_TRIALS + excess)
+
+
+@pytest.mark.parametrize("excess", [1, 10**20])
+def test_cli_refuses_trials_above_the_bound(excess, monkeypatch, capsys):
+    from sloccrank.checks import MAX_TRIALS
+
+    _refuse_to_run(monkeypatch)
+    assert main(["verify", "all", "--trials", str(MAX_TRIALS + excess)]) == 1
+    captured = capsys.readouterr()
+    assert f"must be an integer <= {MAX_TRIALS}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert build_parser().parse_args(["verify", "all", "--trials", str(MAX_TRIALS)]).trials == MAX_TRIALS
 
 
 def test_verify_env_seed(monkeypatch, capsys):
@@ -447,3 +480,38 @@ def test_colliding_labels_are_a_parse_error(labels, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "distinct single characters" in captured.err and "Traceback" not in captured.err
+
+
+# the common flags each subcommand reads; every other one is refused
+READS = {
+    "ranks": ("mode", "tolerance", "output"),
+    "classify": ("mode", "tolerance", "output", "registry"),
+    "invariants": ("mode", "output"),
+    "verify": ("seed", "output"),
+    "table": ("seed", "output", "registry"),
+}
+COMMON = {"mode": "exact", "tolerance": "0.1", "seed": "3", "output": "machine", "registry": None}
+
+
+def _command(name, ghz4_file):
+    return {"verify": ["verify", "kron-rank"], "table": ["table", "1"]}.get(name, [name, ghz4_file])
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in READS.items() for flag in COMMON if flag not in flags
+])
+def test_a_common_flag_the_subcommand_does_not_read_is_refused(command, flag, ghz4_file, capsys):
+    value = COMMON[flag] or ghz4_file
+    assert main(_command(command, ghz4_file) + [f"--{flag}", value]) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --{flag}" in captured.err and captured.out == ""
+
+
+def test_each_subcommand_reads_its_common_flags(ghz4_file):
+    assert sum(len(flags) for flags in READS.values()) == 14
+    parser = build_parser()
+    for command, flags in READS.items():
+        argv = _command(command, ghz4_file)
+        for flag in flags:
+            args = parser.parse_args(argv + [f"--{flag}", COMMON[flag] or ghz4_file])
+            assert getattr(args, flag) is not None

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sloccrank.families as families
 from sloccrank.families import (
     ALL_PERMUTATIONS,
     MASK_FACTOR_LIMIT,
@@ -281,7 +282,7 @@ def test_sample_unreachable_row_raises():
         sample_predicate(empty, 1, seed=0)
 
 
-def test_sample_unsatisfiable_predicate_raises():
+def test_sample_unsatisfiable_predicate_raises(monkeypatch):
     from sloccrank.families import SubfamilyRule, parse_predicate
 
     rule = SubfamilyRule(
@@ -290,16 +291,19 @@ def test_sample_unsatisfiable_predicate_raises():
         predicate=parse_predicate("a=0 & a!=0"),
         symbols=("a",),
     )
+    monkeypatch.setattr(families, "MAX_ATTEMPTS", 200)
     with pytest.raises(SamplingError):
-        sample_predicate(rule, 1, seed=0, max_attempts=200)
+        sample_predicate(rule, 1, seed=0)
 
 
-def test_sample_predicate_budget_is_per_tuple():
+def test_sample_predicate_budget_is_per_tuple(monkeypatch):
     rule = SubfamilyRule("x", RankTriple(1, 1, 1), parse_predicate(""), ("a", "b"))
-    drawn = sample_predicate(rule, 3, seed=0, max_attempts=1)  # one draw per tuple suffices
-    assert drawn == sample_predicate(rule, 3, seed=0)
+    drawn = sample_predicate(rule, 3, seed=0)
+    monkeypatch.setattr(families, "MAX_ATTEMPTS", 1)  # one draw per tuple suffices
+    assert sample_predicate(rule, 3, seed=0) == drawn
     rule = SubfamilyRule("x", RankTriple(1, 1, 1), parse_predicate("a!=0"), ("a",))
-    assert len(sample_predicate(rule, 40, seed=1, max_attempts=20)) == 40
+    monkeypatch.setattr(families, "MAX_ATTEMPTS", 20)
+    assert len(sample_predicate(rule, 40, seed=1)) == 40
 
 
 # --- registry ------------------------------------------------------------------------

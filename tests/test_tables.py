@@ -112,6 +112,17 @@ def test_table_4_reports_overlapping_split_rows_as_mismatches(quick_scans):
     assert "per-split rows [3, 4] of G_abcd/AB match simultaneously" in row.computed
 
 
+def test_table_4_classifies_into_the_family_its_data_names(monkeypatch, quick_scans):
+    data = next(e for e in _builtin_data() if e["name"] == "G_abcd")
+    registry = FamilyRegistry(include_builtin=False)
+    registry.register_entry(dict(data, name="G_renamed"))
+    tables = dict(tables_mod._table_data())
+    tables["4"] = dict(tables["4"], family="G_renamed")
+    monkeypatch.setattr(tables_mod, "_table_data", lambda: tables)
+    report = run_table(4, samples=3, seed=1, registry=registry)
+    assert report.passed and len(report.rows) == 12
+
+
 def test_table_4_without_split_rules_is_a_family_error():
     with pytest.raises(FamilyError, match="'G_abcd' has no per-split rules"):
         run_table(4, samples=3, seed=1, registry=_g_abcd_registry(None))

@@ -33,16 +33,7 @@ from sloccrank import rank_signature, rank_signatures, state
 from sloccrank.coeffmatrix import enumerate_bipartitions
 from sloccrank.slocc import apply_local, random_invertible_local
 from sloccrank.states import product_state, random_exact_state
-
-def _ghz(n: int, rng: random.Random):
-    return state(n, [1] + [0] * ((1 << n) - 2) + [1])
-
-
-def _w(n: int, rng: random.Random):
-    amps = [0] * (1 << n)
-    for k in range(n):
-        amps[1 << k] = 1
-    return state(n, amps)
+from sloccrank.tables import ghz, w_state
 
 
 def _dicke(n: int, rng: random.Random):
@@ -61,19 +52,19 @@ def _product(n: int, rng: random.Random):
     return product_state(factors, n)
 
 
-def _local(kind):
-    """``kind`` under random invertible local operators drawn from ``rng``."""
-    return lambda n, rng: apply_local(kind(n, rng), random_invertible_local(n, rng.randrange(1 << 32)))
+def _local(build):
+    """``build(n)`` under random invertible local operators drawn from ``rng``."""
+    return lambda n, rng: apply_local(build(n), random_invertible_local(n, rng.randrange(1 << 32)))
 
 
 KINDS = {
     "random": lambda n, rng: random_exact_state(n, rng),
-    "ghz": _ghz,
-    "w": _w,
+    "ghz": lambda n, rng: ghz(n),
+    "w": lambda n, rng: w_state(n),
     "dicke": _dicke,
     "product": _product,
-    "ghz_local": _local(_ghz),
-    "w_local": _local(_w),
+    "ghz_local": _local(ghz),
+    "w_local": _local(w_state),
 }
 RANK_TWO = ("ghz", "w", "ghz_local", "w_local")  # every split of these has rank 2
 
