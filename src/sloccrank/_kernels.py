@@ -361,6 +361,14 @@ def residues_mod(q, primes):
     return m
 
 
+def support_residues(q):
+    """``residues_mod(q, P_ROW)[0]`` with every nonzero quadruple that
+    vanishes mod P stored as P, so that the nonzero cells are the support."""
+    res = residues_mod(q, P_ROW)[0]
+    res[(res == 0) & q.any(axis=-1)] = P
+    return res
+
+
 def ranks_mod_q(m):
     """The rank mod Q of each matrix of a (B, rows, cols) int64 stack.
 
@@ -569,8 +577,7 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     q = None
     if res is None:
         q = quad_array(entries)
-        res = residues_mod(q, P_ROW)[0]
-        res[(res == 0) & q.any(axis=-1)] = P
+        res = support_residues(q)
     mod = res.reshape(nrows, ncols)
     rows = mod.any(axis=1).nonzero()[0]
     cols = mod.any(axis=0).nonzero()[0]
@@ -593,8 +600,6 @@ def _certified_rank(entries, nrows, ncols, res=None, cap=None, floor=None):
     if q is None:
         q = quad_array(entries)
     sub = q.reshape(nrows, ncols, 4)[rows[:, None], cols]
-    if sub.dtype != np.int64:  # a component beyond int64: elimination decides
-        return _eliminate(list(map(tuple, sub.reshape(-1, 4).tolist())), len(rows), len(cols))[0]
     # r steps only: a full elimination over the primes cost lowrank_signatures 18-25%
     return int(stacked_rank(sub[None], [r])[0])
 
@@ -603,7 +608,9 @@ def stacked_rank(q, ranks=None):
     """Exact ranks of a stack of quadruple matrices, as an int64 array.
 
     ``q`` is a (B, r, c, 4) int64 array, ranked in its wide orientation (a
-    tall stack is transposed, and its rows below are the columns of ``q``).
+    tall stack is transposed, and its rows below are the columns of ``q``),
+    or an object one (Python ints, a component beyond int64), whose every
+    matrix ``_eliminate`` ranks.
     Each matrix's rank R mod P is ``ranks[b]`` when the caller has it, with
     R rows independent mod P first, or else comes from one ``_reduce_mod``
     over every row mod P, whose live rows are then moved first.  A matrix
@@ -616,8 +623,8 @@ def stacked_rank(q, ranks=None):
     matrix of rank 2 took 3.7-3.9 ms against 1.9-2.0 ms with them (one
     core of a 2-CPU x86-64 host).
     """
-    if q.dtype != np.int64:
-        raise TypeError(f"stacked_rank takes an int64 stack, got {q.dtype}")
+    if q.dtype != np.int64:  # a component beyond int64: elimination decides
+        return np.array([_eliminate(_listed(m), *q.shape[1:3])[0] for m in q], dtype=np.int64)
     if q.shape[1] > q.shape[2]:  # wide orientation: one step per row
         q = q.swapaxes(1, 2)
     nrows, ncols = q.shape[1:3]
@@ -646,8 +653,13 @@ def stacked_rank(q, ranks=None):
         live = m.reshape(len(primes), len(check), nrows, ncols).any(axis=3)
         failed[check] = (live & (np.arange(nrows) >= r[:, None])).any(axis=(0, 2))
     for b in np.flatnonzero(failed).tolist():
-        ranks[short[b]] = _eliminate(list(map(tuple, q[b].reshape(-1, 4).tolist())), nrows, ncols)[0]
+        ranks[short[b]] = _eliminate(_listed(q[b]), nrows, ncols)[0]
     return ranks
+
+
+def _listed(m):
+    """The row-major quadruples of one matrix of a stack, as ``_eliminate`` reads them."""
+    return list(map(tuple, m.reshape(-1, 4).tolist()))
 
 
 def bareiss(entries, nrows, ncols, det=True, res=None, cap=None, floor=None):

@@ -118,13 +118,9 @@ def parse_affine(text: str, symbols) -> AffineExpr:
 
 # --- predicate language -------------------------------------------------------
 
-_ATOM_RE = re.compile(
-    r"^(?P<lhs>[A-Za-z_][A-Za-z0-9_]*)"
-    r"(?P<op>!?=)"
-    r"(?P<rhs>0|(?:±|\+-|-)?\d*\*?[A-Za-z_][A-Za-z0-9_]*)$"
-)
-_RHS_RE = re.compile(
-    r"^(?P<sign>±|\+-|-)?(?P<coef>\d+)?\*?(?P<sym>[A-Za-z_][A-Za-z0-9_]*)$"
+_ATOM_RE = re.compile(  # x=0, or x=Ny with an optional sign and N, as a full match
+    r"(?P<lhs>[A-Za-z_][A-Za-z0-9_]*)(?P<op>!?=)"
+    r"(?:0|(?P<sign>±|\+-|-)?(?P<coef>\d+)?\*?(?P<sym>[A-Za-z_][A-Za-z0-9_]*))"
 )
 
 
@@ -169,12 +165,12 @@ class Predicate:
     def mask(self, symbols, nums, dens) -> np.ndarray:
         """``holds`` on T rational tuples at once, as a boolean array.
 
-        ``nums`` and ``dens`` are (T, len(symbols)) int64 arrays: the
-        tuples' numerators and positive denominators, in ``symbols``
-        order.  With x = xn/xd, y = yn/yd and N = n/d, the atom x = N*y
-        holds exactly when xn * yd * d == n * yn * xd.  Every factor must
+        ``nums`` and ``dens`` are (T, len(symbols)) arrays: the tuples'
+        numerators and positive denominators, in ``symbols`` order.  With
+        x = xn/xd, y = yn/yd and N = n/d, the atom x = N*y holds exactly
+        when xn * yd * d == n * yn * xd.  In int64 arrays every factor must
         be below ``MASK_FACTOR_LIMIT``, as ``fits_int64`` checks, so that
-        the products fit int64.
+        the products fit; object arrays (Python ints) are exact at any size.
         """
         if not self.conjunctions:
             return np.ones(len(nums), dtype=bool)
@@ -231,22 +227,20 @@ class Predicate:
 
 
 def parse_atom(text: str) -> Atom:
-    compact = "".join(text.split())
-    m = _ATOM_RE.match(compact)
+    m = _ATOM_RE.fullmatch("".join(text.split()))
     if not m:
         raise FamilyError(f"bad predicate atom {text!r}")
-    lhs = m.group("lhs")
-    equal = m.group("op") == "="
-    rhs = m.group("rhs")
-    if rhs == "0":
-        return Atom(lhs, equal, None)
-    rm = _RHS_RE.match(rhs)
-    sign = rm.group("sign")
-    coef = Fraction(int(rm.group("coef") or 1))
-    plus_minus = sign in ("±", "+-")
-    if sign == "-":
-        coef = -coef
-    return Atom(lhs, equal, rm.group("sym"), coef, plus_minus)
+    equal = m["op"] == "="
+    if m["sym"] is None:
+        return Atom(m["lhs"], equal, None)
+    try:
+        coef = Fraction(int(m["coef"] or 1))
+    except ValueError:  # beyond Python's int-string limit
+        raise FamilyError(f"bad predicate atom {text!r}: coefficient too long") from None
+    if not coef:  # x = 0*y says x = 0, and no solver can divide by it
+        raise FamilyError(f"bad predicate atom {text!r}: zero coefficient")
+    sign = m["sign"]
+    return Atom(m["lhs"], equal, m["sym"], -coef if sign == "-" else coef, sign in ("±", "+-"))
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -285,21 +279,21 @@ class FamilyTemplate:
         )
 
     @cached_property
-    def integer_form(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(const, coeffs)``: the template as int64 quadruple arrays.
+    def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(const, coeffs)``: the template as quadruple arrays.
 
         Over one common denominator, amplitude k at parameters v is
         ``const[k] + sum_j v_j * coeffs[j, k]``; ``const`` is (16, 4) and
         ``coeffs`` (len(params), 16, 4).  The dropped denominator scales
-        the state, which changes no rank.  None when a component does not
-        fit int64.
+        the state, which changes no rank.  Both are int64, or Python ints
+        (object) when a component does not fit int64 (``quad_array``).
         """
         zero = ExactScalar(0)
         by_symbol = [dict(e.coeffs) for e in self.amps]
         values = [e.const for e in self.amps]
         values += [terms.get(s, zero) for s in self.params for terms in by_symbol]
         form = quad_array(common_denominator(values)[0]).reshape(1 + len(self.params), 16, 4)
-        return (form[0], form[1:]) if form.dtype == np.int64 else None
+        return form[0], form[1:]
 
 
 @dataclass(frozen=True)
@@ -502,6 +496,8 @@ class FamilyRegistry:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise FamilyError(f"registry file {path} is not valid JSON: {exc}") from None
+            except RecursionError:
+                raise FamilyError(f"registry file {path} nests too deeply") from None
         if not isinstance(data, list):
             raise FamilyError("registry file must contain an array of families")
         return [self.register_entry(item) for item in data]
@@ -637,16 +633,16 @@ _SPLIT_PICKS = np.stack([
 def fits_int64(entry: FamilyEntry, nums, dens) -> bool:
     """Whether ``rank_triples`` and the rules' ``Predicate.mask`` take these tuples in int64.
 
-    ``nums`` and ``dens`` are as for ``_instantiate_stack``.  The template
-    must have an ``integer_form``, a bound on every component and scale
+    ``nums`` and ``dens`` are as for ``_instantiate_stack``.  The template's
+    ``integer_form`` must be int64, a bound on every component and scale
     that ``_instantiate_stack`` forms must be below 2**63, and every
     factor of the predicates' cross-multiplied products below
-    ``MASK_FACTOR_LIMIT``.  The bound is taken in Python ints.
+    ``MASK_FACTOR_LIMIT``.  The bound is taken in Python ints.  Tuples
+    that fail it go through both as object arrays (Python ints).
     """
-    form = entry.template.integer_form
-    if form is None:
+    const, coeffs = entry.template.integer_form
+    if const.dtype != np.int64:
         return False
-    const, coeffs = form
 
     def top(a):
         return int(np.abs(a).max(initial=0))
@@ -666,8 +662,9 @@ def fits_int64(entry: FamilyEntry, nums, dens) -> bool:
 def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
     """Integer quadruple amplitudes of T rational parameter tuples, as (T, 16, 4).
 
-    ``nums`` and ``dens`` are (T, len(params)) int64 arrays of the values'
-    numerators and positive denominators, for which ``fits_int64`` holds.
+    ``nums`` and ``dens`` are (T, len(params)) arrays of the values'
+    numerators and positive denominators: int64 when ``fits_int64`` holds,
+    else object.
     Row t is the template at tuple t times ``integer_form``'s denominator
     and the product D_t of the tuple's denominators, so it is integral and
     has the ranks of ``instantiate``'s state.
@@ -737,58 +734,18 @@ GRID_DRAWS = np.array(
 )
 
 
-class _RatioUnionFind:
-    """Union-find tracking value[sym] = mult * value[root], with zero roots."""
-
-    def __init__(self, symbols):
-        self.parent = {s: s for s in symbols}
-        self.mult = {s: Fraction(1) for s in symbols}
-        self.zero: set[str] = set()
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, Fraction(1)
-        root, m = self.find(self.parent[x])
-        self.mult[x] = self.mult[x] * m
-        self.parent[x] = root
-        return root, self.mult[x]
-
-    def set_zero(self, x):
-        root, _ = self.find(x)
-        self.zero.add(root)
-
-    def relate(self, x, k: Fraction, y):
-        """Impose value[x] = k * value[y]."""
-        rx, mx = self.find(x)
-        ry, my = self.find(y)
-        if rx == ry:
-            if mx != k * my:
-                # only solution is zero
-                self.zero.add(rx)
-            return
-        # value[rx] = (k * my / mx) * value[ry]
-        self.parent[rx] = ry
-        self.mult[rx] = k * my / mx
-        if rx in self.zero:
-            self.zero.discard(rx)
-            self.zero.add(ry)
-
-    def value(self, x, root_values):
-        root, m = self.find(x)
-        if root in self.zero:
-            return Fraction(0)
-        return m * root_values[root]
-
-
 MAX_ATTEMPTS = 10000  # draws per tuple before ``sample_predicate`` gives up
 
 
 def sample_predicate(rule: SubfamilyRule, count: int, seed: int) -> list[tuple[Fraction, ...]]:
     """Deterministic small-rational parameter tuples satisfying the rule.
 
-    Equality constraints are solved by substitution; inequalities by
-    rejection over a small grid, with at most ``MAX_ATTEMPTS`` draws for
-    each tuple.
+    Each draw picks a conjunction and solves its equalities by
+    substitution: every symbol is a multiple of its class's root, and the
+    equality x = N*y moves x's class under y's root.  Each root then takes
+    one grid value, in order of its class's first symbol.  The
+    inequalities are met by rejection, with at most ``MAX_ATTEMPTS`` draws
+    for each tuple.
     """
     if rule.predicate is None:
         raise SamplingError(f"row {rule.triple} of {rule.family} is unreachable")
@@ -805,23 +762,36 @@ def sample_predicate(rule: SubfamilyRule, count: int, seed: int) -> list[tuple[F
                 f" {MAX_ATTEMPTS} attempts"
             )
         conj = conjunctions[rng.randrange(len(conjunctions))]
-        uf = _RatioUnionFind(symbols)
+        classes = {s: (s, Fraction(1)) for s in symbols}  # value[s] = mult * value[root]
+        zero = set()  # the roots of the classes that only zero solves
         for atom in conj:
             if not atom.equal:
                 continue
             if atom.rhs_sym is None:
-                uf.set_zero(atom.lhs)
-            else:
-                coef = atom.coef
-                if atom.plus_minus and rng.random() < 0.5:
-                    coef = -coef
-                uf.relate(atom.lhs, coef, atom.rhs_sym)
+                zero.add(classes[atom.lhs][0])
+                continue
+            coef = atom.coef
+            if atom.plus_minus and rng.random() < 0.5:
+                coef = -coef
+            (rx, mx), (ry, my) = classes[atom.lhs], classes[atom.rhs_sym]
+            if rx == ry:
+                if mx != coef * my:
+                    zero.add(rx)
+                continue
+            ratio = coef * my / mx  # value[rx] = ratio * value[ry]: rx's class joins ry's
+            for s, (root, mult) in classes.items():
+                if root == rx:
+                    classes[s] = (ry, mult * ratio)
+            if rx in zero:
+                zero.add(ry)
         root_values = {}
-        for s in symbols:
-            root, _ = uf.find(s)
+        for root, _ in classes.values():
             if root not in root_values:
                 root_values[root] = grid_rational(rng)
-        values = {s: uf.value(s, root_values) for s in symbols}
+        values = {
+            s: Fraction(0) if root in zero else mult * root_values[root]
+            for s, (root, mult) in classes.items()
+        }
         bindings = {s: ExactScalar._coerce(v) for s, v in values.items()}
         if all(atom.holds(bindings) for atom in conj):
             out.append(tuple(values[s] for s in symbols))

@@ -281,10 +281,13 @@ def _is_operator_entry(entry) -> bool:
 def parse_operator_file(text: str) -> LocalOperatorSet:
     """Array of n entries, each a 2x2 array of scalar strings.
 
-    Every malformed file raises ``ValueError`` (JSON syntax, shape, cell
-    type, scalar syntax or a singular operator).
+    Every malformed file raises ``ValueError`` (JSON syntax or nesting
+    depth, shape, cell type, scalar syntax or a singular operator).
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("operator file nests too deeply") from None
     if not isinstance(data, list) or not data:
         raise ValueError("operator file must be a non-empty array")
     for k, entry in enumerate(data, 1):

@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._kernels import P, P_ROW, quad_array, residues_mod
+from ._kernels import quad_array, support_residues
 from .scalars import (
     ExactScalar,
     ScalarFormatError,
@@ -123,10 +123,7 @@ class PureState:
         """``cleared``'s quadruples in F_P, a 2 x ... x 2 int64 array computed on
         first use, by the lone rank route only.  A nonzero quadruple that
         vanishes mod P is stored as P, so the nonzero cells are the support."""
-        quads = self.cleared[0]
-        res = residues_mod(quads, P_ROW)[0]
-        res[(res == 0) & quads.any(axis=-1)] = P
-        return res
+        return support_residues(self.cleared[0])
 
     @cached_property
     def split_ranks(self) -> dict[tuple[int, ...], int]:

@@ -9,10 +9,11 @@ values ship as data, so the reproduction is a regression check rather
 than a re-derivation.
 
 Scans are drawn as indices into ``GRID_VALUES``.  One family's scan and
-sampled tuples are ranked together in one stacked pass (``_Scan``); a
-sampled tuple that the stack does not prove to land in its row is
-classified on its own, in draw order, so every message names the first
-failing tuple.  Table 4's per-split rows go tuple by tuple.
+sampled tuples are ranked together in one stacked pass (``_Scan``), in
+Python ints for a family beyond int64; a sampled tuple that the stack
+does not prove to land in its row is classified on its own, in draw
+order, so every message names the first failing tuple.  Table 4's
+per-split rows go tuple by tuple.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from importlib import resources
 
 import numpy as np
 
+from ._kernels import quad_array
 from .coeffmatrix import enumerate_bipartitions, rank_signature, split_rank
 from .families import (
     GRID_DRAWS,
     GRID_VALUES,
-    MASK_FACTOR_LIMIT,
     SPLIT_BITS,
     ClassificationError,
     FamilyError,
@@ -45,7 +46,6 @@ from .families import (
     default_registry,
     fits_int64,
     instantiate,
-    rank_triple,
     rank_triples,
     sample_predicate,
 )
@@ -392,18 +392,15 @@ class _Scan:
     """One family's scan and sampled tuples, ranked together.
 
     The stack holds the distinct tuples of every scan, given as
-    ``GRID_VALUES`` indices, and then every sampled row's tuples.  When
-    the family ``fits_int64`` on it, the whole stack is ranked in one
-    stacked pass (``rank_triples``) and each predicate is masked at once
-    (``Predicate.mask``).  Otherwise the scan tuples are ranked tuple by
-    tuple through ``instantiate`` and ``rank_triple``, and no sampled tuple
-    is proven.  A row reports the first of its own draws that fails, in
-    draw order.
+    ``GRID_VALUES`` indices, and then every sampled row's tuples.  The
+    whole stack is ranked in one stacked pass (``rank_triples``) and each
+    predicate is masked at once (``Predicate.mask``): in int64 when the
+    family ``fits_int64`` on it, else in Python ints (object arrays).  A
+    row reports the first of its own draws that fails, in draw order.
     """
 
     def __init__(self, family: str, draws: dict, registry: FamilyRegistry, sampled=None):
         self.entry = entry = registry.get(family)
-        self.registry = registry
         width = len(entry.params)
         base = len(GRID_VALUES)
         weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -421,24 +418,17 @@ class _Scan:
             k: np.arange(a, b) for k, a, b in zip(sampled, ends[:-1], ends[1:])
         }
         values = [v for t in self.sampled for v in t]
-        # a sampled value that fails fits_int64 this way might not fit an int64 array
-        self.batched = entry.template is not None and all(
-            max(abs(v.numerator), v.denominator) < MASK_FACTOR_LIMIT for v in values
-        )
-        if self.batched:
-            shape = (len(self.sampled), width)
-            self.nums = np.concatenate([
-                _GRID_NUMS[self.grid], np.array([v.numerator for v in values], np.int64).reshape(shape)
-            ])
-            self.dens = np.concatenate([
-                _GRID_DENS[self.grid], np.array([v.denominator for v in values], np.int64).reshape(shape)
-            ])
-            self.batched = fits_int64(entry, self.nums, self.dens)
-        if self.batched:
-            self.triples = rank_triples(entry.template, self.nums, self.dens)
-        else:  # only the scan tuples, one by one
-            triples = [self._exact_triple(self.values(t)) for t in range(len(self.grid))]
-            self.triples = np.array(triples, np.int64).reshape(-1, 3)
+        shape = (len(self.sampled), width)
+        # a sampled value beyond int64 makes these object arrays already
+        self.nums = np.concatenate([
+            _GRID_NUMS[self.grid], quad_array([v.numerator for v in values]).reshape(shape)
+        ])
+        self.dens = np.concatenate([
+            _GRID_DENS[self.grid], quad_array([v.denominator for v in values]).reshape(shape)
+        ])
+        if not fits_int64(entry, self.nums, self.dens):
+            self.nums, self.dens = self.nums.astype(object), self.dens.astype(object)
+        self.triples = rank_triples(entry.template, self.nums, self.dens)
         self.zero = ~self.triples.any(axis=1)  # the zero vector, which instantiate refuses
         self.rules = [r for r in entry.rules if r.predicate is not None]
 
@@ -448,23 +438,10 @@ class _Scan:
             return tuple(GRID_VALUES[i] for i in self.grid[t])
         return self.sampled[t - len(self.grid)]
 
-    def _exact_triple(self, values) -> tuple[int, int, int]:
-        try:
-            return rank_triple(instantiate(self.entry.name, values, self.registry)).as_tuple()
-        except FamilyError:  # the zero vector
-            return (0, 0, 0)
-
     @functools.cached_property
     def masks(self) -> np.ndarray:
         """Whether each rule row with a predicate holds, as a (rows, T) array."""
-        if self.batched:
-            masks = [r.predicate.mask(self.entry.params, self.nums, self.dens) for r in self.rules]
-        else:
-            bindings = [
-                {s: ExactScalar._coerce(v) for s, v in zip(self.entry.params, self.values(t))}
-                for t in range(len(self.triples))
-            ]
-            masks = [[r.predicate.holds(b) for b in bindings] for r in self.rules]
+        masks = [r.predicate.mask(self.entry.params, self.nums, self.dens) for r in self.rules]
         return np.array(masks, dtype=bool).reshape(len(self.rules), len(self.triples))
 
     @functools.cached_property
@@ -504,7 +481,7 @@ class _Scan:
         ``rule`` pins no biseparable partition.
         """
         positions = self.sample_positions[k]
-        if not self.batched or rule.biseparable is not None:
+        if rule.biseparable is not None:
             return np.zeros(len(positions), dtype=bool)
         right = (self.triples[positions] == rule.triple.as_tuple()).all(axis=1)
         return self.classified[positions] & right

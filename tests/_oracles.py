@@ -4,8 +4,10 @@ These deliberately avoid the package's fraction-free kernel: rank by
 division-based Gaussian elimination with field inverses, determinant by
 the permutation-sum expansion; its term scanner: the scalar text
 grammar as a split-then-match parser over Fractions; its array
-residues: one Python-int image per quadruple; and its equivalence
-classes of qubits: the union-finds that the direct tests replaced.
+residues: one Python-int image per quadruple; its equivalence
+classes of qubits: the union-finds that the direct tests replaced; and
+its predicate sampler: the ratio union-find that the one-dict solver
+replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from sloccrank._kernels import I_P, I_Q, P, Q, S_P, S_Q
-from sloccrank.families import AffineExpr, FamilyError
+import sloccrank.families as families
+from sloccrank.families import AffineExpr, FamilyError, SamplingError, grid_rational
 from sloccrank.scalars import SQRT2_FLOAT, ExactScalar, ScalarFormatError
 from sloccrank.slocc import LocalOperator, LocalOperatorSet
 
@@ -364,3 +367,81 @@ def ref_parse_affine(text: str, symbols) -> AffineExpr:
         raise FamilyError(f"bad amplitude expression {text!r}: {exc}") from exc
     ordered = tuple((s, coeffs[s]) for s in sorted(coeffs) if not coeffs[s].is_zero())
     return AffineExpr(const, ordered)
+
+
+class _RatioUnionFind:
+    """Union-find tracking value[sym] = mult * value[root], with zero roots."""
+
+    def __init__(self, symbols):
+        self.parent = {s: s for s in symbols}
+        self.mult = {s: Fraction(1) for s in symbols}
+        self.zero: set[str] = set()
+
+    def find(self, x):
+        if self.parent[x] == x:
+            return x, Fraction(1)
+        root, m = self.find(self.parent[x])
+        self.mult[x] = self.mult[x] * m
+        self.parent[x] = root
+        return root, self.mult[x]
+
+    def relate(self, x, k: Fraction, y):
+        """Impose value[x] = k * value[y]."""
+        rx, mx = self.find(x)
+        ry, my = self.find(y)
+        if rx == ry:
+            if mx != k * my:
+                self.zero.add(rx)  # only zero solves it
+            return
+        self.parent[rx] = ry  # value[rx] = (k * my / mx) * value[ry]
+        self.mult[rx] = k * my / mx
+        if rx in self.zero:
+            self.zero.discard(rx)
+            self.zero.add(ry)
+
+    def value(self, x, root_values):
+        root, m = self.find(x)
+        return Fraction(0) if root in self.zero else m * root_values[root]
+
+
+def ref_sample_predicate(rule, count: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """``families.sample_predicate`` as it was with the ratio union-find: the
+    same draws in the same order, so the same tuples or the same error.  It
+    reads ``families.MAX_ATTEMPTS`` when called, as the sampler does."""
+    if rule.predicate is None:
+        raise SamplingError(f"row {rule.triple} of {rule.family} is unreachable")
+    symbols = rule.symbols
+    rng = random.Random(seed)
+    out: list[tuple[Fraction, ...]] = []
+    attempts = 0
+    conjunctions = rule.predicate.conjunctions or ((),)
+    while len(out) < count:
+        attempts += 1
+        if attempts > families.MAX_ATTEMPTS:
+            raise SamplingError(
+                f"could not satisfy predicate {rule.predicate.render()!r} within"
+                f" {families.MAX_ATTEMPTS} attempts"
+            )
+        conj = conjunctions[rng.randrange(len(conjunctions))]
+        uf = _RatioUnionFind(symbols)
+        for atom in conj:
+            if not atom.equal:
+                continue
+            if atom.rhs_sym is None:
+                uf.zero.add(uf.find(atom.lhs)[0])
+            else:
+                coef = atom.coef
+                if atom.plus_minus and rng.random() < 0.5:
+                    coef = -coef
+                uf.relate(atom.lhs, coef, atom.rhs_sym)
+        root_values = {}
+        for s in symbols:
+            root, _ = uf.find(s)
+            if root not in root_values:
+                root_values[root] = grid_rational(rng)
+        values = {s: uf.value(s, root_values) for s in symbols}
+        bindings = {s: ExactScalar._coerce(v) for s, v in values.items()}
+        if all(atom.holds(bindings) for atom in conj):
+            out.append(tuple(values[s] for s in symbols))
+            attempts = 0
+    return out

@@ -401,6 +401,23 @@ REGISTRY_DEFECTS = {
         "rules": [{"triple": "111", "intersect": {"AB": True}}],
     }]),
     "unknown-split": json.dumps([{"name": "x", "params": ["a"], "split_rules": {"XY": ["a=0"]}}]),
+    # no sampler can solve x = 0*y for y
+    "zero-coefficient": json.dumps([{
+        "name": "x",
+        "params": ["a", "b", "c"],
+        "rules": [{"triple": "111", "predicate": "a=0b & a=c"}],
+    }]),
+    "zero-coefficient-inequality": json.dumps([{
+        "name": "x",
+        "params": ["a", "b"],
+        "split_rules": {"AB": ["a!=±0*b"]},
+    }]),
+    "coefficient-beyond-int-string-limit": json.dumps([{
+        "name": "x",
+        "params": ["a", "b"],
+        "rules": [{"triple": "111", "predicate": f"a=±{'7' * 5000}b"}],
+    }]),
+    "deeply-nested": "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -412,6 +429,13 @@ def test_malformed_registry_is_a_usage_error(text, ghz4_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_deeply_nested_registry_is_a_usage_error_for_table(tmp_path, capsys):
+    reg_path = tmp_path / "deep.json"
+    reg_path.write_text(REGISTRY_DEFECTS["deeply-nested"])
+    assert main(["table", "5", "--registry", str(reg_path)]) == 1
+    assert capsys.readouterr().err == f"error: registry file {reg_path} nests too deeply\n"
 
 
 def test_registry_null_is_refused_as_the_wrong_kind(ghz4_file, tmp_path, capsys):

@@ -159,6 +159,26 @@ def test_predicate_mask_follows_holds():
         assert pred.mask(("a", "b"), nums, dens).tolist() == want
 
 
+def test_predicate_mask_on_python_ints_follows_holds():
+    """Object arrays are exact where int64 products would wrap: factors at
+    and above ``MASK_FACTOR_LIMIT``, and numerators beyond int64."""
+    big = MASK_FACTOR_LIMIT
+    values = [Fraction(n, d) for n in (-3, 0, 1, 2) for d in (1, 3)]
+    values += [Fraction(big, big + 1), Fraction(-big * 5, 3), Fraction(2**70, 7),
+               Fraction(-(2**70) * 3, 7), Fraction(3**50 + 1, 2**64 + 1)]
+    texts = ("a=b & a!=0 | b=-3a & a!=0", f"a!=±{big}b & b!=0", f"b=±{big}a", "",
+             "a=0 | b=±3a", f"b=-{2**80}a")
+    tuples = [(a, b) for a in values for b in values]
+    tuples.append((Fraction(1), Fraction(-(2**80))))
+    nums = np.array([[a.numerator, b.numerator] for a, b in tuples], dtype=object)
+    dens = np.array([[a.denominator, b.denominator] for a, b in tuples], dtype=object)
+    for text in texts:
+        pred = parse_predicate(text)
+        want = [pred.holds({"a": ExactScalar._coerce(a), "b": ExactScalar._coerce(b)})
+                for a, b in tuples]
+        assert pred.mask(("a", "b"), nums, dens).tolist() == want
+
+
 def test_fits_int64_bounds_every_int64_product():
     """One check covers the template, the instantiated stack and the predicate products."""
 
@@ -176,17 +196,26 @@ def test_fits_int64_bounds_every_int64_product():
     assert not fits_int64(entry(), np.array([[MASK_FACTOR_LIMIT, 1]]), np.array([[1, 1]]))
     assert not fits_int64(entry(), np.array([[1, 1]]), np.array([[MASK_FACTOR_LIMIT, 1]]))
     # components: beyond int64 in the template, or once scaled by the tuples
-    assert entry(amp=f"{2**63}*a").template.integer_form is None
+    assert entry(amp=f"{2**63}*a").template.integer_form[0].dtype == object
     assert not fits_int64(entry(amp=f"{2**63}*a"), *small)
     assert fits_int64(entry(amp=f"{2**58}*a"), np.array([[6, 1]]), np.array([[1, 1]]))
     assert not fits_int64(entry(amp=f"{2**58}*a"), *small)
 
 
 def test_predicate_parse_errors():
-    with pytest.raises(FamilyError):
-        parse_predicate("a==b")
-    with pytest.raises(FamilyError):
-        parse_predicate("a<b")
+    cases = [
+        ("a==b", "bad predicate atom"),
+        ("a<b", "bad predicate atom"),
+        # x = 0*y says x = 0, and no sampler can divide by it
+        ("a=0b", "zero coefficient"),
+        ("a=-0b & b!=0", "zero coefficient"),
+        ("a!=±0*b", "zero coefficient"),
+        ("a=00c", "zero coefficient"),
+        (f"a=±{'9' * 5000}b", "coefficient too long"),  # beyond Python's int-string limit
+    ]
+    for text, message in cases:
+        with pytest.raises(FamilyError, match=message):
+            parse_predicate(text)
 
 
 # --- classification ---------------------------------------------------------------

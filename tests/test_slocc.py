@@ -218,6 +218,8 @@ def test_operator_file_round_trip():
         "[null]",
         "[1]",
         '[[["1", "0"], ["0", "1"]], "ab"]',
+        # deeper than the JSON parser recurses
+        pytest.param("[" * 200_000 + "]" * 200_000, id="deeply-nested"),
     ],
 )
 def test_malformed_operator_entries_raise_value_error(text):

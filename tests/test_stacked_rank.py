@@ -133,16 +133,20 @@ def test_minor_vanishing_mod_all_but_the_last_needed_prime(monkeypatch, eliminat
     assert eliminate_calls == [(2, 32)] * len(found)
 
 
-def test_components_beyond_int64_are_refused():
-    # such a stack cannot be int64; the rule-table scans rank its family tuple by
-    # tuple instead (tests/test_tables.py::test_batched_scan_on_coefficients_beyond_int64)
+def test_components_beyond_int64_are_ranked_as_eliminate_ranks_them(eliminate_calls):
+    # such a stack cannot be int64; as Python ints (object) each matrix is eliminated
     rng = random.Random(7)
-    stack = [_matrix(rng, 4, 4, r, 3) for r in (1, 2, 3)]
-    stack[1] = [(2**70, 0, 0, 0) if k == 0 else x for k, x in enumerate(stack[1])]
-    with pytest.raises(OverflowError):
-        _array(stack, 4, 4)
-    with pytest.raises(TypeError, match="int64"):
-        stacked_rank(_array(stack, 4, 4, dtype=object))
+    for rows, cols in [(4, 4), (2, 6), (6, 2)]:
+        stack = [_matrix(rng, rows, cols, r, 3) for r in (1, 2, 0, 2)]
+        stack[1] = [(2**70, 0, 0, 0) if k == 0 else x for k, x in enumerate(stack[1])]
+        stack[3] = [(x[0] * 2**80, -x[1], x[2], x[3] * 3**50) for x in stack[3]]
+        with pytest.raises(OverflowError):
+            _array(stack, rows, cols)
+        want = _exact_ranks(stack, rows, cols)
+        eliminate_calls.clear()
+        got = stacked_rank(_array(stack, rows, cols, dtype=object))
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert eliminate_calls == [(rows, cols)] * len(stack)
 
 
 def test_bound_beyond_the_table_takes_elimination(eliminate_calls):

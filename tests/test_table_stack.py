@@ -237,7 +237,7 @@ def test_stack_numerators_and_denominators_are_the_tuples():
     draws, _ = tables_mod._scan_draws(("a", "b", "c"), 200, [5, 6])
     sampled = {0: [(Fraction(7, 2), Fraction(-12), Fraction(0))]}
     stack = tables_mod._Scan("L_abc2", draws, registry, sampled)
-    assert stack.batched
+    assert stack.nums.dtype == stack.dens.dtype == np.int64
     for t in range(len(stack.nums)):
         values = stack.values(t)
         assert stack.nums[t].tolist() == [v.numerator for v in values]

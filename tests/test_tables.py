@@ -261,7 +261,7 @@ def test_small_grid_is_scanned_whole():
     assert run_table(6, samples=2, seed=3).rows[-1].computed == "1000 tuples covered"
 
 
-# --- the batched scan against the per-tuple route ------------------------------
+# --- the stacked scan against classification tuple by tuple -------------------
 
 
 def _per_tuple_hit(family, registry, draws, triple):
@@ -286,11 +286,11 @@ def _per_tuple_uncovered(family, registry, draws):
     return None
 
 
-def _assert_scan_follows_tuples(family, registry, positions, batched=True):
+def _assert_scan_follows_tuples(family, registry, positions, dtype=np.int64):
     """Triples, predicate masks, matched rows, skips and messages, tuple by tuple."""
     entry = registry.get(family)
     scan = tables_mod._Scan(family, {0: positions}, registry)
-    assert scan.batched == batched
+    assert scan.nums.dtype == scan.dens.dtype == dtype
     draws = _fractions(positions)
     assert len(scan.grid) == len(set(draws))
     assert sorted(map(scan.values, range(len(scan.grid)))) == sorted(set(draws))
@@ -350,7 +350,7 @@ def test_batched_scan_reports_each_gap_as_the_per_tuple_route_does():
 
 
 def test_batched_scan_on_coefficients_beyond_int64():
-    # a template beyond int64 takes the per-tuple route for the whole family
+    # a template beyond int64 ranks and masks the whole family in Python ints
     registry = FamilyRegistry(include_builtin=False)
     amps = ["0"] * 16
     amps[0], amps[3], amps[12] = f"{10**20}*a", "1*b", "1*b"
@@ -358,16 +358,16 @@ def test_batched_scan_on_coefficients_beyond_int64():
     registry.register_entry({"name": "big", "params": ["a", "b"], "amps": amps, "rules": [
         {"triple": "444", "predicate": "a!=0 & b!=0"},
     ]})
-    assert registry.get("big").template.integer_form is None
+    assert registry.get("big").template.integer_form[0].dtype == object
     draws = tables_mod._grid_tuples(("a", "b"), 60, 4)
-    _assert_scan_follows_tuples("big", registry, draws, batched=False)
+    _assert_scan_follows_tuples("big", registry, draws, dtype=object)
     # and so does one that fits int64 until the tuples scale it
     amps[0], amps[15] = "1*a", f"{2**60}*a + 1"
     registry.register_entry({"name": "scaled", "params": ["a", "b"], "amps": amps, "rules": [
         {"triple": "444", "predicate": "a!=0 & b!=0"},
     ]})
-    assert registry.get("scaled").template.integer_form is not None
-    _assert_scan_follows_tuples("scaled", registry, draws, batched=False)
+    assert registry.get("scaled").template.integer_form[0].dtype == np.int64
+    _assert_scan_follows_tuples("scaled", registry, draws, dtype=object)
 
 
 def test_batched_scan_on_predicate_coefficients_beyond_int64_products():
@@ -375,6 +375,6 @@ def test_batched_scan_on_predicate_coefficients_beyond_int64_products():
     draws = tables_mod._grid_tuples(("a", "b"), 40, 10000)
     rules = [{"triple": "222", "predicate": "a!=0 & b!=0"},
              {"triple": "111", "predicate": f"a=0 & b!=0 | b=0 & a!=0 | a=±{2**40}b"}]
-    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, batched=False)
+    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, dtype=object)
     rules[1]["predicate"] = "a=0 & b!=0 | b=0 & a!=0"
-    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws, batched=True)
+    _assert_scan_follows_tuples("ghz_ab", _ghz_family(rules), draws)
