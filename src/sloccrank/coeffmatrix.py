@@ -489,7 +489,10 @@ def _stacked_shortfalls(short) -> None:
     ``stacked_rank``, one stack per split shape, at most
     ``SHORTFALL_CELLS`` input cells per call.  The splits of any other
     state take the lone route of ``_split_rank`` after the stacks, so that
-    its cut bounds read the stacked ranks.
+    its cut bounds read the stacked ranks.  Those bounds pay: sent through
+    ``stacked_rank``'s object route, the splits of a shuffled 3+3+4 product
+    and a random state, both scaled by 2**70 + 1, took ``rank_signatures``
+    7.6 s CPU against 0.13 s at n = 10 (min of 3, a 2-CPU x86-64 host).
     """
     stackable, lone = [], []
     for item in short:

@@ -8,7 +8,8 @@ predicate over the parameters to each reachable rank triple
 ("±" means "for some sign" on equalities and "for all signs" on
 inequalities).  Four templates ship built in (G_abcd, L_abc2, L_ab3,
 L_ab3'); six more families carry rule rows only and accept a registered
-template later.
+template later, which rebuilds the entry.  Every entry is built as one
+``FamilyEntry``: its template and each of its rows bind its parameters.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 import numpy as np
 
 from ._kernels import echelon, quad_array, stacked_rank
-from .coeffmatrix import split_rank
+from .coeffmatrix import split_plan, split_rank
 from .scalars import (
     RATIONAL,
     ExactScalar,
@@ -135,7 +136,7 @@ class Atom:
     def holds(self, bindings) -> bool:
         lhs = bindings[self.lhs]
         if self.rhs_sym is None:
-            hit = lhs.is_zero()
+            hit = not lhs
         else:
             rhs = bindings[self.rhs_sym] * self.coef
             hit = lhs == rhs or (self.plus_minus and lhs == -rhs)
@@ -199,13 +200,7 @@ class Predicate:
         return out
 
     def symbols(self) -> set[str]:
-        out = set()
-        for conj in self.conjunctions:
-            for a in conj:
-                out.add(a.lhs)
-                if a.rhs_sym:
-                    out.add(a.rhs_sym)
-        return out
+        return {s for conj in self.conjunctions for a in conj for s in (a.lhs, a.rhs_sym) if s}
 
     def conjoin(self, other: Predicate) -> Predicate:
         if not self.conjunctions:
@@ -246,11 +241,8 @@ def parse_atom(text: str) -> Atom:
 def parse_predicate(text: str) -> Predicate:
     if not text.strip():
         return Predicate(())
-    conjunctions = []
-    for clause in text.split("|"):
-        atoms = tuple(parse_atom(part) for part in clause.split("&"))
-        conjunctions.append(atoms)
-    return Predicate(tuple(conjunctions))
+    clauses = (clause.split("&") for clause in text.split("|"))
+    return Predicate(tuple(tuple(parse_atom(part) for part in parts) for parts in clauses))
 
 
 # --- templates, rules, registry ----------------------------------------------
@@ -335,6 +327,12 @@ class FamilyEntry:
         owner = f"family {self.name!r}"
         if len(set(self.params)) != len(self.params):
             raise FamilyError(f"{owner}: parameter names {self.params} repeat")
+        params = tuple(self.params)
+        if self.template is not None and tuple(self.template.params) != params:
+            raise FamilyError(f"{owner}: template parameters {self.template.params} do not match")
+        for rule in self.rules:
+            if tuple(rule.symbols) != params:
+                raise FamilyError(f"{owner}: row {rule.triple} binds {rule.symbols}, not {params}")
         predicates = [r.predicate for r in self.rules if r.predicate is not None]
         for preds in (self.split_rules or {}).values():
             predicates.extend(preds)
@@ -444,10 +442,8 @@ class FamilyRegistry:
 
     def __init__(self, include_builtin: bool = True):
         self._entries: dict[str, FamilyEntry] = {}
-        if include_builtin:
-            for raw in _builtin_data():
-                entry = _entry_from_dict(raw)
-                self._entries[entry.name] = entry
+        for raw in _builtin_data() if include_builtin else ():
+            self.register_entry(raw)
 
     def names(self) -> list[str]:
         return list(self._entries)
@@ -465,8 +461,10 @@ class FamilyRegistry:
     ) -> FamilyEntry:
         """Add a family; duplicate names are rejected.
 
-        When the name already exists as a rules-only entry, the template
-        fills the gap and validation of its rows becomes possible.
+        When the name already exists as a rules-only entry, the entry is
+        rebuilt with the template and ``rules`` added, so that validation
+        of its rows becomes possible.  Each row's ``symbols`` must be
+        ``template.params``, in order.
         """
         return self._add(FamilyEntry(template.name, template.params, template, list(rules or ())))
 
@@ -475,20 +473,19 @@ class FamilyRegistry:
         return self._add(_entry_from_dict(data))
 
     def _add(self, entry: FamilyEntry) -> FamilyEntry:
+        """Store ``entry``, or rebuild the rules-only entry it fills, split rules from one side."""
         existing = self._entries.get(entry.name)
-        if existing is None:
-            self._entries[entry.name] = entry
-            return entry
-        if entry.template is None or existing.template is not None:
-            raise FamilyError(f"family {entry.name!r} already registered")
-        if tuple(existing.params) != tuple(entry.params):
-            raise FamilyError(
-                f"template parameters {entry.params} do not match the"
-                f" rule table of {entry.name!r}"
+        if existing is not None:
+            if entry.template is None or existing.template is not None:
+                raise FamilyError(f"family {entry.name!r} already registered")
+            if existing.split_rules and entry.split_rules:
+                raise FamilyError(f"family {entry.name!r} already has split rules")
+            entry = FamilyEntry(
+                entry.name, existing.params, entry.template, existing.rules + entry.rules,
+                existing.split_rules or entry.split_rules,
             )
-        existing.template = entry.template
-        existing.rules.extend(entry.rules)
-        return existing
+        self._entries[entry.name] = entry
+        return entry
 
     def load_file(self, path) -> list[FamilyEntry]:
         with open(path, "r", encoding="utf-8") as handle:
@@ -503,27 +500,15 @@ class FamilyRegistry:
         return [self.register_entry(item) for item in data]
 
 
-_BUILTIN_CACHE = None
-
-
+@cache
 def _builtin_data():
-    global _BUILTIN_CACHE
-    if _BUILTIN_CACHE is None:
-        text = (
-            resources.files("sloccrank").joinpath("data/builtin_families.json").read_text()
-        )
-        _BUILTIN_CACHE = json.loads(text)
-    return _BUILTIN_CACHE
+    text = resources.files("sloccrank").joinpath("data/builtin_families.json").read_text()
+    return json.loads(text)
 
 
-_DEFAULT_REGISTRY = None
-
-
+@cache
 def default_registry() -> FamilyRegistry:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = FamilyRegistry()
-    return _DEFAULT_REGISTRY
+    return FamilyRegistry()
 
 
 def _bind(entry: FamilyEntry, params) -> dict[str, ExactScalar]:
@@ -623,9 +608,7 @@ TRIPLE_CHUNK = 32
 MASK_FACTOR_LIMIT = 2**21  # a product of three factors below this fits int64
 # the (3, 4, 4) picks of C_AB, C_AC and C_AD out of a four-qubit amplitude vector
 _SPLIT_PICKS = np.stack([
-    np.arange(16).reshape((2,) * 4).transpose([b - 1 for b in bits] + [
-        q for q in range(4) if q + 1 not in bits
-    ]).reshape(4, 4)
+    np.arange(16).reshape((2,) * 4).transpose(split_plan(4, bits).axes).reshape(4, 4)
     for bits in SPLIT_BITS.values()
 ])
 
@@ -792,8 +775,7 @@ def sample_predicate(rule: SubfamilyRule, count: int, seed: int) -> list[tuple[F
             s: Fraction(0) if root in zero else mult * root_values[root]
             for s, (root, mult) in classes.items()
         }
-        bindings = {s: ExactScalar._coerce(v) for s, v in values.items()}
-        if all(atom.holds(bindings) for atom in conj):
+        if all(atom.holds(values) for atom in conj):
             out.append(tuple(values[s] for s in symbols))
             attempts = 0
     return out

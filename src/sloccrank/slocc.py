@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,14 +54,18 @@ class LocalOperator:
         a, b, c, d = vals
         object.__setattr__(self, "entries", ((a, b), (c, d)))
         if isinstance(a, ExactScalar):
-            # ad == bc, cleared of denominators: no ExactScalar is built
-            ad, bc = mul4(a.quad, d.quad), mul4(b.quad, c.quad)
-            left, right = b.den * c.den, a.den * d.den
-            singular = all(x * left == y * right for x, y in zip(ad, bc))
+            q = self.cleared[0]  # ad == bc over one denominator: no ExactScalar is built
+            singular = mul4(q[0], q[3]) == mul4(q[1], q[2])
         else:
             singular = self.det() == 0
         if singular:
             raise ValueError("operator must be invertible (zero determinant)")
+
+    @cached_property
+    def cleared(self) -> tuple[list[tuple[int, int, int, int]], int]:
+        """``common_denominator`` of the exact entries a, b, c, d, cached as in ``PureState``."""
+        (a, b), (c, d) = self.entries
+        return common_denominator([a, b, c, d])
 
     @classmethod
     def of(cls, a, b, c, d) -> LocalOperator:
@@ -163,8 +168,7 @@ def _apply_exact(jobs) -> list[tuple[ExactScalar, ...]]:
         bound = int(np.abs(quads).max())
         op_quads = []
         for op in ops:
-            (a, b), (c, d) = op.entries
-            q, op_den = common_denominator([a, b, c, d])
+            q, op_den = op.cleared
             op_quads.append(q)
             bound *= operator_row_sum(q)
             den *= op_den
@@ -211,7 +215,12 @@ def apply_local(psi: PureState, ops: LocalOperatorSet) -> PureState:
 
 
 def transform_coefficient_matrices(pairs) -> list[CoefficientMatrix]:
-    """``transform_coefficient_matrix`` of each ``(C, ops)`` pair, the exact pairs stacked."""
+    """``transform_coefficient_matrix`` of each ``(C, ops)`` pair, the exact pairs stacked.
+
+    Read as states through ``apply_local_many``, matrix-transform's matrices at seeds
+    41-46 took 133-196 ms CPU, not 112-162 (min of 15, one core of a 2-CPU x86-64
+    host): building a ``PureState`` per matrix costs more than the jobs built here.
+    """
     out = [None] * len(pairs)
     exact = []
     for k, (C, ops) in enumerate(pairs):
@@ -248,19 +257,16 @@ def random_invertible_local(n: int, seed: int) -> LocalOperatorSet:
     """Deterministic per-seed sample of n invertible 2x2 operators.
 
     Each operator's entries are Gaussian integers from {-3..3} + {-3..3}i,
-    redrawn until the determinant ad - bc, tested in integers, is nonzero.
+    redrawn while ``LocalOperator`` refuses them as singular.
     """
     rng = random.Random(seed)
     ops = []
-    for _ in range(n):
-        while True:
-            a, b, c, d = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-            re = a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1]
-            im = a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0]
-            if re or im:
-                break
-        a, b, c, d = [ExactScalar(*z) for z in (a, b, c, d)]
-        ops.append(LocalOperator(((a, b), (c, d))))
+    while len(ops) < n:
+        a, b, c, d = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+        try:
+            ops.append(LocalOperator(((a, b), (c, d))))
+        except ValueError:
+            pass
     return LocalOperatorSet(tuple(ops))
 
 

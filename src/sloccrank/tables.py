@@ -61,17 +61,10 @@ MAX_SAMPLES = 1000  # so that one scan draws at most 500,000 tuples
 _GRID_NUMS = np.array([v.numerator for v in GRID_VALUES], dtype=np.int64)
 _GRID_DENS = np.array([v.denominator for v in GRID_VALUES], dtype=np.int64)
 
-_TABLE_CACHE = None
-
-
+@functools.cache
 def _table_data() -> dict:
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None:
-        text = resources.files("sloccrank").joinpath("data/paper_tables.json").read_text(
-            encoding="utf-8"
-        )
-        _TABLE_CACHE = json.loads(text)
-    return _TABLE_CACHE
+    text = resources.files("sloccrank").joinpath("data/paper_tables.json").read_text("utf-8")
+    return json.loads(text)
 
 
 def table_title(table_id: int) -> str:
@@ -561,9 +554,7 @@ def run_table(
         return _run_table4(samples, seed, registry)
     data = _table_data()[str(table_id)]
     report = TableReport(table_id, data["title"])
-    if table_id in (5, 6, 8):
-        _run_family_rows(report, data["family"], samples, seed, registry, scan=True)
-    else:  # table 7
-        for family in data["families"]:
-            _run_family_rows(report, family, samples, seed, registry, scan=False)
+    several = "families" in data  # a table of one family also scans it for coverage
+    for family in data["families"] if several else [data["family"]]:
+        _run_family_rows(report, family, samples, seed, registry, scan=not several)
     return report

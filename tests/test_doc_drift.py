@@ -2,16 +2,20 @@
 
 Every bare identifier in double backticks in the ``_kernels`` module
 docstring, and every ``_kernels.<name>`` in README.md, must be an
-attribute of ``sloccrank._kernels``, every ``coeffmatrix.<name>`` in
-README.md one of ``sloccrank.coeffmatrix``, and every ``PureState.<name>``
-in README.md one of ``PureState``: a constant, routine or cache deleted
-from the code must not live on in the prose.  README's list of the flags
-of each CLI subcommand must be the flags ``build_parser`` gives it.
+attribute of ``sloccrank._kernels``, every ``<module>.<name>`` in
+README.md, for ``coeffmatrix`` and every other public module, one of
+that module, and every ``PureState.<name>`` in README.md one of
+``PureState``: a constant, routine or cache deleted from the code must
+not live on in the prose.  README's list of the flags of each CLI
+subcommand must be the flags ``build_parser`` gives it.
 """
 
 import argparse
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import sloccrank._kernels as kernels
 import sloccrank.coeffmatrix as coeffmatrix
@@ -48,6 +52,26 @@ def test_readme_names_existing_coeffmatrix_symbols():
     names = re.findall(r"\bcoeffmatrix\.([A-Za-z_]\w*)", README.read_text())
     assert {"split_plan", "rank_signature"} <= set(names)
     assert _missing(names, coeffmatrix) == []
+
+
+MODULES = (
+    "checks", "cli", "families", "invariants", "scalars", "separability", "slocc", "states",
+    "tables",
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_readme_names_existing_module_symbols(module):
+    names = re.findall(rf"\b{module}\.([A-Za-z_]\w*)", README.read_text())
+    assert _missing(names, importlib.import_module(f"sloccrank.{module}")) == []
+
+
+def test_readme_cites_names_of_other_modules():
+    cited = re.findall(rf"\b(?:{'|'.join(MODULES)})\.[A-Za-z_]\w*", README.read_text())
+    assert {
+        "checks.MAX_TRIALS", "families.GRID_VALUES", "families.fits_int64",
+        "states.amplitude_tensor",
+    } <= set(cited)
 
 
 def test_readme_names_existing_pure_state_attributes():

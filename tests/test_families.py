@@ -1,5 +1,6 @@
 """Templates, predicate tables, sampling, registry, permutation analysis."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -44,7 +45,7 @@ from sloccrank.slocc import (
     apply_local,
 )
 from sloccrank.states import QubitPermutation, permute_qubits, state
-from sloccrank.tables import ghz
+from sloccrank.tables import TableReport, _run_family_rows, ghz
 
 
 # --- templates -----------------------------------------------------------------
@@ -404,6 +405,46 @@ def test_register_family_rejects_rule_on_undeclared_parameter():
     with pytest.raises(FamilyError, match="undeclared"):
         registry.register_family(_stand_in("fresh"), [rule])
     assert "fresh" not in registry.names()
+
+
+def test_register_family_rejects_rows_binding_another_order():
+    # a row's tuples are drawn in its symbols' order but ranked in the
+    # family's: with L_ab3's rows bound as (b, a), rows 434 and 443 would
+    # draw tuples that match row 444
+    registry = FamilyRegistry()
+    source = registry.get("L_ab3")
+    template = FamilyTemplate("L_x", source.params, source.template.amps)
+    swapped = [dataclasses.replace(r, family="L_x", symbols=("b", "a")) for r in source.rules]
+    with pytest.raises(FamilyError, match=r"row 222 binds \('b', 'a'\), not \('a', 'b'\)"):
+        registry.register_family(template, swapped)
+    assert "L_x" not in registry.names()
+    renamed = [dataclasses.replace(r, family="L_x") for r in source.rules]
+    registry.register_family(template, renamed)
+    report = TableReport(7, "L_ab3 under another name")
+    _run_family_rows(report, "L_x", 5, 0, registry, scan=False)
+    assert report.passed, [(r.name, r.computed) for r in report.rows if not r.passed]
+
+
+def test_filling_a_rules_only_entry_keeps_the_split_rules_it_brings():
+    registry = FamilyRegistry()
+    entry = registry.register_entry({
+        "name": "L_a4", "params": ["a"], "amps": ["1*a"] + ["0"] * 14 + ["1"],
+        "split_rules": {"AB": ["a=0", "a!=0"]},
+    })
+    assert entry is registry.get("L_a4")
+    assert [str(r.triple) for r in entry.rules] == ["323", "434"]
+    assert classify_g_split("AB", (1,), registry, family="L_a4") == 2
+
+
+def test_filling_a_rules_only_entry_refuses_a_second_set_of_split_rules():
+    registry = FamilyRegistry(include_builtin=False)
+    registry.register_entry({"name": "x", "params": ["a"], "split_rules": {"AB": ["a=0", "a!=0"]}})
+    fill = {"name": "x", "params": ["a"], "amps": ["1*a"] + ["0"] * 14 + ["1"]}
+    with pytest.raises(FamilyError, match="'x' already has split rules"):
+        registry.register_entry(dict(fill, split_rules={"AC": ["a=0", "a!=0"]}))
+    assert registry.get("x").template is None
+    registry.register_entry(fill)  # the entry's own split rules are kept
+    assert classify_g_split("AB", (0,), registry, family="x") == 1
 
 
 @pytest.mark.parametrize("data, message", [
