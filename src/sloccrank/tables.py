@@ -61,6 +61,7 @@ MAX_SAMPLES = 1000  # so that one scan draws at most 500,000 tuples
 _GRID_NUMS = np.array([v.numerator for v in GRID_VALUES], dtype=np.int64)
 _GRID_DENS = np.array([v.denominator for v in GRID_VALUES], dtype=np.int64)
 
+
 @functools.cache
 def _table_data() -> dict:
     text = resources.files("sloccrank").joinpath("data/paper_tables.json").read_text("utf-8")
