@@ -157,6 +157,14 @@ host, Python 3.11, numpy 2.4):
 
 Below n = 4 the numpy calls cost more than the loop; the verify-all
 checks therefore apply all their trials in stacks of up to 64.
+
+Other products of whole quadruple arrays, the tensor product of two
+states and a reduced density C C^dagger, are one einsum through
+``MUL_MATRIX`` each (``quad_einsum``).  A product of quadruples of
+modulus at most m and m' has components of modulus at most 6 m m' (as
+``mul4`` weighs a, b, c, d by 1, 1, 2, 2), so a sum of k of them, and
+each partial sum, stays below 6 k m m': below ``INT64_BOUND`` the einsum
+runs in int64, otherwise on Python ints.
 """
 
 import math
@@ -692,6 +700,27 @@ def operator_stack(q):
     """
     out = np.einsum("...rck,kij->...ricj", q, MUL_MATRIX.astype(q.dtype))
     return out.reshape(q.shape[:-3] + (8, 8))
+
+
+CONJ4 = np.array([1, -1, 1, -1], dtype=np.int64)  # times a quadruple: its complex conjugate
+
+
+def quad_einsum(subscripts, x, y):
+    """``np.einsum`` of two quadruple arrays under the product of Z[i, sqrt2].
+
+    ``subscripts`` names the axes before the last of ``x`` and ``y``, as
+    "uw,vw->uv", and each pair of quadruples multiplies as in ``mul4``.  It
+    runs in int64 when int64 inputs and the bound of the module docstring
+    allow, otherwise on Python ints (object dtype).
+    """
+    operands, out = subscripts.split("->")
+    xs, ys = operands.split(",")
+    sizes = dict(zip(xs, x.shape)) | dict(zip(ys, y.shape))
+    terms = math.prod(sizes[a] for a in sizes if a not in out)
+    bound = 6 * terms * int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0))
+    if bound >= INT64_BOUND:
+        x = x.astype(object)
+    return np.einsum(f"{xs}j,kij,{ys}k->{out}i", x, MUL_MATRIX.astype(x.dtype), y)
 
 
 def operator_row_sum(op):

@@ -57,8 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import Q_ROW, bareiss, ranks_mod_q, residues_mod, stacked_rank
-from .scalars import ExactScalar, common_denominator, render_exact, render_float
+from ._kernels import (
+    CONJ4, Q_ROW, bareiss, quad_einsum, ranks_mod_q, residues_mod, stacked_rank,
+)
+from .scalars import ExactScalar, common_denominator, render_exact, render_float, scalars_of
 from .states import QUBIT_CAP, PureState, amplitude_tensor
 
 DEFAULT_TOL_SCALE = 1e-10
@@ -676,9 +678,20 @@ def rank_signatures(states, *, tolerance: float | None = None) -> list[RankSigna
 
 
 def reduced_density(psi: PureState, kept_bits):
-    """``rho = C C^dagger`` for the kept qubits; Hermitian PSD by construction."""
-    m = _array(psi, split_plan(psi.n, kept_bits))
-    return _entries(m @ m.conj().T)
+    """``rho = C C^dagger`` for the kept qubits; Hermitian PSD by construction.
+
+    An exact state multiplies its split's quadruples (``PureState.cleared``)
+    in one ``quad_einsum`` and builds the entries, over den**2, as
+    ExactScalars.
+    """
+    plan = split_plan(psi.n, kept_bits)
+    if not psi.is_exact:
+        m = _array(psi, plan)
+        return m @ m.conj().T
+    quads, den = psi.cleared
+    c = quads.transpose(plan.axes + (psi.n,)).reshape(plan.rows, plan.cols, 4)
+    rho = quad_einsum("uw,vw->uv", c, c * CONJ4)
+    return tuple(scalars_of(row, den * den) for row in rho.tolist())
 
 
 def _det(quads, den: int, size: int) -> ExactScalar:

@@ -19,10 +19,12 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -315,15 +317,23 @@ class SubfamilyRule:
         return self.predicate is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyEntry:
+    """A registered family, immutable: ``rules`` is a tuple and ``split_rules``
+    a read-only mapping of tuples, so an entry the registry hands out cannot
+    change a later table."""
+
     name: str
     params: tuple[str, ...]
     template: FamilyTemplate | None
-    rules: list[SubfamilyRule] = field(default_factory=list)
-    split_rules: dict[str, list[Predicate]] | None = None
+    rules: tuple[SubfamilyRule, ...] = ()
+    split_rules: Mapping[str, tuple[Predicate, ...]] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
+        if self.split_rules is not None:
+            frozen = {split: tuple(preds) for split, preds in self.split_rules.items()}
+            object.__setattr__(self, "split_rules", MappingProxyType(frozen))
         owner = f"family {self.name!r}"
         if len(set(self.params)) != len(self.params):
             raise FamilyError(f"{owner}: parameter names {self.params} repeat")
@@ -466,7 +476,7 @@ class FamilyRegistry:
         of its rows becomes possible.  Each row's ``symbols`` must be
         ``template.params``, in order.
         """
-        return self._add(FamilyEntry(template.name, template.params, template, list(rules or ())))
+        return self._add(FamilyEntry(template.name, template.params, template, rules or ()))
 
     def register_entry(self, data: dict) -> FamilyEntry:
         """Add a family from its JSON object, as ``register_family`` does."""
@@ -655,7 +665,7 @@ def _instantiate_stack(template: FamilyTemplate, nums, dens) -> np.ndarray:
     const, coeffs = template.integer_form
     scale = np.prod(dens, axis=1)
     weights = nums * (scale[:, None] // dens)
-    amps = scale[:, None] * const.reshape(1, -1) + weights @ coeffs.reshape(len(coeffs), -1)
+    amps = scale[:, None] * const.reshape(1, 64) + weights @ coeffs.reshape(len(coeffs), 64)
     return amps.reshape(-1, 16, 4)
 
 

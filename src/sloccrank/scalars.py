@@ -251,6 +251,13 @@ def common_denominator(values) -> tuple[list[tuple[int, int, int, int]], int]:
     return quads, den
 
 
+def scalars_of(quads, den: int = 1) -> tuple[ExactScalar, ...]:
+    """The ExactScalars of integer quadruples over one denominator ``den``:
+    ``common_denominator``'s inverse, normalised only when ``den`` is not 1."""
+    unit = den == 1
+    return tuple([ExactScalar(a, b, c, d, den, unit) for a, b, c, d in quads])
+
+
 # --- text grammar -----------------------------------------------------------
 
 _FLOAT_MARK = re.compile(r"[.eE]")

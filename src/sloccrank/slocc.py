@@ -7,7 +7,10 @@ amplitude vectors of one qubit count takes one batched matrix product per
 qubit (``_kernels.apply_single_qubit``).  ``apply_local_many`` and
 ``transform_coefficient_matrices`` stack many products at once;
 ``apply_local`` and ``transform_coefficient_matrix`` are stacks of one.
-Anything floating contracts complex arrays instead.
+Exact results stay quadruple arrays until the API edge: an applied
+state over denominator 1 is built by ``states._from_quads`` with its
+``cleared`` form primed, and each operator keeps its cleared entries and
+their row sum.  Anything floating contracts complex arrays instead.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ from .scalars import (
     parse_float,
     render_exact,
     render_float,
+    scalars_of,
 )
-from .states import PureState, _from_tensor, amplitude_tensor, coerce_amplitudes
+from .states import (
+    PureState, _from_quads, _from_tensor, amplitude_tensor, coerce_amplitudes, random_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,10 @@ class LocalOperator:
             vals = coerce_amplitudes(vals)
         a, b, c, d = vals
         object.__setattr__(self, "entries", ((a, b), (c, d)))
-        if isinstance(a, ExactScalar):
+        self._require_invertible()
+
+    def _require_invertible(self):
+        if self.is_exact:
             q = self.cleared[0]  # ad == bc over one denominator: no ExactScalar is built
             singular = mul4(q[0], q[3]) == mul4(q[1], q[2])
         else:
@@ -61,11 +70,31 @@ class LocalOperator:
         if singular:
             raise ValueError("operator must be invertible (zero determinant)")
 
+    @classmethod
+    def _from_quads(cls, quads) -> LocalOperator:
+        """The exact operator whose entries a, b, c, d are the four integer
+        quadruples ``quads`` over denominator 1, with ``cleared`` and
+        ``row_sum`` primed; a singular one raises ``ValueError`` as the
+        constructor does."""
+        op = cls.__new__(cls)
+        a, b, c, d = scalars_of(quads)
+        object.__setattr__(op, "entries", ((a, b), (c, d)))
+        cache = vars(op)  # what the cached properties would store
+        cache["cleared"] = (list(quads), 1)
+        op._require_invertible()
+        cache["row_sum"] = operator_row_sum(quads)
+        return op
+
     @cached_property
     def cleared(self) -> tuple[list[tuple[int, int, int, int]], int]:
         """``common_denominator`` of the exact entries a, b, c, d, cached as in ``PureState``."""
         (a, b), (c, d) = self.entries
         return common_denominator([a, b, c, d])
+
+    @cached_property
+    def row_sum(self) -> int:
+        """``operator_row_sum`` of the cleared entries, cached: it bounds every image."""
+        return operator_row_sum(self.cleared[0])
 
     @classmethod
     def of(cls, a, b, c, d) -> LocalOperator:
@@ -135,10 +164,6 @@ I_IDENTITY = LocalOperator.of(ExactScalar(0, 1), 0, 0, ExactScalar(0, 1))
 I_SIGMA_Z = LocalOperator.of(ExactScalar(0, 1), 0, 0, -ExactScalar(0, 1))
 
 
-def identity_ops(n: int) -> LocalOperatorSet:
-    return LocalOperatorSet(tuple(IDENTITY_OP for _ in range(n)))
-
-
 def _contract(amps: np.ndarray, ops) -> np.ndarray:
     """Apply ``ops[t]`` to axis ``t`` of a complex 2 x ... x 2 tensor."""
     for t, op in enumerate(ops):
@@ -149,44 +174,41 @@ def _contract(amps: np.ndarray, ops) -> np.ndarray:
 STACK_JOBS = 64  # amplitude vectors per stack: bounds the arrays and the scalars held at once
 
 
-def _apply_exact(jobs) -> list[tuple[ExactScalar, ...]]:
+def _apply_exact(jobs) -> list[tuple[np.ndarray, int]]:
     """Apply exact operators to many amplitude vectors, as stacks.
 
     Each job is ``(quads, den, ops)``: the amplitude vector ``quads / den``,
     ``quads`` a (2**n, 4) array of integer quadruples as
     ``_kernels.quad_array`` returns, and ``ops[t]`` the operator of qubit
-    ``t``, the ``t``-th most significant index bit.  Jobs of one qubit
-    count and dtype are stacked, ``STACK_JOBS`` at a time.  A job is
-    stacked in int64 when its bound, max |x| times the largest absolute
-    row sum of every qubit's 8x8 matrix, is below ``INT64_BOUND``: no
-    partial sum of any of its products can then exceed it.  Any other job
-    is stacked as Python ints (object dtype).  ``np.abs`` gives max |x|
-    exactly on either dtype, since int64 storage excludes -2**63.
+    ``t``, the ``t``-th most significant index bit.  Each image is returned
+    the same way, as ``(quads, den)``.  Jobs of one qubit count and dtype
+    are stacked, ``STACK_JOBS`` at a time.  A job is stacked in int64 when
+    its bound, max |x| times the largest absolute row sum of every qubit's
+    8x8 matrix, is below ``INT64_BOUND``: no partial sum of any of its
+    products can then exceed it.  Any other job is stacked as Python ints
+    (object dtype).  ``np.abs`` gives max |x| exactly on either dtype, since
+    int64 storage excludes -2**63.
     """
     groups = {}
     for j, (quads, den, ops) in enumerate(jobs):
         bound = int(np.abs(quads).max())
-        op_quads = []
         for op in ops:
-            q, op_den = op.cleared
-            op_quads.append(q)
-            bound *= operator_row_sum(q)
-            den *= op_den
+            bound *= op.row_sum
+            den *= op.cleared[1]
         key = (len(ops), bound < INT64_BOUND)
-        groups.setdefault(key, []).append((j, quads, op_quads, den))
+        groups.setdefault(key, []).append((j, quads, ops, den))
     out = [None] * len(jobs)
     for (n, small), members in groups.items():
         dtype = np.int64 if small else object
         for start in range(0, len(members), STACK_JOBS):
             part = members[start:start + STACK_JOBS]
             x = np.stack([quads for _, quads, _, _ in part]).astype(dtype, copy=False)
-            mats = operator_stack(
-                np.array([q for _, _, q, _ in part], dtype=dtype).reshape(len(part), n, 2, 2, 4)
-            )
+            op_quads = [op.cleared[0] for _, _, ops, _ in part for op in ops]
+            mats = operator_stack(np.array(op_quads, dtype=dtype).reshape(len(part), n, 2, 2, 4))
             for t in range(n):
                 x = apply_single_qubit(x, t, mats[:, t])
-            for (j, _, _, den), amps in zip(part, x.tolist()):
-                out[j] = tuple(ExactScalar(*q, den) for q in amps)
+            for (j, _, _, den), image in zip(part, x):
+                out[j] = (image, den)
     return out
 
 
@@ -203,9 +225,9 @@ def apply_local_many(pairs) -> list[PureState]:
         else:
             phi = psi.to_float()
             out[k] = _from_tensor(_contract(amplitude_tensor(phi), ops.ops), phi.labels)
-    for (k, _), amps in zip(exact, _apply_exact([job for _, job in exact])):
+    for (k, _), (quads, den) in zip(exact, _apply_exact([job for _, job in exact])):
         psi = pairs[k][0]
-        out[k] = PureState(psi.n, amps, psi.labels)
+        out[k] = _from_quads(quads.reshape((2,) * psi.n + (4,)), den, psi.labels)
     return out
 
 
@@ -235,8 +257,9 @@ def transform_coefficient_matrices(pairs) -> list[CoefficientMatrix]:
             amps = np.asarray(C.entries, complex).reshape((2,) * bp.n)
             entries = _contract(amps, ordered).reshape(C.rows, C.cols)
             out[k] = CoefficientMatrix(C.rows, C.cols, entries, bp)
-    for (k, _), flat in zip(exact, _apply_exact([job for _, job in exact])):
+    for (k, _), (quads, den) in zip(exact, _apply_exact([job for _, job in exact])):
         C = pairs[k][0]
+        flat = scalars_of(quads.tolist(), den)
         entries = tuple(flat[i:i + C.cols] for i in range(0, len(flat), C.cols))
         out[k] = CoefficientMatrix(C.rows, C.cols, entries, C.bipartition)
     return out
@@ -256,17 +279,20 @@ def transform_coefficient_matrix(
 def random_invertible_local(n: int, seed: int) -> LocalOperatorSet:
     """Deterministic per-seed sample of n invertible 2x2 operators.
 
-    Each operator's entries are Gaussian integers from {-3..3} + {-3..3}i,
-    redrawn while ``LocalOperator`` refuses them as singular.
+    Each operator's entries a, b, c, d are Gaussian integers from
+    {-3..3} + {-3..3}i, real part first (``states.random_ints``), redrawn
+    while ad == bc.
     """
     rng = random.Random(seed)
     ops = []
     while len(ops) < n:
-        a, b, c, d = [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-        try:
-            ops.append(LocalOperator(((a, b), (c, d))))
-        except ValueError:
-            pass
+        parts = random_ints(rng, 3, 8 * (n - len(ops)))  # a refused draw is made again
+        for k in range(0, len(parts), 8):
+            quads = [(x, y, 0, 0) for x, y in zip(parts[k:k + 8:2], parts[k + 1:k + 8:2])]
+            try:
+                ops.append(LocalOperator._from_quads(quads))
+            except ValueError:
+                pass
     return LocalOperatorSet(tuple(ops))
 
 

@@ -6,6 +6,14 @@ significant bit of the basis index, so ``amps[i]`` is the amplitude of
 axis p - 1 of ``amplitude_tensor(psi)``, the one re-indexing view.
 States are immutable and never normalised implicitly; the
 classification is scale-invariant.
+
+An exact state's amplitudes are ExactScalars (``amps``, the API edge),
+and its working form is ``PureState.cleared``: one integer quadruple
+array over one denominator, which ranks, operators, products,
+invariants and reduced densities read.  A state built from such an
+array over denominator 1 (``_from_quads``: a random draw, an applied
+operator, a product) has that cache filled at once, so its scalars are
+never cleared again.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._kernels import quad_array, support_residues
+from ._kernels import quad_array, quad_einsum, support_residues
 from .scalars import (
     ExactScalar,
     ScalarFormatError,
@@ -29,6 +37,7 @@ from .scalars import (
     parse_float,
     render_exact,
     render_float,
+    scalars_of,
 )
 
 QUBIT_CAP = 20  # dense amplitude storage: 2**20 entries max
@@ -107,7 +116,8 @@ class PureState:
 
     @cached_property
     def cleared(self) -> tuple[np.ndarray, int]:
-        """``(quads, den)`` of an exact state, computed once and cached.
+        """``(quads, den)`` of an exact state, computed once and cached
+        (``_from_quads`` fills it when it builds the state from it).
 
         ``quads`` holds the amplitudes as integer quadruples over the one
         shared denominator ``den``, one (2, ..., 2, 4) ``quad_array`` with
@@ -162,12 +172,6 @@ def state(n: int, amps, labels=None) -> PureState:
     return PureState(n, tuple(coerced), tuple(labels))
 
 
-def basis_state(n: int, index: int) -> PureState:
-    amps = [ExactScalar(0)] * (1 << n)
-    amps[index] = ExactScalar(1)
-    return state(n, amps)
-
-
 @dataclass(frozen=True)
 class QubitPermutation:
     """Bijection of qubit positions 1..n; ``image[p-1]`` is where p goes."""
@@ -218,6 +222,21 @@ def _from_tensor(amps: np.ndarray, labels) -> PureState:
     return PureState(amps.ndim, tuple(amps.ravel().tolist()), labels)
 
 
+def _from_quads(quads: np.ndarray, den: int, labels) -> PureState:
+    """The exact state of the (2, ..., 2, 4) quadruple array ``quads`` over ``den``.
+
+    Over ``den`` 1 an int64 ``quads`` (bounded, so free of -2**63) is what
+    ``common_denominator`` and ``quad_array`` would give, and becomes
+    ``cleared``.  Otherwise the cache stays lazy: a ``den`` above 1 need not
+    be the least one, and ``quad_array`` gives int64 for an object array
+    whose values fit.
+    """
+    psi = PureState(quads.ndim - 1, scalars_of(quads.reshape(-1, 4).tolist(), den), labels)
+    if den == 1 and quads.dtype == np.int64:
+        vars(psi)["cleared"] = (quads, 1)  # what the cached property would store
+    return psi
+
+
 def permute_qubits(psi: PureState, perm: QubitPermutation) -> PureState:
     """Amplitude at the permuted index equals the original amplitude."""
     if perm.n != psi.n:
@@ -254,12 +273,19 @@ def product_state(factors, n: int) -> PureState:
         cover.extend(pos)
     if sorted(cover) != list(range(1, n + 1)):
         raise ValueError("placements must partition 1..n")
-    exact = all(f.is_exact for f, _ in factors)
-    tensors = [amplitude_tensor(f if exact else f.to_float()) for f, _ in factors]
-    outer = reduce(np.multiply.outer, tensors)
-    if not exact and not outer.any():
+    axes = [p - 1 for p in cover]
+    if all(f.is_exact for f, _ in factors):
+        outer, den = factors[0][0].cleared
+        for f, _ in factors[1:]:
+            quads, f_den = f.cleared
+            flat = quad_einsum("a,b->ab", outer.reshape(-1, 4), quads.reshape(-1, 4))
+            outer = flat.reshape(outer.shape[:-1] + quads.shape[:-1] + (4,))
+            den *= f_den
+        return _from_quads(np.moveaxis(outer, range(n), axes), den, default_labels(n))
+    outer = reduce(np.multiply.outer, [amplitude_tensor(f.to_float()) for f, _ in factors])
+    if not outer.any():
         raise ValueError("amplitude products of the nonzero factors underflow to zero")
-    return _from_tensor(np.moveaxis(outer, range(n), [p - 1 for p in cover]), default_labels(n))
+    return _from_tensor(np.moveaxis(outer, range(n), axes), default_labels(n))
 
 
 def scale(psi: PureState, c) -> PureState:
@@ -273,16 +299,37 @@ def scale(psi: PureState, c) -> PureState:
 AMP_SPAN = 3
 
 
+def random_ints(rng: random.Random, span: int, count: int) -> list[int]:
+    """``[rng.randint(-span, span) for _ in range(count)]``, drawn faster.
+
+    ``randint`` draws ``randrange``'s ``_randbelow_with_getrandbits``:
+    ``getrandbits(k)`` for the bit length k of the width 2 * span + 1,
+    redrawn while it reaches the width.  The loop below is that rejection
+    loop without the argument checks, so ``rng`` gives the same stream.
+    """
+    width = 2 * span + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(r - span)
+    return out
+
+
 def random_exact_state(n: int, rng: random.Random) -> PureState:
     """Random state with Gaussian-integer amplitudes, each real and imaginary
-    part drawn from [-AMP_SPAN, AMP_SPAN]."""
+    part drawn from [-AMP_SPAN, AMP_SPAN], real part first; an all-zero draw
+    is drawn again."""
+    size = 1 << n
     while True:
-        amps = [
-            ExactScalar(rng.randint(-AMP_SPAN, AMP_SPAN), rng.randint(-AMP_SPAN, AMP_SPAN))
-            for _ in range(1 << n)
-        ]
-        if any(not a.is_zero() for a in amps):
-            return state(n, amps)
+        parts = random_ints(rng, AMP_SPAN, 2 * size)
+        if any(parts):
+            quads = np.zeros((size, 4), dtype=np.int64)
+            quads[:, :2] = np.array(parts, dtype=np.int64).reshape(size, 2)
+            return _from_quads(quads.reshape((2,) * n + (4,)), 1, default_labels(n))
 
 
 # --- state file format -------------------------------------------------------

@@ -7,7 +7,8 @@ grammar as a split-then-match parser over Fractions; its array
 residues: one Python-int image per quadruple; its equivalence
 classes of qubits: the union-finds that the direct tests replaced; and
 its predicate sampler: the ratio union-find that the one-dict solver
-replaced.
+replaced; and its invariants: the hand-expanded formulas over ExactScalar
+(or complex) amplitudes that the index tables replaced.
 """
 
 from __future__ import annotations
@@ -260,6 +261,41 @@ def ref_apply_local(amps, n: int, mats) -> list:
             out[w] = a * x0 + b * x1
             out[w | bit] = c * x0 + d * x1
     return out
+
+
+def ref_dxy(a):
+    """Degree-6 invariant of 16 amplitudes: the 3x3 determinant of quadratic forms."""
+    d11 = a[0] * a[3] - a[1] * a[2]
+    d12 = a[0] * a[7] - a[1] * a[6] - a[2] * a[5] + a[3] * a[4]
+    d13 = a[4] * a[7] - a[5] * a[6]
+    d21 = a[0] * a[11] - a[1] * a[10] - a[2] * a[9] + a[3] * a[8]
+    d22 = (
+        a[0] * a[15] - a[1] * a[14] - a[2] * a[13] + a[3] * a[12]
+        + a[4] * a[11] - a[5] * a[10] - a[6] * a[9] + a[7] * a[8]
+    )
+    d23 = a[4] * a[15] - a[5] * a[14] - a[6] * a[13] + a[7] * a[12]
+    d31 = a[8] * a[11] - a[9] * a[10]
+    d32 = a[8] * a[15] - a[9] * a[14] - a[10] * a[13] + a[11] * a[12]
+    d33 = a[12] * a[15] - a[13] * a[14]
+    return (
+        d11 * (d22 * d33 - d23 * d32)
+        - d12 * (d21 * d33 - d23 * d31)
+        + d13 * (d21 * d32 - d22 * d31)
+    )
+
+
+def ref_f1(c):
+    """Degree-4 semi-invariant over amplitudes 0..7."""
+    head = c[0] * c[7] - c[2] * c[5] + c[1] * c[6] - c[3] * c[4]
+    return head * head - 4 * ((c[2] * c[4] - c[0] * c[6]) * (c[3] * c[5] - c[1] * c[7]))
+
+
+def ref_f2(c):
+    """Degree-4 semi-invariant over amplitudes 8..15."""
+    head = c[8] * c[15] - c[11] * c[12] + c[9] * c[14] - c[10] * c[13]
+    return head * head - 4 * (
+        (c[11] * c[13] - c[9] * c[15]) * (c[10] * c[12] - c[8] * c[14])
+    )
 
 
 # --- the scalar text grammar as a split-then-match parser --------------------

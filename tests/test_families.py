@@ -45,7 +45,7 @@ from sloccrank.slocc import (
     apply_local,
 )
 from sloccrank.states import QubitPermutation, permute_qubits, state
-from sloccrank.tables import TableReport, _run_family_rows, ghz
+from sloccrank.tables import TableReport, _run_family_rows, ghz, run_table
 
 
 # --- templates -----------------------------------------------------------------
@@ -361,6 +361,23 @@ def test_register_template_for_rules_only_family(tmp_path):
     assert registry.get("L_a2b2").template is not None
     psi = instantiate("L_a2b2", (1, 2), registry)
     assert psi.amps[5] == ExactScalar(1)
+
+
+def test_registry_entries_are_frozen():
+    """An entry the shared registry hands out cannot change a later table:
+    dropping an L_ab3 row used to leave table 7 with 6 L_ab3 rows, passing."""
+    entry = default_registry().get("L_ab3")
+    with pytest.raises(AttributeError):
+        entry.rules.pop()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.rules = ()
+    g_abcd = default_registry().get("G_abcd")
+    with pytest.raises(TypeError):
+        g_abcd.split_rules["AB"] = ()
+    with pytest.raises(AttributeError):
+        g_abcd.split_rules["AB"].append(g_abcd.split_rules["AB"][0])
+    rows = [r for r in run_table(7, 1, 0).rows if r.name.split()[0] == "L_ab3"]
+    assert len(rows) == 7 and all(r.verdict == "match" for r in rows)
 
 
 # a stand-in template for exercising the registry plumbing

@@ -16,12 +16,22 @@ from sloccrank.invariants import (
     invariant_report,
 )
 from sloccrank.scalars import ExactScalar
-from sloccrank.slocc import LocalOperator, identity_ops, random_invertible_local
+from sloccrank.slocc import IDENTITY_OP, LocalOperator, LocalOperatorSet, random_invertible_local
 from sloccrank.states import state
+
+
+FLOAT_ZERO_TOL = 1e-9  # relative cutoff for zero tests on floating values
 
 
 def exact(v):
     return ExactScalar._coerce(Fraction(v))
+
+
+def invariant_is_zero(value, reference: float = 1.0) -> bool:
+    """Zero test: exact for ExactScalar, relative 1e-9 for floats."""
+    if isinstance(value, ExactScalar):
+        return value.is_zero()
+    return abs(value) <= FLOAT_ZERO_TOL * max(1.0, abs(reference))
 
 
 def test_dxy_anchor_values():
@@ -70,11 +80,9 @@ def test_closed_form_special_points():
 
 
 def test_covariance_factor_examples():
-    assert dxy_covariance_factor(identity_ops(4)) == 1
-    ops = identity_ops(4).ops
-    doubled = (LocalOperator.of(2, 0, 0, 1),) + ops[1:]
-    from sloccrank.slocc import LocalOperatorSet
-
+    identity = LocalOperatorSet((IDENTITY_OP,) * 4)
+    assert dxy_covariance_factor(identity) == 1
+    doubled = (LocalOperator.of(2, 0, 0, 1),) + identity.ops[1:]
     assert dxy_covariance_factor(LocalOperatorSet(doubled)) == 8
 
 
@@ -84,7 +92,7 @@ def test_dxy_covariance_law():
 
 
 def test_dxy_invariant_under_unit_determinant_ops():
-    from sloccrank.slocc import LocalOperatorSet, apply_local
+    from sloccrank.slocc import apply_local
 
     shear = LocalOperator.of(1, 1, 0, 1)
     lower = LocalOperator.of(1, 0, ExactScalar(0, 2), 1)
@@ -95,8 +103,6 @@ def test_dxy_invariant_under_unit_determinant_ops():
 
 
 def test_invariant_is_zero_modes():
-    from sloccrank.invariants import invariant_is_zero
-
     assert invariant_is_zero(ExactScalar(0))
     assert not invariant_is_zero(ExactScalar(1, 0, 0, 0, 10**9))
     assert invariant_is_zero(1e-12 + 0j)

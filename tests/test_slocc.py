@@ -16,7 +16,6 @@ from sloccrank.slocc import (
     LocalOperator,
     LocalOperatorSet,
     apply_local,
-    identity_ops,
     parse_operator_file,
     random_invertible_local,
     render_operator_file,
@@ -25,6 +24,10 @@ from sloccrank.slocc import (
 from sloccrank.states import random_exact_state, state
 from sloccrank.tables import ghz
 from _oracles import _floating
+
+
+def identity_ops(n: int) -> LocalOperatorSet:
+    return LocalOperatorSet((IDENTITY_OP,) * n)
 
 
 def test_non_invertible_operator_rejected():

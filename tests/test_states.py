@@ -21,7 +21,6 @@ from sloccrank.states import (
     PureState,
     QubitPermutation,
     StateFormatError,
-    basis_state,
     parse_state,
     permute_qubits,
     product_state,
@@ -34,6 +33,12 @@ from sloccrank.states import (
 
 def epr():
     return state(2, [1, 0, 0, 1])
+
+
+def basis_state(n: int, index: int) -> PureState:
+    amps = [ExactScalar(0)] * (1 << n)
+    amps[index] = ExactScalar(1)
+    return state(n, amps)
 
 
 def test_parse_state_epr():

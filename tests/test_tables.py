@@ -162,6 +162,19 @@ def test_table_7_validates_registered_template(quick_scans, tmp_path):
     assert rows["L_a4 434"].verdict in ("match", "mismatch")
 
 
+def test_table_7_validates_a_zero_parameter_template(quick_scans):
+    """A template without parameters ranks on the stacked route: the Verstraete
+    normal form of L_0_53, |0000> + |0101> + |1000> + |1110>, fills its entry."""
+    registry = FamilyRegistry()
+    amps = ["0"] * 16
+    for index in (0b0000, 0b0101, 0b1000, 0b1110):
+        amps[index] = "1"
+    registry.register_entry({"name": "L_0_53", "amps": amps})
+    report = run_table(7, 2, 0, registry)
+    rows = [r for r in report.rows if r.name.startswith("L_0_53 ")]
+    assert [(r.name, r.verdict) for r in rows] == [("L_0_53 333", "match")]
+
+
 def test_mismatch_detection(quick_scans):
     registry = FamilyRegistry()
     # wrong rule table: claims the equal-parameter point has triple 444
