@@ -328,6 +328,7 @@ class FamilyEntry:
     template: FamilyTemplate | None
     rules: tuple[SubfamilyRule, ...] = ()
     split_rules: Mapping[str, tuple[Predicate, ...]] | None = None
+    __hash__ = None  # ``split_rules`` is a mapping, which has no hash: no entry is hashable
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
